@@ -7,7 +7,7 @@
 #include <iostream>
 #include <string>
 
-#include "dp/ge.hpp"
+#include "dp/dp.hpp"
 #include "support/cli.hpp"
 #include "support/csv.hpp"
 #include "support/rng.hpp"
@@ -53,8 +53,9 @@ int main(int argc, char** argv) {
       for (std::int64_t r = 0; r < reps; ++r) {
         auto m = input;
         stopwatch sw;
-        info = ge_cnc(m, static_cast<std::size_t>(base), v,
-                      static_cast<unsigned>(workers));
+        info = exec::run_dataflow(
+            *make_ge_spec(m, static_cast<std::size_t>(base)),
+            {v, static_cast<unsigned>(workers)});
         best = std::min(best, sw.seconds());
         if (!(m == oracle)) {
           std::cerr << "VALIDATION FAILED for " << to_string(v) << "\n";

@@ -17,10 +17,8 @@
 #include <string>
 #include <vector>
 
-#include "dp/fw.hpp"
-#include "dp/ge.hpp"
+#include "dp/dp.hpp"
 #include "dp/kernels.hpp"
-#include "dp/sw.hpp"
 #include "dp/tuning.hpp"
 #include "support/cli.hpp"
 #include "support/csv.hpp"
@@ -54,14 +52,14 @@ bool verify_all() {
                       [base](kernel_impl impl) {
                         set_kernel_impl(impl);
                         auto m = make_diag_dominant(256, 17);
-                        ge_rdp_serial(m, base);
+                        exec::run_serial(*make_ge_spec(m, base));
                         return m;
                       });
     ok &= tables_match(("FW blocked vs scalar" + suffix).c_str(),
                       [base](kernel_impl impl) {
                         set_kernel_impl(impl);
                         auto m = make_digraph(256, 0.3, 23, 1e9);
-                        fw_rdp_serial(m, base);
+                        exec::run_serial(*make_fw_spec(m, base));
                         return m;
                       });
     ok &= tables_match(("SW blocked vs scalar" + suffix).c_str(),
@@ -70,7 +68,8 @@ bool verify_all() {
                         const auto a = make_dna(256, 29);
                         const auto b = make_dna(256, 31);
                         matrix<std::int32_t> s(257, 257, 0);
-                        sw_rdp_serial(s, a, b, sw_params{}, base);
+                        exec::run_serial(
+                            *make_sw_spec(s, a, b, sw_params{}, base));
                         return s;
                       });
   }

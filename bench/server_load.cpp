@@ -178,7 +178,7 @@ struct instance_pool {
       inputs.push_back(make_diag_dominant(o.n, 0xC0FFEE + i));
       if (with_expected) {
         matrix<double> m = inputs.back();
-        dp::ge_rdp_serial(m, o.base);
+        exec::run_serial(*dp::make_ge_spec(m, o.base));
         expected.push_back(std::move(m));
       }
     }

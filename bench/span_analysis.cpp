@@ -60,9 +60,10 @@ std::optional<measured_run> run_measured(std::string_view bm,
     auto m = make_diag_dominant(n, 1);
     if (forkjoin_model) {
       forkjoin::worker_pool pool(workers);
-      dp::ge_rdp_forkjoin(m, base, pool);
+      exec::run_forkjoin(*dp::make_ge_spec(m, base), pool);
     } else {
-      dp::ge_cnc(m, base, dp::cnc_variant::native, workers);
+      exec::run_dataflow(*dp::make_ge_spec(m, base),
+                         {dp::cnc_variant::native, workers});
     }
   } else if (bm == "SW") {
     const auto a = make_dna(n, 7);
@@ -71,17 +72,19 @@ std::optional<measured_run> run_measured(std::string_view bm,
     matrix<std::int32_t> s(n + 1, n + 1, 0);
     if (forkjoin_model) {
       forkjoin::worker_pool pool(workers);
-      dp::sw_rdp_forkjoin(s, a, b, p, base, pool);
+      exec::run_forkjoin(*dp::make_sw_spec(s, a, b, p, base), pool);
     } else {
-      dp::sw_cnc(s, a, b, p, base, dp::cnc_variant::native, workers);
+      exec::run_dataflow(*dp::make_sw_spec(s, a, b, p, base),
+                         {dp::cnc_variant::native, workers});
     }
   } else {  // FW-APSP
     auto m = make_digraph(n, 0.3, 5, 1e9);
     if (forkjoin_model) {
       forkjoin::worker_pool pool(workers);
-      dp::fw_rdp_forkjoin(m, base, pool);
+      exec::run_forkjoin(*dp::make_fw_spec(m, base), pool);
     } else {
-      dp::fw_cnc(m, base, dp::cnc_variant::native, workers);
+      exec::run_dataflow(*dp::make_fw_spec(m, base),
+                         {dp::cnc_variant::native, workers});
     }
   }
   t.stop();

@@ -12,7 +12,7 @@
 #include <iomanip>
 #include <iostream>
 
-#include "dp/fw.hpp"
+#include "dp/dp.hpp"
 #include "forkjoin/worker_pool.hpp"
 #include "support/cli.hpp"
 #include "support/math_utils.hpp"
@@ -69,21 +69,22 @@ int main(int argc, char** argv) {
 
   const auto input = make_road_network(static_cast<std::size_t>(grid),
                                        padded, 99);
+  const auto tile = static_cast<std::size_t>(base);
 
   auto d_fj = input;
   {
     forkjoin::worker_pool pool(static_cast<unsigned>(workers));
     stopwatch t;
-    dp::fw_rdp_forkjoin(d_fj, static_cast<std::size_t>(base), pool);
+    exec::run_forkjoin(*dp::make_fw_spec(d_fj, tile), pool);
     std::cout << "fork-join R-DP APSP:  " << t.millis() << " ms\n";
   }
 
   auto d_df = input;
   {
     stopwatch t;
-    const auto info = dp::fw_cnc(d_df, static_cast<std::size_t>(base),
-                                 dp::cnc_variant::tuner,
-                                 static_cast<unsigned>(workers));
+    const auto info = exec::run_dataflow(
+        *dp::make_fw_spec(d_df, tile),
+        {dp::cnc_variant::tuner, static_cast<unsigned>(workers)});
     std::cout << "data-flow APSP:       " << t.millis() << " ms  ("
               << info.stats.steps_executed << " tile tasks)\n";
   }
@@ -117,8 +118,10 @@ int main(int argc, char** argv) {
   // Sanity: grid distance is a lower bound on travel time (min weight 1).
   const double corner = d_fj(id(0, 0), id(g - 1, g - 1));
   if (corner < kInf * 0.5 &&
-      corner < static_cast<double>(2 * (g - 1)))
+      corner < static_cast<double>(2 * (g - 1))) {
     std::cerr << "\nimpossible: travel time below Manhattan lower bound\n";
+    return 1;
+  }
   std::cout << "\nboth execution models agree on all " << nodes * nodes
             << " pairs.\n";
   return 0;

@@ -7,10 +7,14 @@
 //   2. run the serial loop oracle,
 //   3. run the 2-way R-DP algorithm on the fork-join runtime,
 //   4. run it on the data-flow (CnC) runtime,
-//   5. validate bit-identical results and print timings + runtime stats.
+//   5. validate bit-identical results and print timings + runtime stats;
+//      the exit status is 1 when either run disagrees with the oracle.
+//
+// Both runs build the GE recurrence spec (dp::make_ge_spec) and hand it to
+// an src/exec backend — the same path every registry row takes.
 #include <iostream>
 
-#include "dp/ge.hpp"
+#include "dp/dp.hpp"
 #include "forkjoin/worker_pool.hpp"
 #include "support/cli.hpp"
 #include "support/rng.hpp"
@@ -37,6 +41,8 @@ int main(int argc, char** argv) {
   // 1. Workload: GE without pivoting needs a matrix whose pivots never
   //    vanish; diagonal dominance guarantees that.
   const auto input = make_diag_dominant(static_cast<std::size_t>(n), 42);
+  const auto tile = static_cast<std::size_t>(base);
+  bool ok = true;
 
   // 2. Serial loop oracle (Listing 2 of the paper).
   auto oracle = input;
@@ -49,8 +55,9 @@ int main(int argc, char** argv) {
     auto m = input;
     forkjoin::worker_pool pool(static_cast<unsigned>(workers));
     stopwatch t1;
-    dp::ge_rdp_forkjoin(m, static_cast<std::size_t>(base), pool);
+    exec::run_forkjoin(*dp::make_ge_spec(m, tile), pool);
     const double ms = t1.millis();
+    ok = ok && m == oracle;
     const auto stats = pool.stats();
     std::cout << "fork-join R-DP   " << ms << " ms   (tasks spawned "
               << stats.tasks_spawned << ", steals " << stats.steals << ")  "
@@ -62,10 +69,11 @@ int main(int argc, char** argv) {
   {
     auto m = input;
     stopwatch t2;
-    const auto info = dp::ge_cnc(m, static_cast<std::size_t>(base),
-                                 dp::cnc_variant::native,
-                                 static_cast<unsigned>(workers));
+    const auto info = exec::run_dataflow(
+        *dp::make_ge_spec(m, tile),
+        {dp::cnc_variant::native, static_cast<unsigned>(workers)});
     const double ms = t2.millis();
+    ok = ok && m == oracle;
     std::cout << "data-flow R-DP   " << ms << " ms   (steps "
               << info.stats.steps_executed << ", re-executions "
               << info.stats.steps_aborted << ", items "
@@ -73,6 +81,10 @@ int main(int argc, char** argv) {
               << (m == oracle ? "validated" : "MISMATCH!") << "\n";
   }
 
+  if (!ok) {
+    std::cerr << "\nMISMATCH: a parallel run disagrees with the oracle.\n";
+    return 1;
+  }
   std::cout << "\nAll three executions produce bit-identical elimination "
                "results.\n";
   return 0;

@@ -10,7 +10,7 @@
 #include <iostream>
 #include <string>
 
-#include "dp/sw.hpp"
+#include "dp/dp.hpp"
 #include "forkjoin/worker_pool.hpp"
 #include "support/cli.hpp"
 #include "support/rng.hpp"
@@ -41,6 +41,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   const auto len = static_cast<std::size_t>(n);
+  const auto tile = static_cast<std::size_t>(base);
 
   auto a = make_dna(len, 101);
   auto b = make_dna(len, 202);
@@ -57,8 +58,7 @@ int main(int argc, char** argv) {
   {
     forkjoin::worker_pool pool(static_cast<unsigned>(workers));
     stopwatch t;
-    dp::sw_rdp_forkjoin(s_fj, a, b, params, static_cast<std::size_t>(base),
-                        pool);
+    exec::run_forkjoin(*dp::make_sw_spec(s_fj, a, b, params, tile), pool);
     std::cout << "fork-join R-DP fill:  " << t.millis() << " ms\n";
   }
 
@@ -67,8 +67,9 @@ int main(int argc, char** argv) {
   {
     stopwatch t;
     const auto info =
-        dp::sw_cnc(s_df, a, b, params, static_cast<std::size_t>(base),
-                   dp::cnc_variant::tuner, static_cast<unsigned>(workers));
+        exec::run_dataflow(*dp::make_sw_spec(s_df, a, b, params, tile),
+                           {dp::cnc_variant::tuner,
+                            static_cast<unsigned>(workers)});
     std::cout << "data-flow fill:       " << t.millis() << " ms  ("
               << info.stats.steps_executed << " tile tasks, "
               << info.stats.gets_failed << " failed gets)\n";

@@ -2,7 +2,8 @@
 //
 // Runs Gaussian Elimination twice at toy scale — once on the fork-join
 // work-stealing pool, once on the Native-CnC data-flow runtime — with the
-// event tracer recording every scheduler transition, then:
+// event tracer recording every scheduler transition, checks both tables
+// against the loop oracle (exit status 1 on a mismatch), then:
 //
 //   1. prints the per-phase summary table (the at-a-glance view: fork-join
 //      pays in parks + steals at every taskwait; Native-CnC pays in step
@@ -39,6 +40,9 @@ int main() {
   constexpr std::size_t n = 256, base = 32;
   constexpr unsigned workers = 4;
   const auto input = make_diag_dominant(n, 1);
+  auto oracle = input;
+  dp::ge_loop_serial(oracle);
+  bool ok = false;
 
   auto& tracer = obs::tracer::instance();
   tracer.set_thread_label("environment");
@@ -64,12 +68,13 @@ int main() {
     std::atomic<bool> done{false};
     pool.enqueue(forkjoin::make_task(
         [&] {
-          dp::ge_rdp_forkjoin(m, base, pool);
+          exec::run_forkjoin(*dp::make_ge_spec(m, base), pool);
           done.store(true, std::memory_order_release);
         },
         nullptr));
     while (!done.load(std::memory_order_acquire))
       std::this_thread::sleep_for(std::chrono::microseconds(200));
+    ok = m == oracle;
     // A short idle tail records the workers' spin-then-park transition.
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     sampler.stop();
@@ -82,12 +87,19 @@ int main() {
   {
     auto m = input;
     tracer.begin_phase("CnC GE (native)");
-    dp::ge_cnc(m, base, dp::cnc_variant::native, workers);
+    exec::run_dataflow(*dp::make_ge_spec(m, base),
+                       {dp::cnc_variant::native, workers});
+    ok = ok && m == oracle;
   }
 
   tracer.stop();
   const auto events = tracer.collect();
   obs::print_summary(std::cout, obs::summarize(events, tracer));
+
+  if (!ok) {
+    std::cerr << "MISMATCH: a traced run disagrees with ge_loop_serial\n";
+    return 1;
+  }
 
   const char* path = "trace_demo.json";
   if (!obs::write_chrome_trace_file(path, events, tracer)) {

@@ -3,10 +3,7 @@
 #include <algorithm>
 
 #include "dp/kernels.hpp"
-#include "dp/spec/specs.hpp"
-#include "exec/backend.hpp"
 #include "support/assertions.hpp"
-#include "support/math_utils.hpp"
 
 namespace rdp::dp {
 
@@ -28,33 +25,6 @@ void fw_base_kernel(double* c, std::size_t n, std::size_t i0, std::size_t j0,
 void fw_loop_serial(matrix<double>& m) {
   RDP_REQUIRE(m.rows() == m.cols());
   fw_kernel(m.data(), m.rows(), 0, 0, 0, m.rows());
-}
-
-namespace {
-
-void check_rdp_preconditions(const matrix<double>& m, std::size_t base) {
-  RDP_REQUIRE(m.rows() == m.cols());
-  RDP_REQUIRE_MSG(is_pow2(m.rows()) && is_pow2(base) && base <= m.rows(),
-                  "2-way R-DP requires power-of-two table and base sizes");
-}
-
-}  // namespace
-
-void fw_rdp_serial(matrix<double>& m, std::size_t base) {
-  check_rdp_preconditions(m, base);
-  exec::run_serial(*make_fw_spec(m, base));
-}
-
-void fw_rdp_forkjoin(matrix<double>& m, std::size_t base,
-                     forkjoin::worker_pool& pool) {
-  check_rdp_preconditions(m, base);
-  exec::run_forkjoin(*make_fw_spec(m, base), pool);
-}
-
-cnc_run_info fw_cnc(matrix<double>& m, std::size_t base, cnc_variant variant,
-                    unsigned workers) {
-  check_rdp_preconditions(m, base);
-  return exec::run_dataflow(*make_fw_spec(m, base), {variant, workers});
 }
 
 }  // namespace rdp::dp

@@ -13,8 +13,6 @@
 
 #include <cstddef>
 
-#include "dp/spec/spec.hpp"  // cnc_variant, cnc_run_info
-#include "forkjoin/worker_pool.hpp"
 #include "support/matrix.hpp"
 
 namespace rdp::dp {
@@ -25,22 +23,5 @@ void fw_loop_serial(matrix<double>& c);
 /// Base-case kernel: relax k in [k0,k0+b), i in [i0,i0+b), j in [j0,j0+b).
 void fw_base_kernel(double* c, std::size_t n, std::size_t i0, std::size_t j0,
                     std::size_t k0, std::size_t b);
-
-/// 2-way recursive divide-&-conquer, serial.
-void fw_rdp_serial(matrix<double>& c, std::size_t base);
-
-/// 2-way R-DP on the fork-join runtime (spawn/wait joins as in Listing 3).
-void fw_rdp_forkjoin(matrix<double>& c, std::size_t base,
-                     forkjoin::worker_pool& pool);
-
-/// Data-flow (CnC) execution; `m` is updated in place. Requires
-/// power-of-two n and base. Unlike GE's boolean-item scheme, every FW tile
-/// is rewritten each pivot round, so the spec is value-passing and the
-/// backend runs it over immutable tile-snapshot items — the canonical
-/// single-assignment CnC formulation (item (I,J,K) holds tile (I,J) after
-/// its round-K update; the environment seeds (I,J,-1) and gathers
-/// (I,J,T-1)).
-cnc_run_info fw_cnc(matrix<double>& m, std::size_t base, cnc_variant variant,
-                    unsigned workers);
 
 }  // namespace rdp::dp

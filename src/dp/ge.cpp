@@ -3,10 +3,7 @@
 #include <algorithm>
 
 #include "dp/kernels.hpp"
-#include "dp/spec/specs.hpp"
-#include "exec/backend.hpp"
 #include "support/assertions.hpp"
-#include "support/math_utils.hpp"
 
 namespace rdp::dp {
 
@@ -48,35 +45,6 @@ void ge_loop_serial(matrix<double>& m) {
   // keeps the floating-point evaluation order of all variants aligned, and
   // RDP_KERNELS governs the looping baseline too.
   ge_kernel(m.data(), m.rows(), 0, 0, 0, m.rows());
-}
-
-namespace {
-
-void check_rdp_preconditions(const matrix<double>& m, std::size_t base) {
-  RDP_REQUIRE(m.rows() == m.cols());
-  RDP_REQUIRE_MSG(is_pow2(m.rows()) && is_pow2(base),
-                  "2-way R-DP requires power-of-two table and base sizes");
-  RDP_REQUIRE_MSG(base <= m.rows(), "base size exceeds table size");
-}
-
-}  // namespace
-
-void ge_rdp_serial(matrix<double>& m, std::size_t base) {
-  check_rdp_preconditions(m, base);
-  exec::run_serial(*make_ge_spec(m, base));
-}
-
-void ge_rdp_forkjoin(matrix<double>& m, std::size_t base,
-                     forkjoin::worker_pool& pool) {
-  check_rdp_preconditions(m, base);
-  exec::run_forkjoin(*make_ge_spec(m, base), pool);
-}
-
-cnc_run_info ge_cnc(matrix<double>& m, std::size_t base, cnc_variant variant,
-                    unsigned workers, bool pin_tiles) {
-  check_rdp_preconditions(m, base);
-  return exec::run_dataflow(*make_ge_spec(m, base),
-                            {variant, workers, pin_tiles});
 }
 
 }  // namespace rdp::dp

@@ -1,23 +1,19 @@
 // Gaussian Elimination without pivoting (GE) — the paper's running example.
 //
-// Variants:
 //   * ge_loop_serial      — the triply-nested loop of Listing 2 (oracle).
 //   * ge_base_kernel      — base-case kernel over one (i0,j0,k0,b) region
 //                           with the global guards i>k, j>=k (Listing 3's
 //                           base part, branch-hoisted).
-//   * ge_rdp_serial       — 2-way recursive divide-&-conquer, serial.
-//   * ge_rdp_forkjoin     — 2-way R-DP with task_group spawn/wait exactly as
-//                           the OpenMP version of Listing 3 (same joins, so
-//                           the same artificial dependencies).
 //
-// All variants update the matrix in place and produce bit-identical results
-// (the recursion reorders only independent updates).
+// The recursive, fork-join, tiled, r-way and data-flow executions run the
+// GE spec (make_ge_spec, dp/spec/specs.hpp) through the registry
+// (dp/registry.hpp) or a src/exec backend; all of them update the matrix in
+// place bit-identically to ge_loop_serial (the recursion reorders only
+// independent updates).
 #pragma once
 
 #include <cstddef>
 
-#include "dp/spec/spec.hpp"  // cnc_variant, cnc_run_info
-#include "forkjoin/worker_pool.hpp"
 #include "support/matrix.hpp"
 
 namespace rdp::dp {
@@ -32,24 +28,5 @@ void ge_loop_serial(matrix<double>& c);
 /// exactly the right sub-triangles depending on the region's position.
 void ge_base_kernel(double* c, std::size_t n, std::size_t i0, std::size_t j0,
                     std::size_t k0, std::size_t b);
-
-/// 2-way recursive divide-&-conquer, serial execution (function A of Fig. 2
-/// with plain calls instead of spawns). `base` is the recursion cutoff.
-void ge_rdp_serial(matrix<double>& c, std::size_t base);
-
-/// 2-way recursive divide-&-conquer on the fork-join runtime: function A of
-/// Listing 3 — B and C spawned in parallel, taskwait, then D, then A.
-void ge_rdp_forkjoin(matrix<double>& c, std::size_t base,
-                     forkjoin::worker_pool& pool);
-
-/// Data-flow (CnC) execution — the design of §III-C (Listings 4 and 5).
-/// The graph is generated from the GE recurrence spec (dp/spec/specs.hpp)
-/// by the generic data-flow backend (exec/backend.hpp); `m` is updated in
-/// place, bit-identical to ge_loop_serial. Requires power-of-two n and
-/// base. `pin_tiles` enables the compute_on placement tuner (§V): every
-/// task on tile (I,J) is pinned to worker hash(I,J) % workers, the paper's
-/// suggestion for minimising inter-core and inter-NUMA tile movement.
-cnc_run_info ge_cnc(matrix<double>& m, std::size_t base, cnc_variant variant,
-                    unsigned workers, bool pin_tiles = false);
 
 }  // namespace rdp::dp

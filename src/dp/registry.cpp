@@ -1,11 +1,6 @@
 #include "dp/registry.hpp"
 
-#include "dp/fw.hpp"
-#include "dp/ge.hpp"
-#include "dp/rway.hpp"
 #include "dp/spec/specs.hpp"
-#include "dp/sw.hpp"
-#include "dp/tiled.hpp"
 #include "dp/verify/verify.hpp"
 #include "exec/backend.hpp"
 #include "exec/prepared_graph.hpp"
@@ -133,9 +128,9 @@ void with_pool(const run_options& opts, Fn&& fn) {
   fn(pool);
 }
 
-/// Spec for one problem instance. The prepared rows, the batch server, and
-/// every runner of a spec-only benchmark (LCS, Paren — which have no
-/// per-benchmark entry points) build their execution from this.
+/// Spec for one problem instance — the one place a registry row turns a
+/// problem_ref into a recurrence. The spec constructors check the problem's
+/// shape (square table, equal-length sequences, dims of length n+1).
 std::unique_ptr<recurrence> make_problem_spec(const problem_ref& p,
                                               std::size_t base) {
   switch (p.bm) {
@@ -152,57 +147,39 @@ std::unique_ptr<recurrence> make_problem_spec(const problem_ref& p,
   return nullptr;
 }
 
+/// The single precondition check of every row: the row's own
+/// supports(n, base), then the spec's shape checks. A shape the row
+/// rejects raises contract_error before any backend sees it.
+std::unique_ptr<recurrence> checked_spec(const variant& self,
+                                         const problem_ref& p,
+                                         const run_options& opts) {
+  RDP_REQUIRE_MSG(self.supports(problem_size(p), opts.base),
+                  std::string(to_string(p.bm)) + " × " +
+                      std::string(self.label) +
+                      " does not support this (n, base)");
+  return make_problem_spec(p, opts.base);
+}
+
 run_outcome run_serial_v(const variant& self, const problem_ref& p,
                          const run_options& opts) {
-  (void)self;
-  switch (p.bm) {
-    case benchmark_id::ge: ge_rdp_serial(*p.table, opts.base); break;
-    case benchmark_id::fw: fw_rdp_serial(*p.table, opts.base); break;
-    case benchmark_id::sw:
-      sw_rdp_serial(*p.sw_table, p.a, p.b, *p.params, opts.base);
-      break;
-    case benchmark_id::lcs:
-    case benchmark_id::paren:
-      exec::run_serial(*make_problem_spec(p, opts.base));
-      break;
-  }
+  exec::run_serial(*checked_spec(self, p, opts));
   return {};
 }
 
 run_outcome run_forkjoin_v(const variant& self, const problem_ref& p,
                            const run_options& opts) {
-  (void)self;
+  const std::unique_ptr<recurrence> spec = checked_spec(self, p, opts);
   with_pool(opts, [&](forkjoin::worker_pool& pool) {
-    switch (p.bm) {
-      case benchmark_id::ge: ge_rdp_forkjoin(*p.table, opts.base, pool); break;
-      case benchmark_id::fw: fw_rdp_forkjoin(*p.table, opts.base, pool); break;
-      case benchmark_id::sw:
-        sw_rdp_forkjoin(*p.sw_table, p.a, p.b, *p.params, opts.base, pool);
-        break;
-      case benchmark_id::lcs:
-      case benchmark_id::paren:
-        exec::run_forkjoin(*make_problem_spec(p, opts.base), pool);
-        break;
-    }
+    exec::run_forkjoin(*spec, pool);
   });
   return {};
 }
 
 run_outcome run_tiled_v(const variant& self, const problem_ref& p,
                         const run_options& opts) {
-  (void)self;
+  const std::unique_ptr<recurrence> spec = checked_spec(self, p, opts);
   with_pool(opts, [&](forkjoin::worker_pool& pool) {
-    switch (p.bm) {
-      case benchmark_id::ge: ge_tiled_forkjoin(*p.table, opts.base, pool); break;
-      case benchmark_id::fw: fw_tiled_forkjoin(*p.table, opts.base, pool); break;
-      case benchmark_id::sw:
-        sw_tiled_forkjoin(*p.sw_table, p.a, p.b, *p.params, opts.base, pool);
-        break;
-      case benchmark_id::lcs:
-      case benchmark_id::paren:
-        exec::run_tiled(*make_problem_spec(p, opts.base), pool);
-        break;
-    }
+    exec::run_tiled(*spec, pool);
   });
   return {};
 }
@@ -218,33 +195,14 @@ cnc_variant mode_to_variant(std::string_view mode) {
   return cnc_variant::native;
 }
 
+/// The data-flow rows own their context pool (opts.workers threads); they
+/// never borrow opts.pool.
 run_outcome run_dataflow_v(const variant& self, const problem_ref& p,
                            const run_options& opts) {
-  const cnc_variant mode = mode_to_variant(self.mode);
   run_outcome out;
   out.used_dataflow = true;
-  switch (p.bm) {
-    case benchmark_id::ge:
-      out.info = ge_cnc(*p.table, opts.base, mode, opts.workers,
-                        opts.pin_tiles);
-      break;
-    case benchmark_id::fw:
-      out.info = fw_cnc(*p.table, opts.base, mode, opts.workers);
-      break;
-    case benchmark_id::sw:
-      out.info = sw_cnc(*p.sw_table, p.a, p.b, *p.params, opts.base, mode,
-                        opts.workers);
-      break;
-    case benchmark_id::lcs:
-    case benchmark_id::paren: {
-      exec::dataflow_options dopts;
-      dopts.variant = mode;
-      dopts.workers = opts.workers;
-      dopts.pin_tiles = opts.pin_tiles;
-      out.info = exec::run_dataflow(*make_problem_spec(p, opts.base), dopts);
-      break;
-    }
-  }
+  out.info = exec::run_dataflow(*checked_spec(self, p, opts),
+                                {mode_to_variant(self.mode), opts.workers});
   return out;
 }
 
@@ -276,7 +234,7 @@ run_outcome run_sim_v(const variant& self, const problem_ref& p,
 /// bit-exactness checks cover the frozen executor itself.
 run_outcome run_prepared_v(const variant& self, const problem_ref& p,
                            const run_options& opts) {
-  const std::unique_ptr<recurrence> spec = make_problem_spec(p, opts.base);
+  const std::unique_ptr<recurrence> spec = checked_spec(self, p, opts);
   with_pool(opts, [&](forkjoin::worker_pool& pool) {
     // The batched mode coarsens the frozen CSR to band chunks
     // (exec/banding.hpp) sized to the pool actually executing it.
@@ -293,23 +251,9 @@ run_outcome run_prepared_v(const variant& self, const problem_ref& p,
 run_outcome run_rway_v(const variant& self, const problem_ref& p,
                        const run_options& opts) {
   const std::size_t r = self.mode == "r4" ? 4 : 2;
+  const std::unique_ptr<recurrence> spec = checked_spec(self, p, opts);
   with_pool(opts, [&](forkjoin::worker_pool& pool) {
-    switch (p.bm) {
-      case benchmark_id::ge:
-        ge_rdp_rway_forkjoin(*p.table, opts.base, r, pool);
-        break;
-      case benchmark_id::fw:
-        fw_rdp_rway_forkjoin(*p.table, opts.base, r, pool);
-        break;
-      case benchmark_id::sw:
-        sw_rdp_rway_forkjoin(*p.sw_table, p.a, p.b, *p.params, opts.base, r,
-                             pool);
-        break;
-      case benchmark_id::lcs:
-      case benchmark_id::paren:
-        exec::run_rway(*make_problem_spec(p, opts.base), r, &pool);
-        break;
-    }
+    exec::run_rway(*spec, r, &pool);
   });
   return {};
 }

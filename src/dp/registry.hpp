@@ -1,14 +1,13 @@
 // Runtime variant registry: every (benchmark × executor backend × mode)
 // combination the repo can run, as data.
 //
-// Benches and tests used to hard-code the variant list ("oracle, rdp-serial,
-// forkjoin, tiled, CnC, CnC_tuner, ...") in half a dozen places; each new
-// backend meant touching all of them. The registry enumerates the pairs
-// once — (benchmark, backend[:mode]) → runner — so consumers iterate it
-// (equivalence tests, smoke benches) or resolve one entry from a CLI
-// `--impl=backend[:mode]` string. Every entry is behavior-preserving with
-// the per-benchmark entry points it wraps (ge_rdp_serial, ge_cnc, ...):
-// same precondition checks, bit-identical outputs.
+// The registry enumerates the pairs once — (benchmark, backend[:mode]) →
+// runner — so consumers iterate it (equivalence tests, smoke benches) or
+// resolve one entry from a CLI `--impl=backend[:mode]` string. Together
+// with the recurrence specs (dp/spec/specs.hpp) it is the one way to run a
+// DP: every real row checks its own supports(n, base), builds the
+// benchmark's spec and makes one src/exec backend call. A shape a row does
+// not support raises contract_error.
 #pragma once
 
 #include <cstddef>
@@ -18,7 +17,7 @@
 #include <vector>
 
 #include "dp/spec/spec.hpp"  // cnc_run_info
-#include "dp/sw.hpp"
+#include "dp/sw.hpp"  // sw_params
 #include "support/matrix.hpp"
 
 namespace rdp::forkjoin {
@@ -38,7 +37,8 @@ enum class backend_kind : std::uint8_t {
   serial,    ///< depth-first 2-way recursion on one thread
   forkjoin,  ///< 2-way recursion with task_group stages
   tiled,     ///< blocked rounds / tile wavefronts with barriers
-  dataflow,  ///< CnC graph (modes: native, tuner, manual, nonblocking)
+  dataflow,  ///< CnC graph (modes: native, tuner, manual, nonblocking,
+             ///< batched, sharded)
   rway,      ///< parametric r-way recursion (modes: r2, r4)
   prepared,  ///< frozen dependence DAG (exec::prepared_graph) built once
              ///< per run here; the batch server amortises the freeze
@@ -79,12 +79,10 @@ struct run_options {
   std::size_t base = 64;
   /// Worker count for parallel backends (and the data-flow context).
   unsigned workers = 4;
-  /// Pool for the fork-join/tiled/r-way backends; when null each run owns a
-  /// transient pool of `workers` threads. The data-flow backend always owns
-  /// its context pool.
+  /// Pool for the fork-join/tiled/r-way/prepared backends; when null each
+  /// run owns a transient pool of `workers` threads. The data-flow backend
+  /// always owns its context pool.
   forkjoin::worker_pool* pool = nullptr;
-  /// compute_on tile pinning (data-flow GE only; ignored elsewhere).
-  bool pin_tiles = false;
   /// Machine profile for sim:* rows; when null they price the schedule on
   /// sim::epyc64(). Ignored by every real backend.
   const sim::machine_profile* sim_machine = nullptr;
@@ -109,7 +107,8 @@ struct variant {
   backend_kind backend;
   std::string_view mode;   ///< "" for modeless backends
   std::string_view label;  ///< "serial", "dataflow:tuner", "rway:r2", ...
-  /// Whether (n, base) satisfies this backend's preconditions.
+  /// Whether (n, base) satisfies this backend's preconditions; run()
+  /// throws contract_error when it does not.
   bool (*supports)(std::size_t n, std::size_t base);
   run_outcome (*run)(const variant& self, const problem_ref& p,
                      const run_options& opts);

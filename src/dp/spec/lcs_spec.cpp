@@ -1,6 +1,5 @@
 // LCS / edit-distance recurrence spec: the classic string wavefront as a
-// first-class spec over the (n+1)×(n+1) scoring table, replacing the
-// private dp/wavefront.hpp adapter path for these two DPs. The recurrence
+// first-class spec over the (n+1)×(n+1) scoring table. The recurrence
 // shape (split/depends/counts) comes from wavefront_recurrence, shared
 // with SW; only the cell rule differs:
 //

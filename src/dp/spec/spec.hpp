@@ -4,8 +4,8 @@
 // The paper's central comparison — the same recursive divide-&-conquer DP
 // under fork-join vs data-flow scheduling — was previously only
 // apples-to-apples by convention: each (benchmark × execution model) pair
-// was hand-written (ge.cpp/ge_cnc.cpp, sw.cpp/sw_cnc.cpp, ...). This layer
-// factors out what those implementations share:
+// was hand-written, one recursive and one CnC implementation per
+// benchmark. This layer factors out what those implementations shared:
 //
 //   * the 2-way split rule, expressed as a *staged* child list
 //     (split_plan). The stages are the fork-join joins; their flattened
@@ -17,9 +17,9 @@
 //     the flattened order to satisfy every depends() edge and each stage's
 //     children to be mutually independent; see DESIGN.md §11.)
 //   * the true-dependency function of a base tile (the depends() logic
-//     formerly buried in each *_cnc.cpp), emitted in the exact get order
-//     of the retired implementations: write-write predecessor first, then
-//     the read dependencies.
+//     formerly buried in each CnC implementation), emitted in the exact
+//     get order of the retired implementations: write-write predecessor
+//     first, then the read dependencies.
 //   * the exact consumer count of each produced item (get-count garbage
 //     collection for the single-execution tuners).
 //   * the base-case kernel hook, routed through the dp/kernels.hpp

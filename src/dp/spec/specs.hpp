@@ -1,10 +1,9 @@
 // Spec factories for the repo's benchmarks (the paper's three plus the
-// variable-arity additions of ISSUE 10). Each returns a cheap view over
+// variable-arity additions LCS and Paren). Each returns a cheap view over
 // the caller's problem data implementing dp::recurrence, ready for any
-// src/exec backend. The spec encodes the recurrence only; the public
-// per-benchmark entry points (ge.hpp/sw.hpp/fw.hpp/tiled.hpp/rway.hpp)
-// keep their original precondition checks and hand the spec to the chosen
-// backend.
+// src/exec backend. The spec encodes the recurrence and checks the
+// problem's shape; each registry row (dp/registry.hpp) additionally checks
+// its backend's (n, base) preconditions before handing the spec over.
 #pragma once
 
 #include <cstddef>

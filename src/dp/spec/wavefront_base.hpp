@@ -1,11 +1,8 @@
 // Shared wavefront recurrence: everything a wavefront-structured spec
-// (SW, LCS/edit-distance, the generic dp/wavefront.hpp functor adapter)
-// has in common — the R00; {R01 ∥ R10}; R11 split, the NW/N/W dependency
-// function with tight per-tile arity, consumer counts and enumeration
-// order. Derived classes supply only name() and the base-case kernel.
-// Before this class each of those specs carried its own copy of the
-// recurrence; the wavefront.hpp private adapter is now a thin shim over
-// it (see ISSUE 10 / DESIGN.md §15).
+// (SW, LCS/edit-distance, any one-off cell-rule DP) has in common — the
+// R00; {R01 ∥ R10}; R11 split, the NW/N/W dependency function with tight
+// per-tile arity, consumer counts and enumeration order. Derived classes
+// supply only name() and the base-case kernel (see DESIGN.md §15).
 #pragma once
 
 #include <cstddef>

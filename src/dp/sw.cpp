@@ -4,10 +4,7 @@
 #include <vector>
 
 #include "dp/kernels.hpp"
-#include "dp/spec/specs.hpp"
-#include "exec/backend.hpp"
 #include "support/assertions.hpp"
-#include "support/math_utils.hpp"
 
 namespace rdp::dp {
 
@@ -54,40 +51,6 @@ void sw_loop_serial(matrix<std::int32_t>& s, std::string_view a,
       row[j] = std::max({0, diag, up, left});
     }
   }
-}
-
-namespace {
-
-void check_sw_preconditions(const matrix<std::int32_t>& s, std::string_view a,
-                            std::string_view b, std::size_t base) {
-  RDP_REQUIRE(s.rows() == a.size() + 1 && s.cols() == b.size() + 1);
-  RDP_REQUIRE_MSG(a.size() == b.size(),
-                  "R-DP SW requires equal-length sequences");
-  RDP_REQUIRE_MSG(is_pow2(a.size()) && is_pow2(base) && base <= a.size(),
-                  "2-way R-DP requires power-of-two sizes");
-}
-
-}  // namespace
-
-void sw_rdp_serial(matrix<std::int32_t>& s, std::string_view a,
-                   std::string_view b, const sw_params& p, std::size_t base) {
-  check_sw_preconditions(s, a, b, base);
-  exec::run_serial(*make_sw_spec(s, a, b, p, base));
-}
-
-void sw_rdp_forkjoin(matrix<std::int32_t>& s, std::string_view a,
-                     std::string_view b, const sw_params& p, std::size_t base,
-                     forkjoin::worker_pool& pool) {
-  check_sw_preconditions(s, a, b, base);
-  exec::run_forkjoin(*make_sw_spec(s, a, b, p, base), pool);
-}
-
-cnc_run_info sw_cnc(matrix<std::int32_t>& s, std::string_view a,
-                    std::string_view b, const sw_params& p, std::size_t base,
-                    cnc_variant variant, unsigned workers) {
-  check_sw_preconditions(s, a, b, base);
-  return exec::run_dataflow(*make_sw_spec(s, a, b, p, base),
-                            {variant, workers});
 }
 
 std::int32_t sw_linear_space_score(std::string_view a, std::string_view b,

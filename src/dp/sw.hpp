@@ -17,8 +17,6 @@
 #include <cstdint>
 #include <string_view>
 
-#include "dp/spec/spec.hpp"  // cnc_variant, cnc_run_info
-#include "forkjoin/worker_pool.hpp"
 #include "support/matrix.hpp"
 
 namespace rdp::dp {
@@ -46,15 +44,6 @@ void sw_base_kernel(std::int32_t* s, std::size_t ld, std::string_view a,
                     std::string_view b, const sw_params& p, std::size_t i0,
                     std::size_t j0, std::size_t bsz);
 
-/// 2-way R-DP, serial.
-void sw_rdp_serial(matrix<std::int32_t>& s, std::string_view a,
-                   std::string_view b, const sw_params& p, std::size_t base);
-
-/// 2-way R-DP on the fork-join runtime (R00; spawn R01,R10; join; R11).
-void sw_rdp_forkjoin(matrix<std::int32_t>& s, std::string_view a,
-                     std::string_view b, const sw_params& p, std::size_t base,
-                     forkjoin::worker_pool& pool);
-
 /// O(n)-space scorer (§IV-A: "we optimised the algorithm to consume O(n)
 /// space"): returns the maximum local-alignment score without materialising
 /// the table. Used to cross-check the table-filling variants.
@@ -63,13 +52,5 @@ std::int32_t sw_linear_space_score(std::string_view a, std::string_view b,
 
 /// Maximum value in a filled SW table (the local alignment score).
 std::int32_t sw_best_score(const matrix<std::int32_t>& s);
-
-/// Data-flow (CnC) execution: tiles run as soon as their west/north/
-/// north-west neighbours are done — no barrier between anti-diagonals (the
-/// parallelism the fork-join joins destroy, §IV-B). Same preconditions as
-/// sw_rdp_serial (power-of-two equal-length sequences, zeroed table).
-cnc_run_info sw_cnc(matrix<std::int32_t>& s, std::string_view a,
-                    std::string_view b, const sw_params& p, std::size_t base,
-                    cnc_variant variant, unsigned workers);
 
 }  // namespace rdp::dp

@@ -5,10 +5,9 @@
 #include <stdexcept>
 #include <string>
 
-#include "dp/fw.hpp"
-#include "dp/ge.hpp"
 #include "dp/kernels.hpp"
-#include "dp/sw.hpp"
+#include "dp/spec/specs.hpp"
+#include "exec/backend.hpp"
 #include "support/assertions.hpp"
 #include "support/math_utils.hpp"
 #include "support/rng.hpp"
@@ -37,13 +36,13 @@ double probe_once(tune_target target, std::size_t n, std::size_t b) {
     case tune_target::ge: {
       auto m = make_diag_dominant(n, 11);
       stopwatch sw_t;
-      ge_rdp_serial(m, b);
+      exec::run_serial(*make_ge_spec(m, b));
       return sw_t.seconds();
     }
     case tune_target::fw: {
       auto m = make_digraph(n, 0.3, 5, 1e9);
       stopwatch sw_t;
-      fw_rdp_serial(m, b);
+      exec::run_serial(*make_fw_spec(m, b));
       return sw_t.seconds();
     }
     case tune_target::sw: {
@@ -52,7 +51,7 @@ double probe_once(tune_target target, std::size_t n, std::size_t b) {
       matrix<std::int32_t> s(n + 1, n + 1, 0);
       const sw_params p;
       stopwatch sw_t;
-      sw_rdp_serial(s, a, bs, p, b);
+      exec::run_serial(*make_sw_spec(s, a, bs, p, b));
       return sw_t.seconds();
     }
   }

@@ -1,12 +1,12 @@
 // Task-DAG builders: one per (benchmark × execution model).
 //
-// Data-flow builders emit exactly the dependency structure the CnC
-// implementations enforce through item collections (see ge_cnc.cpp,
-// fw_cnc.cpp, sw_cnc.cpp). Fork-join builders symbolically execute the
-// recursive algorithms (ge.cpp, fw.cpp, sw.cpp) and record the
-// series-parallel spawn/taskwait structure with zero-work fork/join nodes —
-// every join edge that is not also a data dependency is an artificial
-// dependency in the paper's sense.
+// Data-flow builders emit exactly the dependency structure the data-flow
+// backend enforces through item collections (the specs' depends() in
+// dp/spec/*_spec.cpp, run by exec/dataflow.cpp). Fork-join builders
+// symbolically execute the recursive split (exec/recursive.cpp over the
+// same specs) and record the series-parallel spawn/taskwait structure
+// with zero-work fork/join nodes — every join edge that is not also a
+// data dependency is an artificial dependency in the paper's sense.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +36,7 @@ task_graph build_sw_dataflow(std::size_t tiles, std::size_t base);
 /// SW: R00; {R01 ∥ R10}; R11 recursion with joins.
 task_graph build_sw_forkjoin(std::size_t tiles, std::size_t base);
 
-/// GE: parametric r-way fork-join recursion (dp/rway.hpp) — wider stages,
+/// GE: parametric r-way fork-join recursion (exec/rway.cpp) — wider stages,
 /// fewer joins per level. `tiles` must be r^L. Used by the r-way ablation.
 task_graph build_ge_forkjoin_rway(std::size_t tiles, std::size_t base,
                                   std::size_t r);

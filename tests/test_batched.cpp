@@ -37,21 +37,23 @@ TEST(BatchedDataflow, GeFusedStepCountsMatchHandComputation) {
   const unsigned workers = 4;
   const auto input = make_diag_dominant(n, 99);
   auto serial = input;
-  ge_rdp_serial(serial, base);
+  exec::run_serial(*make_ge_spec(serial, base));
 
   // Native first: it must not touch the fusion counter, and its per-tile
   // step count is the ≥4× baseline.
   auto native_m = input;
   const std::uint64_t fused_before_native = fused_counter().value();
   const cnc_run_info native =
-      ge_cnc(native_m, base, cnc_variant::native, workers);
+      exec::run_dataflow(*make_ge_spec(native_m, base),
+                         {cnc_variant::native, workers});
   EXPECT_TRUE(native_m == serial);
   EXPECT_EQ(fused_counter().value(), fused_before_native);
 
   auto batched_m = input;
   const std::uint64_t fused_before = fused_counter().value();
   const cnc_run_info batched =
-      ge_cnc(batched_m, base, cnc_variant::batched, workers);
+      exec::run_dataflow(*make_ge_spec(batched_m, base),
+                         {cnc_variant::batched, workers});
   EXPECT_TRUE(batched_m == serial);
 
   // One CnC step instance per band chunk, all 1496 tiles fused into them.
@@ -77,7 +79,7 @@ TEST(ShardedDataflow, GeMatchesSerialAndCountsShardLocality) {
   const std::size_t n = 64, base = 8;
   const auto input = make_diag_dominant(n, 7);
   auto serial = input;
-  ge_rdp_serial(serial, base);
+  exec::run_serial(*make_ge_spec(serial, base));
 
   auto& reg = obs::metrics_registry::instance();
   obs::counter& hit = reg.get_counter("dataflow.shard_hit");
@@ -85,7 +87,8 @@ TEST(ShardedDataflow, GeMatchesSerialAndCountsShardLocality) {
   const std::uint64_t h0 = hit.value(), m0 = miss.value();
 
   auto m = input;
-  const cnc_run_info info = ge_cnc(m, base, cnc_variant::sharded, 4);
+  const cnc_run_info info =
+      exec::run_dataflow(*make_ge_spec(m, base), {cnc_variant::sharded, 4});
   EXPECT_TRUE(m == serial);
   EXPECT_GT(info.stats.steps_executed, 0u);
   // Every put/get on the owner-sharded collection is classified.
@@ -102,14 +105,14 @@ TEST(ShardedDataflow, FwValuePassingMatchesSerial) {
     input.data()[i] =
         static_cast<double>(static_cast<long long>(input.data()[i]));
   auto serial = input;
-  fw_rdp_serial(serial, base);
+  exec::run_serial(*make_fw_spec(serial, base));
 
   auto m = input;
-  fw_cnc(m, base, cnc_variant::sharded, 3);
+  exec::run_dataflow(*make_fw_spec(m, base), {cnc_variant::sharded, 3});
   EXPECT_TRUE(m == serial);
 
   auto m2 = input;
-  fw_cnc(m2, base, cnc_variant::batched, 3);
+  exec::run_dataflow(*make_fw_spec(m2, base), {cnc_variant::batched, 3});
   EXPECT_TRUE(m2 == serial);
 }
 
@@ -117,7 +120,7 @@ TEST(PreparedBatched, GeGraphIsAtLeastFourTimesCoarserAndBitExact) {
   const std::size_t n = 64, base = 4;
   const auto input = make_diag_dominant(n, 21);
   auto serial = input;
-  ge_rdp_serial(serial, base);
+  exec::run_serial(*make_ge_spec(serial, base));
 
   auto m = input;
   const auto spec = make_ge_spec(m, base);
@@ -138,7 +141,7 @@ TEST(PreparedBatched, FwSeededValuePassingMatchesSerial) {
     input.data()[i] =
         static_cast<double>(static_cast<long long>(input.data()[i]));
   auto serial = input;
-  fw_rdp_serial(serial, base);
+  exec::run_serial(*make_fw_spec(serial, base));
 
   auto m = input;
   const auto spec = make_fw_spec(m, base);

@@ -9,7 +9,7 @@
 #include <cmath>
 #include <tuple>
 
-#include "dp/fw.hpp"
+#include "dp/dp.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -80,7 +80,7 @@ TEST_P(FwRdpSweep, SerialRecursionEqualsLoop) {
   auto oracle = input(n);
   auto c = oracle;
   fw_loop_serial(oracle);
-  fw_rdp_serial(c, base);
+  exec::run_serial(*make_fw_spec(c, base));
   EXPECT_TRUE(oracle == c) << "n=" << n << " base=" << base;
 }
 
@@ -90,7 +90,7 @@ TEST_P(FwRdpSweep, ForkJoinEqualsLoop) {
   auto c = oracle;
   fw_loop_serial(oracle);
   forkjoin::worker_pool pool(4);
-  fw_rdp_forkjoin(c, base, pool);
+  exec::run_forkjoin(*make_fw_spec(c, base), pool);
   EXPECT_TRUE(oracle == c) << "n=" << n << " base=" << base;
 }
 
@@ -103,10 +103,15 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{64, 64}, std::tuple{128, 32}));
 
 TEST(FwRdp, RejectsBadShapes) {
+  // The serial registry row checks its own supports(n, base).
+  const variant* serial = find_variant(benchmark_id::fw, "serial");
+  ASSERT_NE(serial, nullptr);
   matrix<double> c(48, 48, 1.0);
-  EXPECT_THROW(fw_rdp_serial(c, 8), contract_error);
+  EXPECT_THROW(serial->run(*serial, fw_problem(c), {.base = 8}),
+               contract_error);
   matrix<double> c2(64, 64, 1.0);
-  EXPECT_THROW(fw_rdp_serial(c2, 12), contract_error);
+  EXPECT_THROW(serial->run(*serial, fw_problem(c2), {.base = 12}),
+               contract_error);
 }
 
 // ----------------------------------------------------------- data-flow ----
@@ -120,7 +125,7 @@ TEST_P(FwCncSweep, CncEqualsLoop) {
   auto oracle = input(n);
   auto c = oracle;
   fw_loop_serial(oracle);
-  const auto info = fw_cnc(c, base, variant, 4);
+  const auto info = exec::run_dataflow(*make_fw_spec(c, base), {variant, 4});
   EXPECT_TRUE(oracle == c)
       << "n=" << n << " base=" << base << " variant=" << to_string(variant);
 
@@ -149,7 +154,8 @@ TEST(FwCnc, SingleTileProblem) {
   auto oracle = input(8);
   auto c = oracle;
   fw_loop_serial(oracle);
-  const auto info = fw_cnc(c, 8, cnc_variant::native, 2);
+  const auto info =
+      exec::run_dataflow(*make_fw_spec(c, 8), {cnc_variant::native, 2});
   EXPECT_TRUE(oracle == c);
   EXPECT_EQ(info.stats.items_put, 2u);  // the seed tile + its round-0 update
 }
@@ -169,7 +175,7 @@ TEST(FwCnc, DisconnectedGraphKeepsUnreachablePairsLarge) {
     }
   }
   auto c = w;
-  fw_cnc(c, 8, cnc_variant::tuner, 4);
+  exec::run_dataflow(*make_fw_spec(c, 8), {cnc_variant::tuner, 4});
   for (std::size_t i = 0; i < n / 2; ++i)
     for (std::size_t j = n / 2; j < n; ++j) {
       EXPECT_GE(c(i, j), kInf * 0.5);
@@ -181,16 +187,19 @@ TEST(FwCnc, TunerVariantsCollectEveryTileItem) {
   // With get-count GC (tuner/manual), every value-passing tile item is
   // reclaimed by its last consumer: memory drops from O(n^2 T) to O(n^2).
   auto c = input(64);
-  const auto tuner = fw_cnc(c, 8, cnc_variant::tuner, 4);
+  const auto tuner =
+      exec::run_dataflow(*make_fw_spec(c, 8), {cnc_variant::tuner, 4});
   EXPECT_EQ(tuner.items_live_at_end, 0u);
 
   auto c2 = input(64);
-  const auto manual = fw_cnc(c2, 8, cnc_variant::manual, 4);
+  const auto manual =
+      exec::run_dataflow(*make_fw_spec(c2, 8), {cnc_variant::manual, 4});
   EXPECT_EQ(manual.items_live_at_end, 0u);
 
   // Native (abort-and-re-execute) cannot use get counts: everything stays.
   auto c3 = input(64);
-  const auto native = fw_cnc(c3, 8, cnc_variant::native, 4);
+  const auto native =
+      exec::run_dataflow(*make_fw_spec(c3, 8), {cnc_variant::native, 4});
   const std::uint64_t t = 64 / 8;
   EXPECT_EQ(native.items_live_at_end, t * t * t + t * t);
 }
@@ -199,9 +208,9 @@ TEST(FwCnc, AllVariantsAgreeOnLargerProblem) {
   auto oracle = input(64, 11);
   auto c_native = oracle, c_tuner = oracle, c_manual = oracle;
   fw_loop_serial(oracle);
-  fw_cnc(c_native, 8, cnc_variant::native, 4);
-  fw_cnc(c_tuner, 8, cnc_variant::tuner, 4);
-  fw_cnc(c_manual, 8, cnc_variant::manual, 4);
+  exec::run_dataflow(*make_fw_spec(c_native, 8), {cnc_variant::native, 4});
+  exec::run_dataflow(*make_fw_spec(c_tuner, 8), {cnc_variant::tuner, 4});
+  exec::run_dataflow(*make_fw_spec(c_manual, 8), {cnc_variant::manual, 4});
   EXPECT_TRUE(oracle == c_native);
   EXPECT_TRUE(oracle == c_tuner);
   EXPECT_TRUE(oracle == c_manual);

@@ -9,7 +9,7 @@
 #include <cmath>
 #include <tuple>
 
-#include "dp/ge.hpp"
+#include "dp/dp.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -51,7 +51,7 @@ TEST(GeRdpSerial, BaseEqualsNIsExactlyTheLoop) {
   auto c1 = input(64);
   auto c2 = c1;
   ge_loop_serial(c1);
-  ge_rdp_serial(c2, 64);
+  exec::run_serial(*make_ge_spec(c2, 64));
   EXPECT_TRUE(c1 == c2);
 }
 
@@ -63,7 +63,7 @@ TEST_P(GeRdpSweep, SerialRecursionBitIdenticalToLoop) {
   auto oracle = input(n);
   auto c = oracle;
   ge_loop_serial(oracle);
-  ge_rdp_serial(c, base);
+  exec::run_serial(*make_ge_spec(c, base));
   EXPECT_TRUE(oracle == c) << "n=" << n << " base=" << base;
 }
 
@@ -73,7 +73,7 @@ TEST_P(GeRdpSweep, ForkJoinBitIdenticalToLoop) {
   auto c = oracle;
   ge_loop_serial(oracle);
   forkjoin::worker_pool pool(4);
-  ge_rdp_forkjoin(c, base, pool);
+  exec::run_forkjoin(*make_ge_spec(c, base), pool);
   EXPECT_TRUE(oracle == c) << "n=" << n << " base=" << base;
 }
 
@@ -86,11 +86,17 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{128, 64}, std::tuple{128, 128}));
 
 TEST(GeRdp, RejectsNonPowerOfTwo) {
+  // The serial registry row checks its own supports(n, base).
+  const variant* serial = find_variant(benchmark_id::ge, "serial");
+  ASSERT_NE(serial, nullptr);
   matrix<double> c(48, 48, 1.0);
-  EXPECT_THROW(ge_rdp_serial(c, 8), contract_error);
+  EXPECT_THROW(serial->run(*serial, ge_problem(c), {.base = 8}),
+               contract_error);
   matrix<double> c2(64, 64, 1.0);
-  EXPECT_THROW(ge_rdp_serial(c2, 6), contract_error);
-  EXPECT_THROW(ge_rdp_serial(c2, 128), contract_error);
+  EXPECT_THROW(serial->run(*serial, ge_problem(c2), {.base = 6}),
+               contract_error);
+  EXPECT_THROW(serial->run(*serial, ge_problem(c2), {.base = 128}),
+               contract_error);
 }
 
 TEST(GeRdp, RejectsNonSquare) {
@@ -109,7 +115,7 @@ TEST_P(GeCncSweep, CncBitIdenticalToLoop) {
   auto oracle = input(n);
   auto c = oracle;
   ge_loop_serial(oracle);
-  const auto info = ge_cnc(c, base, variant, 4);
+  const auto info = exec::run_dataflow(*make_ge_spec(c, base), {variant, 4});
   EXPECT_TRUE(oracle == c)
       << "n=" << n << " base=" << base << " variant=" << to_string(variant);
 
@@ -141,7 +147,8 @@ TEST(GeCnc, SingleTileProblem) {
   auto oracle = input(16);
   auto c = oracle;
   ge_loop_serial(oracle);
-  const auto info = ge_cnc(c, 16, cnc_variant::native, 2);
+  const auto info =
+      exec::run_dataflow(*make_ge_spec(c, 16), {cnc_variant::native, 2});
   EXPECT_TRUE(oracle == c);
   EXPECT_EQ(info.stats.items_put, 1u);
   EXPECT_EQ(info.stats.gets_failed, 0u);
@@ -152,7 +159,8 @@ TEST(GeCnc, NativeReportsReexecutionPressure) {
   // must produce at least some out-of-order prescriptions. We don't
   // require aborts (scheduling may get lucky), just consistent counters.
   auto c = input(64);
-  const auto info = ge_cnc(c, 8, cnc_variant::native, 4);
+  const auto info =
+      exec::run_dataflow(*make_ge_spec(c, 8), {cnc_variant::native, 4});
   EXPECT_EQ(info.stats.steps_aborted, info.stats.gets_failed);
   EXPECT_GT(info.stats.steps_executed, 0u);
 }
@@ -162,12 +170,13 @@ TEST(GeCnc, TunerVariantsCollectAllButTheFinalItem) {
   // only the final A output (zero consumers) remains.
   for (cnc_variant v : {cnc_variant::tuner, cnc_variant::manual}) {
     auto c = input(64);
-    const auto info = ge_cnc(c, 8, v, 4);
+    const auto info = exec::run_dataflow(*make_ge_spec(c, 8), {v, 4});
     EXPECT_EQ(info.items_live_at_end, 1u) << to_string(v);
   }
   // Abort-and-re-execute variants cannot use get counts: all items stay.
   auto c = input(64);
-  const auto native = ge_cnc(c, 8, cnc_variant::native, 4);
+  const auto native =
+      exec::run_dataflow(*make_ge_spec(c, 8), {cnc_variant::native, 4});
   const std::uint64_t t = 64 / 8;
   EXPECT_EQ(native.items_live_at_end, (2 * t * t * t + 3 * t * t + t) / 6);
 }
@@ -176,7 +185,8 @@ TEST(GeCnc, NonblockingNeverParksInstances) {
   auto oracle = input(64);
   auto c = oracle;
   ge_loop_serial(oracle);
-  const auto info = ge_cnc(c, 8, cnc_variant::nonblocking, 2);
+  const auto info =
+      exec::run_dataflow(*make_ge_spec(c, 8), {cnc_variant::nonblocking, 2});
   EXPECT_TRUE(oracle == c);
   // The non-blocking protocol polls and requeues; it never parks an
   // instance on a waiter list. (Whether requeues actually occur depends on
@@ -194,7 +204,7 @@ TEST(GeCnc, ComputeOnTilePinningStaysCorrect) {
   for (cnc_variant v : {cnc_variant::native, cnc_variant::tuner,
                         cnc_variant::manual}) {
     c = input(64);
-    ge_cnc(c, 8, v, 3, /*pin_tiles=*/true);
+    exec::run_dataflow(*make_ge_spec(c, 8), {v, 3, /*pin_tiles=*/true});
     EXPECT_TRUE(oracle == c) << to_string(v);
   }
 }
@@ -203,9 +213,9 @@ TEST(GeCnc, LargerProblemAllVariantsAgree) {
   auto oracle = input(128, 7);
   auto c_native = oracle, c_tuner = oracle, c_manual = oracle;
   ge_loop_serial(oracle);
-  ge_cnc(c_native, 16, cnc_variant::native, 4);
-  ge_cnc(c_tuner, 16, cnc_variant::tuner, 4);
-  ge_cnc(c_manual, 16, cnc_variant::manual, 4);
+  exec::run_dataflow(*make_ge_spec(c_native, 16), {cnc_variant::native, 4});
+  exec::run_dataflow(*make_ge_spec(c_tuner, 16), {cnc_variant::tuner, 4});
+  exec::run_dataflow(*make_ge_spec(c_manual, 16), {cnc_variant::manual, 4});
   EXPECT_TRUE(oracle == c_native);
   EXPECT_TRUE(oracle == c_tuner);
   EXPECT_TRUE(oracle == c_manual);

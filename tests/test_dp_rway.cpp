@@ -5,9 +5,7 @@
 #include <cmath>
 #include <tuple>
 
-#include "dp/fw.hpp"
-#include "dp/ge.hpp"
-#include "dp/rway.hpp"
+#include "dp/dp.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -33,7 +31,7 @@ TEST_P(RwaySweep, GeSerialBitIdenticalToLoop) {
   auto oracle = ge_input(n);
   auto c = oracle;
   ge_loop_serial(oracle);
-  ge_rdp_rway_serial(c, base, r);
+  exec::run_rway(*make_ge_spec(c, base), r, nullptr);
   EXPECT_TRUE(oracle == c) << "n=" << n << " base=" << base << " r=" << r;
 }
 
@@ -43,7 +41,7 @@ TEST_P(RwaySweep, GeForkJoinBitIdenticalToLoop) {
   auto c = oracle;
   ge_loop_serial(oracle);
   forkjoin::worker_pool pool(4);
-  ge_rdp_rway_forkjoin(c, base, r, pool);
+  exec::run_rway(*make_ge_spec(c, base), r, &pool);
   EXPECT_TRUE(oracle == c) << "n=" << n << " base=" << base << " r=" << r;
 }
 
@@ -52,7 +50,7 @@ TEST_P(RwaySweep, FwSerialEqualsLoop) {
   auto oracle = fw_input(n);
   auto c = oracle;
   fw_loop_serial(oracle);
-  fw_rdp_rway_serial(c, base, r);
+  exec::run_rway(*make_fw_spec(c, base), r, nullptr);
   EXPECT_TRUE(oracle == c) << "n=" << n << " base=" << base << " r=" << r;
 }
 
@@ -62,7 +60,7 @@ TEST_P(RwaySweep, FwForkJoinEqualsLoop) {
   auto c = oracle;
   fw_loop_serial(oracle);
   forkjoin::worker_pool pool(4);
-  fw_rdp_rway_forkjoin(c, base, r, pool);
+  exec::run_rway(*make_fw_spec(c, base), r, &pool);
   EXPECT_TRUE(oracle == c) << "n=" << n << " base=" << base << " r=" << r;
 }
 
@@ -84,7 +82,7 @@ TEST_P(RwaySweep, SwSerialEqualsLoop) {
   matrix<std::int32_t> oracle(n + 1, n + 1, 0);
   matrix<std::int32_t> s(n + 1, n + 1, 0);
   sw_loop_serial(oracle, a, b, sw_params{});
-  sw_rdp_rway_serial(s, a, b, sw_params{}, base, r);
+  exec::run_rway(*make_sw_spec(s, a, b, sw_params{}, base), r, nullptr);
   EXPECT_TRUE(oracle == s) << "n=" << n << " base=" << base << " r=" << r;
 }
 
@@ -95,7 +93,7 @@ TEST_P(RwaySweep, SwForkJoinEqualsLoop) {
   matrix<std::int32_t> s(n + 1, n + 1, 0);
   sw_loop_serial(oracle, a, b, sw_params{});
   forkjoin::worker_pool pool(4);
-  sw_rdp_rway_forkjoin(s, a, b, sw_params{}, base, r, pool);
+  exec::run_rway(*make_sw_spec(s, a, b, sw_params{}, base), r, &pool);
   EXPECT_TRUE(oracle == s) << "n=" << n << " base=" << base << " r=" << r;
 }
 
@@ -103,26 +101,35 @@ TEST(Rway, MatchesTwoWayRecursionExactly) {
   // r = 2 must produce the same bits as the dedicated 2-way code path.
   auto a = ge_input(128);
   auto b = a;
-  ge_rdp_serial(a, 16);
-  ge_rdp_rway_serial(b, 16, 2);
+  exec::run_serial(*make_ge_spec(a, 16));
+  exec::run_rway(*make_ge_spec(b, 16), 2, nullptr);
   EXPECT_TRUE(a == b);
 }
 
 TEST(Rway, RejectsNonConformingSizes) {
   matrix<double> c(64, 64, 1.0);
-  EXPECT_THROW(ge_rdp_rway_serial(c, 8, 3), contract_error);  // 64 != 8*3^L
-  EXPECT_THROW(ge_rdp_rway_serial(c, 8, 1), contract_error);  // r < 2
+  // 64 != 8*3^L
+  EXPECT_THROW(exec::run_rway(*make_ge_spec(c, 8), 3, nullptr),
+               contract_error);
+  // r < 2
+  EXPECT_THROW(exec::run_rway(*make_ge_spec(c, 8), 1, nullptr),
+               contract_error);
+  // 48 != 8*2^L: the rway:r2 registry row checks its own supports().
+  const variant* r2 = find_variant(benchmark_id::fw, "rway:r2");
+  ASSERT_NE(r2, nullptr);
   matrix<double> d(48, 48, 1.0);
-  EXPECT_THROW(fw_rdp_rway_serial(d, 8, 2), contract_error);  // 48 != 8*2^L
+  EXPECT_THROW(r2->run(*r2, fw_problem(d), {.base = 8, .workers = 2}),
+               contract_error);
 }
 
 TEST(Rway, DifferentWaysGiveIdenticalGeResults) {
   // 64 = 4*2^4 = 4*4^2 = 64*...: r=2 vs r=4 vs r=8 on the same input.
   auto base_case = ge_input(64);
   auto r2 = base_case, r4 = base_case, r8 = base_case;
-  ge_rdp_rway_serial(r2, 4, 2);
-  ge_rdp_rway_serial(r4, 4, 4);
-  ge_rdp_rway_serial(r8, 8, 8);  // 64 = 8 * 8^1: one 8-way level
+  exec::run_rway(*make_ge_spec(r2, 4), 2, nullptr);
+  exec::run_rway(*make_ge_spec(r4, 4), 4, nullptr);
+  // 64 = 8 * 8^1: one 8-way level
+  exec::run_rway(*make_ge_spec(r8, 8), 8, nullptr);
   EXPECT_TRUE(r2 == r4);
   EXPECT_TRUE(r2 == r8);
 }

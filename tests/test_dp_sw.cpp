@@ -5,7 +5,7 @@
 #include <string>
 #include <tuple>
 
-#include "dp/sw.hpp"
+#include "dp/dp.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -73,7 +73,7 @@ TEST_P(SwRdpSweep, SerialRecursionEqualsLoop) {
   auto oracle = zero_table(n);
   auto s = zero_table(n);
   sw_loop_serial(oracle, a, b, sw_params{});
-  sw_rdp_serial(s, a, b, sw_params{}, base);
+  exec::run_serial(*make_sw_spec(s, a, b, sw_params{}, base));
   EXPECT_TRUE(oracle == s) << "n=" << n << " base=" << base;
 }
 
@@ -84,7 +84,7 @@ TEST_P(SwRdpSweep, ForkJoinEqualsLoop) {
   auto s = zero_table(n);
   sw_loop_serial(oracle, a, b, sw_params{});
   forkjoin::worker_pool pool(4);
-  sw_rdp_forkjoin(s, a, b, sw_params{}, base, pool);
+  exec::run_forkjoin(*make_sw_spec(s, a, b, sw_params{}, base), pool);
   EXPECT_TRUE(oracle == s) << "n=" << n << " base=" << base;
 }
 
@@ -96,12 +96,19 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{256, 256}));
 
 TEST(SwRdp, RejectsUnequalOrNonPow2) {
+  // The serial registry row checks its own supports(n, base); the SW spec
+  // rejects unequal sequence lengths.
+  const variant* serial = find_variant(benchmark_id::sw, "serial");
+  ASSERT_NE(serial, nullptr);
+  const sw_params p;
   const auto a = make_dna(32, 1), b = make_dna(16, 2);
   auto s = matrix<std::int32_t>(33, 17, 0);
-  EXPECT_THROW(sw_rdp_serial(s, a, b, sw_params{}, 8), contract_error);
+  EXPECT_THROW(serial->run(*serial, sw_problem(s, a, b, p), {.base = 8}),
+               contract_error);
   const auto c = make_dna(48, 3);
   auto s2 = matrix<std::int32_t>(49, 49, 0);
-  EXPECT_THROW(sw_rdp_serial(s2, c, c, sw_params{}, 8), contract_error);
+  EXPECT_THROW(serial->run(*serial, sw_problem(s2, c, c, p), {.base = 8}),
+               contract_error);
 }
 
 // ----------------------------------------------------------- data-flow ----
@@ -116,7 +123,9 @@ TEST_P(SwCncSweep, CncEqualsLoop) {
   auto oracle = zero_table(n);
   auto s = zero_table(n);
   sw_loop_serial(oracle, a, b, sw_params{});
-  const auto info = sw_cnc(s, a, b, sw_params{}, base, variant, 4);
+  const auto info =
+      exec::run_dataflow(*make_sw_spec(s, a, b, sw_params{}, base),
+                         {variant, 4});
   EXPECT_TRUE(oracle == s)
       << "n=" << n << " base=" << base << " variant=" << to_string(variant);
 
@@ -144,7 +153,9 @@ TEST(SwCnc, SingleTileProblem) {
   auto oracle = zero_table(16);
   auto s = zero_table(16);
   sw_loop_serial(oracle, a, b, sw_params{});
-  const auto info = sw_cnc(s, a, b, sw_params{}, 16, cnc_variant::native, 2);
+  const auto info =
+      exec::run_dataflow(*make_sw_spec(s, a, b, sw_params{}, 16),
+                         {cnc_variant::native, 2});
   EXPECT_TRUE(oracle == s);
   EXPECT_EQ(info.stats.items_put, 1u);
 }
@@ -153,19 +164,23 @@ TEST(SwCnc, TunerVariantsCollectAllButTheCornerItem) {
   const auto a = make_dna(128, 51), b = make_dna(128, 52);
   for (cnc_variant v : {cnc_variant::tuner, cnc_variant::manual}) {
     auto s = zero_table(128);
-    const auto info = sw_cnc(s, a, b, sw_params{}, 16, v, 4);
+    const auto info =
+        exec::run_dataflow(*make_sw_spec(s, a, b, sw_params{}, 16), {v, 4});
     // Only the bottom-right tile (no consumers) survives collection.
     EXPECT_EQ(info.items_live_at_end, 1u) << to_string(v);
   }
   auto s = zero_table(128);
-  const auto native = sw_cnc(s, a, b, sw_params{}, 16, cnc_variant::native, 4);
+  const auto native =
+      exec::run_dataflow(*make_sw_spec(s, a, b, sw_params{}, 16),
+                         {cnc_variant::native, 4});
   EXPECT_EQ(native.items_live_at_end, 64u);  // 8x8 tiles, all kept
 }
 
 TEST(SwCnc, ScoresMatchLinearSpaceScorer) {
   const auto a = make_dna(128, 31), b = make_dna(128, 32);
   auto s = zero_table(128);
-  sw_cnc(s, a, b, sw_params{}, 16, cnc_variant::tuner, 4);
+  exec::run_dataflow(*make_sw_spec(s, a, b, sw_params{}, 16),
+                     {cnc_variant::tuner, 4});
   EXPECT_EQ(sw_best_score(s), sw_linear_space_score(a, b, sw_params{}));
 }
 
@@ -175,7 +190,7 @@ TEST(SwCnc, CustomScoringParameters) {
   auto oracle = zero_table(64);
   auto s = zero_table(64);
   sw_loop_serial(oracle, a, b, p);
-  sw_cnc(s, a, b, p, 8, cnc_variant::manual, 4);
+  exec::run_dataflow(*make_sw_spec(s, a, b, p, 8), {cnc_variant::manual, 4});
   EXPECT_TRUE(oracle == s);
 }
 

@@ -6,11 +6,7 @@
 #include <cmath>
 #include <tuple>
 
-#include "dp/fw.hpp"
-#include "dp/ge.hpp"
-#include "dp/sw.hpp"
-#include "dp/rway.hpp"
-#include "dp/tiled.hpp"
+#include "dp/dp.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -27,7 +23,7 @@ TEST_P(TiledSweep, GeBlockedBitIdenticalToLoop) {
   auto c = oracle;
   ge_loop_serial(oracle);
   forkjoin::worker_pool pool(4);
-  ge_tiled_forkjoin(c, base, pool);
+  exec::run_tiled(*make_ge_spec(c, base), pool);
   EXPECT_TRUE(oracle == c) << "n=" << n << " base=" << base;
 }
 
@@ -39,7 +35,7 @@ TEST_P(TiledSweep, FwBlockedEqualsLoop) {
   auto c = oracle;
   fw_loop_serial(oracle);
   forkjoin::worker_pool pool(4);
-  fw_tiled_forkjoin(c, base, pool);
+  exec::run_tiled(*make_fw_spec(c, base), pool);
   EXPECT_TRUE(oracle == c) << "n=" << n << " base=" << base;
 }
 
@@ -50,7 +46,7 @@ TEST_P(TiledSweep, SwTiledWavefrontEqualsLoop) {
   matrix<std::int32_t> s(n + 1, n + 1, 0);
   sw_loop_serial(oracle, a, b, sw_params{});
   forkjoin::worker_pool pool(4);
-  sw_tiled_forkjoin(s, a, b, sw_params{}, base, pool);
+  exec::run_tiled(*make_sw_spec(s, a, b, sw_params{}, base), pool);
   EXPECT_TRUE(oracle == s) << "n=" << n << " base=" << base;
 }
 
@@ -64,13 +60,19 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{80, 16}, std::tuple{33, 11}));
 
 TEST(Tiled, RejectsNonDividingBase) {
-  matrix<double> c(64, 64, 1.0);
+  // The tiled registry row checks its own supports(n, base).
   forkjoin::worker_pool pool(2);
-  EXPECT_THROW(ge_tiled_forkjoin(c, 10, pool), contract_error);
+  const run_options opts{.base = 10, .pool = &pool};
+  const variant* ge = find_variant(benchmark_id::ge, "tiled");
+  ASSERT_NE(ge, nullptr);
+  matrix<double> c(64, 64, 1.0);
+  EXPECT_THROW(ge->run(*ge, ge_problem(c), opts), contract_error);
+  const variant* sw = find_variant(benchmark_id::sw, "tiled");
+  ASSERT_NE(sw, nullptr);
+  const sw_params p;
   const auto a = make_dna(64, 3);
   matrix<std::int32_t> s(65, 65, 0);
-  EXPECT_THROW(sw_tiled_forkjoin(s, a, a, sw_params{}, 10, pool),
-               contract_error);
+  EXPECT_THROW(sw->run(*sw, sw_problem(s, a, a, p), opts), contract_error);
 }
 
 TEST(Tiled, MatchesRwayAtFullWidth) {
@@ -79,8 +81,9 @@ TEST(Tiled, MatchesRwayAtFullWidth) {
   auto in = make_diag_dominant(64, 9);
   auto blocked = in, rway = in;
   forkjoin::worker_pool pool(3);
-  ge_tiled_forkjoin(blocked, 8, pool);
-  ge_rdp_rway_serial(rway, 8, 8);  // 64 = 8 * 8^1: one full-width level
+  exec::run_tiled(*make_ge_spec(blocked, 8), pool);
+  // 64 = 8 * 8^1: one full-width level
+  exec::run_rway(*make_ge_spec(rway, 8), 8, nullptr);
   EXPECT_TRUE(blocked == rway);
 }
 

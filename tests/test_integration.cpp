@@ -10,9 +10,7 @@
 #include <thread>
 
 #include "cnc/cnc.hpp"
-#include "dp/fw.hpp"
-#include "dp/ge.hpp"
-#include "dp/sw.hpp"
+#include "dp/dp.hpp"
 #include "forkjoin/task_group.hpp"
 #include "support/rng.hpp"
 
@@ -101,12 +99,13 @@ TEST(SharedPool, ConcurrentBenchmarksFromTwoThreads) {
   std::thread t1([&] {
     forkjoin::worker_pool pool(2);
     auto m = ge_in;
-    ge_rdp_forkjoin(m, 16, pool);
+    exec::run_forkjoin(*make_ge_spec(m, 16), pool);
     ge_ok = (m == ge_oracle);
   });
   std::thread t2([&] {
     matrix<std::int32_t> s(129, 129, 0);
-    sw_cnc(s, a, b, sw_params{}, 16, cnc_variant::native, 2);
+    exec::run_dataflow(*make_sw_spec(s, a, b, sw_params{}, 16),
+                       {cnc_variant::native, 2});
     sw_ok = (s == sw_oracle);
   });
   t1.join();
@@ -127,19 +126,19 @@ TEST_P(GeVariantSweep, AllSixVariantsAgreeOnRandomInstances) {
   ge_loop_serial(oracle);
 
   auto m1 = in;
-  ge_rdp_serial(m1, base);
+  exec::run_serial(*make_ge_spec(m1, base));
   EXPECT_TRUE(m1 == oracle);
 
   auto m2 = in;
   forkjoin::worker_pool pool(3);
-  ge_rdp_forkjoin(m2, base, pool);
+  exec::run_forkjoin(*make_ge_spec(m2, base), pool);
   EXPECT_TRUE(m2 == oracle);
 
   for (cnc_variant v : {cnc_variant::native, cnc_variant::tuner,
                         cnc_variant::manual, cnc_variant::nonblocking,
                         cnc_variant::batched, cnc_variant::sharded}) {
     auto m = in;
-    ge_cnc(m, base, v, 3);
+    exec::run_dataflow(*make_ge_spec(m, base), {v, 3});
     EXPECT_TRUE(m == oracle) << to_string(v) << " seed=" << seed;
   }
 }
@@ -156,10 +155,10 @@ TEST(Properties, GeLeavesUpperTriangularInputUnchanged) {
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = i; j < n; ++j) u(i, j) = rng.uniform(1.0, 2.0);
   auto m = u;
-  ge_rdp_serial(m, 16);
+  exec::run_serial(*make_ge_spec(m, 16));
   EXPECT_TRUE(m == u);
   auto m2 = u;
-  ge_cnc(m2, 16, cnc_variant::tuner, 2);
+  exec::run_dataflow(*make_ge_spec(m2, 16), {cnc_variant::tuner, 2});
   EXPECT_TRUE(m2 == u);
 }
 
@@ -168,12 +167,13 @@ TEST(Properties, FwIsIdempotent) {
   auto w = make_digraph(64, 0.3, 23, 1e9);
   for (std::size_t i = 0; i < w.size(); ++i)
     w.data()[i] = std::floor(w.data()[i]);
-  fw_rdp_serial(w, 8);
+  exec::run_serial(*make_fw_spec(w, 8));
   auto again = w;
-  fw_rdp_serial(again, 16);  // different base, same fixpoint
+  // Different base, same fixpoint.
+  exec::run_serial(*make_fw_spec(again, 16));
   EXPECT_TRUE(again == w);
   auto cnc_again = w;
-  fw_cnc(cnc_again, 8, cnc_variant::manual, 2);
+  exec::run_dataflow(*make_fw_spec(cnc_again, 8), {cnc_variant::manual, 2});
   EXPECT_TRUE(cnc_again == w);
 }
 
@@ -182,7 +182,7 @@ TEST(Properties, FwCompleteUnitGraph) {
   const std::size_t n = 32;
   matrix<double> w(n, n, 1.0);
   for (std::size_t i = 0; i < n; ++i) w(i, i) = 0.0;
-  fw_cnc(w, 8, cnc_variant::native, 2);
+  exec::run_dataflow(*make_fw_spec(w, 8), {cnc_variant::native, 2});
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j)
       EXPECT_DOUBLE_EQ(w(i, j), i == j ? 0.0 : 1.0);
@@ -221,10 +221,10 @@ TEST(Properties, SwSubstringAlignsPerfectly) {
 TEST(Properties, GeIsDeterministicAcrossRepeatedParallelRuns) {
   const auto in = make_diag_dominant(64, 77);
   auto first = in;
-  ge_cnc(first, 8, cnc_variant::native, 4);
+  exec::run_dataflow(*make_ge_spec(first, 8), {cnc_variant::native, 4});
   for (int rep = 0; rep < 3; ++rep) {
     auto m = in;
-    ge_cnc(m, 8, cnc_variant::native, 4);
+    exec::run_dataflow(*make_ge_spec(m, 8), {cnc_variant::native, 4});
     EXPECT_TRUE(m == first) << "rep " << rep;
   }
 }
@@ -235,8 +235,8 @@ TEST(Properties, FwCncAgreesWithForkJoinOnDenseGraph) {
     w.data()[i] = std::floor(w.data()[i]);
   auto fj = w, df = w;
   forkjoin::worker_pool pool(3);
-  fw_rdp_forkjoin(fj, 16, pool);
-  fw_cnc(df, 16, cnc_variant::nonblocking, 3);
+  exec::run_forkjoin(*make_fw_spec(fj, 16), pool);
+  exec::run_dataflow(*make_fw_spec(df, 16), {cnc_variant::nonblocking, 3});
   EXPECT_TRUE(fj == df);
 }
 

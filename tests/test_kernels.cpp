@@ -9,10 +9,8 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "dp/fw.hpp"
-#include "dp/ge.hpp"
+#include "dp/dp.hpp"
 #include "dp/kernels.hpp"
-#include "dp/sw.hpp"
 #include "dp/tuning.hpp"
 #include "support/rng.hpp"
 
@@ -138,13 +136,13 @@ TEST(BlockedKernels, SerialRecursionsAgreeAcrossImpls) {
     auto run_ge = [base](kernel_impl impl) {
       set_kernel_impl(impl);
       auto m = make_diag_dominant(64, 31);
-      ge_rdp_serial(m, base);
+      exec::run_serial(*make_ge_spec(m, base));
       return m;
     };
     auto run_fw = [base](kernel_impl impl) {
       set_kernel_impl(impl);
       auto m = make_digraph(64, 0.3, 37, 1e9);
-      fw_rdp_serial(m, base);
+      exec::run_serial(*make_fw_spec(m, base));
       return m;
     };
     auto run_sw = [base](kernel_impl impl) {
@@ -152,7 +150,7 @@ TEST(BlockedKernels, SerialRecursionsAgreeAcrossImpls) {
       const auto a = make_dna(64, 41);
       const auto b = make_dna(64, 43);
       matrix<std::int32_t> s(65, 65, 0);
-      sw_rdp_serial(s, a, b, sw_params{}, base);
+      exec::run_serial(*make_sw_spec(s, a, b, sw_params{}, base));
       return s;
     };
     EXPECT_TRUE(bit_equal(run_ge(kernel_impl::scalar),

@@ -1,9 +1,11 @@
 // Registry-driven cross-backend equivalence: every variant the registry
-// advertises must produce a bit-identical table to the serial 2-way R-DP
-// backend, for every benchmark, across randomized sizes and base cases.
-// This is the property the whole spec/executor refactor is built on — one
-// recurrence spec, many lowerings, no numerical drift — and it runs under
-// the TSan/UBSan presets (LABELS runtime).
+// advertises must produce a table bit-identical to the benchmark's loop
+// oracle (ge/sw/fw/paren_loop_serial; a single-tile LCS spec for LCS), for
+// every benchmark, across sizes and base cases — and every row must raise
+// contract_error on a shape its own supports(n, base) rejects. This is the
+// property the whole spec/executor refactor is built on — one recurrence
+// spec, many lowerings, no numerical drift — and it runs under the
+// TSan/UBSan presets (LABELS runtime).
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -42,26 +44,25 @@ run_options options_for(std::size_t base, forkjoin::worker_pool& pool) {
   return opts;
 }
 
-/// Runs every non-serial variant of `bm` at one sweep point and compares
-/// the produced table against the serial run, bit for bit.
+/// Runs every variant of `bm` at one point. A row whose supports(n, base)
+/// holds must fill `table` bit-identically to `oracle`; any other row must
+/// raise contract_error. Returns the number of rows that ran.
 template <class Table, class Reset>
-void check_point(benchmark_id bm, const problem_ref& prob,
-                 const run_options& opts, Table& table, const Reset& reset,
-                 std::size_t min_ran = 15) {
+std::size_t check_point(benchmark_id bm, const problem_ref& prob,
+                        const run_options& opts, Table& table,
+                        const Table& oracle, const Reset& reset) {
   const std::size_t n = problem_size(prob);
-  const variant* serial = find_variant(bm, "serial");
-  ASSERT_NE(serial, nullptr);
-  ASSERT_TRUE(serial->supports(n, opts.base));
-  reset();
-  serial->run(*serial, prob, opts);
-  const Table expected = table;
-
   std::size_t ran = 0;
   for (const variant* v : variants_for(bm)) {
-    if (v == serial || !v->supports(n, opts.base)) continue;
     reset();
+    if (!v->supports(n, opts.base)) {
+      EXPECT_THROW(v->run(*v, prob, opts), contract_error)
+          << to_string(bm) << " × " << v->label << " ran unsupported n=" << n
+          << ", base=" << opts.base;
+      continue;
+    }
     const run_outcome outcome = v->run(*v, prob, opts);
-    EXPECT_EQ(table, expected)
+    EXPECT_EQ(table, oracle)
         << to_string(bm) << " × " << v->label << " diverged at n=" << n
         << ", base=" << opts.base;
     if (outcome.used_dataflow) {
@@ -79,12 +80,75 @@ void check_point(benchmark_id bm, const problem_ref& prob,
     }
     ++ran;
   }
-  // forkjoin + tiled + 6 dataflow modes + rway:r2 + prepared +
-  // prepared:batched always apply on a power-of-two sweep point (11 rows
-  // past serial); GE/SW/FW add their 4 sim modes; rway:r4 joins whenever
-  // n/base is a power of 4.
-  EXPECT_GE(ran, min_ran) << "registry lost variants at n=" << n
-                          << ", base=" << opts.base;
+  return ran;
+}
+
+// One instance per benchmark at (n, base), checked row by row against its
+// loop oracle; each returns the number of rows that ran.
+
+std::size_t check_ge(std::size_t n, std::size_t base,
+                     forkjoin::worker_pool& pool, std::uint64_t seed) {
+  const auto input = make_diag_dominant(n, seed);
+  auto oracle = input;
+  ge_loop_serial(oracle);
+  auto m = input;
+  return check_point(benchmark_id::ge, ge_problem(m),
+                     options_for(base, pool), m, oracle, [&] { m = input; });
+}
+
+std::size_t check_sw(std::size_t n, std::size_t base,
+                     forkjoin::worker_pool& pool) {
+  const auto a = make_dna(n, 7 + n);
+  const auto b = make_dna(n, 8 + base);
+  const sw_params p;
+  matrix<std::int32_t> oracle(n + 1, n + 1, 0);
+  sw_loop_serial(oracle, a, b, p);
+  matrix<std::int32_t> s(n + 1, n + 1, 0);
+  return check_point(benchmark_id::sw, sw_problem(s, a, b, p),
+                     options_for(base, pool), s, oracle,
+                     [&] { s = matrix<std::int32_t>(n + 1, n + 1, 0); });
+}
+
+std::size_t check_fw(std::size_t n, std::size_t base,
+                     forkjoin::worker_pool& pool) {
+  auto input = make_digraph(n, 0.3, 5 + base, 1e9);
+  for (std::size_t i = 0; i < input.size(); ++i)
+    input.data()[i] =
+        static_cast<double>(static_cast<long long>(input.data()[i]));
+  auto oracle = input;
+  fw_loop_serial(oracle);
+  auto m = input;
+  return check_point(benchmark_id::fw, fw_problem(m),
+                     options_for(base, pool), m, oracle, [&] { m = input; });
+}
+
+std::size_t check_lcs(std::size_t n, std::size_t base,
+                      forkjoin::worker_pool& pool) {
+  const auto a = make_dna(n, 11 + n);
+  const auto b = make_dna(n, 13 + base);
+  // LCS has no separate loop routine: a single tile (base = n) is the
+  // row-by-row loop through the spec's own kernel.
+  matrix<std::int32_t> oracle(n + 1, n + 1, 0);
+  exec::run_tiled(*make_lcs_spec(oracle, a, b, lcs_mode::lcs, n), pool);
+  matrix<std::int32_t> s(n + 1, n + 1, 0);
+  return check_point(benchmark_id::lcs, lcs_problem(s, a, b),
+                     options_for(base, pool), s, oracle,
+                     [&] { s = matrix<std::int32_t>(n + 1, n + 1, 0); });
+}
+
+std::size_t check_paren(std::size_t n, std::size_t base,
+                        forkjoin::worker_pool& pool, xoshiro256& gen) {
+  // Integer-valued chain dimensions keep every candidate cost exact, but
+  // bit-exactness does not depend on it: min over a fixed candidate set
+  // is evaluation-order-free.
+  std::vector<double> dims(n + 1);
+  for (double& d : dims) d = static_cast<double>(1 + gen.next() % 64);
+  matrix<double> oracle(n, n, 0.0);
+  paren_loop_serial(oracle, dims);
+  matrix<double> c(n, n, 0.0);
+  return check_point(benchmark_id::paren, paren_problem(c, dims),
+                     options_for(base, pool), c, oracle,
+                     [&] { c = matrix<double>(n, n, 0.0); });
 }
 
 TEST(RegistryShape, AdvertisesEveryBackendPerBenchmark) {
@@ -115,71 +179,72 @@ TEST(RegistryShape, AdvertisesEveryBackendPerBenchmark) {
   EXPECT_NE(impl_help().find("sim:omp"), std::string::npos);
 }
 
+// serial + forkjoin + tiled + 6 dataflow modes + rway:r2 + prepared +
+// prepared:batched always apply on a power-of-two sweep point (12 rows);
+// GE/SW/FW add their 4 sim modes; rway:r4 joins whenever n/base is a power
+// of 4.
+constexpr std::size_t k_min_rows_paper = 16;
+constexpr std::size_t k_min_rows_spec_only = 12;
+
 TEST(RegistryEquivalence, GeAllVariantsMatchSerial) {
   forkjoin::worker_pool pool(3);
   xoshiro256 gen(42);
-  for (const sweep_point pt : sweep_points()) {
-    auto input = make_diag_dominant(pt.n, gen.next());
-    auto m = input;
-    check_point(benchmark_id::ge, ge_problem(m),
-                options_for(pt.base, pool), m, [&] { m = input; });
-  }
+  for (const sweep_point pt : sweep_points())
+    EXPECT_GE(check_ge(pt.n, pt.base, pool, gen.next()), k_min_rows_paper)
+        << "registry lost variants at n=" << pt.n << ", base=" << pt.base;
 }
 
 TEST(RegistryEquivalence, SwAllVariantsMatchSerial) {
   forkjoin::worker_pool pool(3);
-  for (const sweep_point pt : sweep_points()) {
-    const auto a = make_dna(pt.n, 7 + pt.n);
-    const auto b = make_dna(pt.n, 8 + pt.base);
-    const sw_params p;
-    matrix<std::int32_t> s(pt.n + 1, pt.n + 1, 0);
-    check_point(benchmark_id::sw, sw_problem(s, a, b, p),
-                options_for(pt.base, pool), s, [&] {
-                  s = matrix<std::int32_t>(pt.n + 1, pt.n + 1, 0);
-                });
-  }
+  for (const sweep_point pt : sweep_points())
+    EXPECT_GE(check_sw(pt.n, pt.base, pool), k_min_rows_paper)
+        << "registry lost variants at n=" << pt.n << ", base=" << pt.base;
 }
 
 TEST(RegistryEquivalence, FwAllVariantsMatchSerial) {
   forkjoin::worker_pool pool(3);
-  for (const sweep_point pt : sweep_points()) {
-    auto input = make_digraph(pt.n, 0.3, 5 + pt.base, 1e9);
-    for (std::size_t i = 0; i < input.size(); ++i)
-      input.data()[i] = static_cast<double>(
-          static_cast<long long>(input.data()[i]));
-    auto m = input;
-    check_point(benchmark_id::fw, fw_problem(m),
-                options_for(pt.base, pool), m, [&] { m = input; });
-  }
+  for (const sweep_point pt : sweep_points())
+    EXPECT_GE(check_fw(pt.n, pt.base, pool), k_min_rows_paper)
+        << "registry lost variants at n=" << pt.n << ", base=" << pt.base;
 }
 
 TEST(RegistryEquivalence, LcsAllVariantsMatchSerial) {
   forkjoin::worker_pool pool(3);
-  for (const sweep_point pt : sweep_points()) {
-    const auto a = make_dna(pt.n, 11 + pt.n);
-    const auto b = make_dna(pt.n, 13 + pt.base);
-    matrix<std::int32_t> s(pt.n + 1, pt.n + 1, 0);
-    check_point(benchmark_id::lcs, lcs_problem(s, a, b),
-                options_for(pt.base, pool), s,
-                [&] { s = matrix<std::int32_t>(pt.n + 1, pt.n + 1, 0); },
-                /*min_ran=*/11);
-  }
+  for (const sweep_point pt : sweep_points())
+    EXPECT_GE(check_lcs(pt.n, pt.base, pool), k_min_rows_spec_only)
+        << "registry lost variants at n=" << pt.n << ", base=" << pt.base;
 }
 
 TEST(RegistryEquivalence, ParenAllVariantsMatchSerial) {
   forkjoin::worker_pool pool(3);
   xoshiro256 gen(17);
-  for (const sweep_point pt : sweep_points()) {
-    // Integer-valued chain dimensions keep every candidate cost exact, but
-    // bit-exactness does not depend on it: min over a fixed candidate set
-    // is evaluation-order-free.
-    std::vector<double> dims(pt.n + 1);
-    for (double& d : dims) d = static_cast<double>(1 + gen.next() % 64);
-    matrix<double> c(pt.n, pt.n, 0.0);
-    check_point(benchmark_id::paren, paren_problem(c, dims),
-                options_for(pt.base, pool), c,
-                [&] { c = matrix<double>(pt.n, pt.n, 0.0); },
-                /*min_ran=*/11);
+  for (const sweep_point pt : sweep_points())
+    EXPECT_GE(check_paren(pt.n, pt.base, pool, gen), k_min_rows_spec_only)
+        << "registry lost variants at n=" << pt.n << ", base=" << pt.base;
+}
+
+/// Shapes off the power-of-two grid: every row either rejects the shape
+/// with contract_error (its supports() is false) or runs it bit-exact.
+/// At (96, 8) only the rows without a power-of-two requirement — tiled,
+/// prepared, prepared:batched — accept; (64, 6) and (32, 64) (base does
+/// not divide n / exceeds it) are rejected by all 77 rows.
+TEST(RegistryPreconditions, EveryRowRejectsOrMatchesTheOracle) {
+  forkjoin::worker_pool pool(3);
+  xoshiro256 gen(5);
+  struct shape {
+    std::size_t n, base, accepted;
+  };
+  for (const shape sh : {shape{96, 8, 3}, shape{64, 6, 0}, shape{32, 64, 0}}) {
+    EXPECT_EQ(check_ge(sh.n, sh.base, pool, gen.next()), sh.accepted)
+        << "GE n=" << sh.n << " base=" << sh.base;
+    EXPECT_EQ(check_sw(sh.n, sh.base, pool), sh.accepted)
+        << "SW n=" << sh.n << " base=" << sh.base;
+    EXPECT_EQ(check_fw(sh.n, sh.base, pool), sh.accepted)
+        << "FW n=" << sh.n << " base=" << sh.base;
+    EXPECT_EQ(check_lcs(sh.n, sh.base, pool), sh.accepted)
+        << "LCS n=" << sh.n << " base=" << sh.base;
+    EXPECT_EQ(check_paren(sh.n, sh.base, pool, gen), sh.accepted)
+        << "Paren n=" << sh.n << " base=" << sh.base;
   }
 }
 

@@ -43,13 +43,13 @@ matrix<double> fw_input(std::uint64_t seed) {
 
 matrix<double> ge_expected(const matrix<double>& input) {
   auto m = input;
-  ge_rdp_serial(m, k_base);
+  exec::run_serial(*make_ge_spec(m, k_base));
   return m;
 }
 
 matrix<double> fw_expected(const matrix<double>& input) {
   auto m = input;
-  fw_rdp_serial(m, k_base);
+  exec::run_serial(*make_fw_spec(m, k_base));
   return m;
 }
 
@@ -117,7 +117,7 @@ TEST(PreparedGraph, SwReuseBitExact) {
   for (std::uint64_t seed = 20; seed < 24; ++seed) {
     const std::string a = make_dna(k_n, seed), b = make_dna(k_n, seed + 100);
     matrix<std::int32_t> expected(k_n + 1, k_n + 1, 0);
-    sw_rdp_serial(expected, a, b, p, k_base);
+    exec::run_serial(*make_sw_spec(expected, a, b, p, k_base));
     matrix<std::int32_t> s(k_n + 1, k_n + 1, 0);
     auto spec = make_sw_spec(s, a, b, p, k_base);
     g.execute(*spec, pool);

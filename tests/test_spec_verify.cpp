@@ -21,8 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include "cell_wavefront.hpp"
 #include "dp/dp.hpp"
-#include "dp/wavefront.hpp"
 #include "forkjoin/worker_pool.hpp"
 #include "support/math_utils.hpp"
 #include "support/rng.hpp"
@@ -436,7 +436,7 @@ TEST(SpecVerifyRuntime, GetCountCollectionMatchesCountedConsumers) {
     ASSERT_NE(v, nullptr);
     const run_outcome out = v->run(*v, ge_problem(m), opts);
     matrix<double> expect_table = input;
-    ge_rdp_serial(expect_table, base);
+    exec::run_serial(*make_ge_spec(expect_table, base));
     EXPECT_EQ(m, expect_table);
     const verify_report rep = verify_ge(n, base);
     EXPECT_EQ(out.info.items_live_at_end, rep.base_tasks);
@@ -488,9 +488,10 @@ TEST(SpecVerifyProperty, RandomWavefrontCellsAlwaysLowerConsistently) {
     const std::size_t base = bases[gen.next() % bases.size()];
     random_affine_cell cell{gen.next() % 8, gen.next() % 8, gen.next() % 8,
                             gen.next() % 8, gen.next() % 8};
-    wavefront_problem<std::uint64_t, random_affine_cell> p(n, n, cell);
+    auto t = test::boundary_table<std::uint64_t>(n, n);
+    test::cell_spec<std::uint64_t, random_affine_cell> spec(t, cell, base);
 
-    const verify_report r = p.verify(base);
+    const verify_report r = verify_spec(spec);
     EXPECT_TRUE(r.ok()) << "n=" << n << " base=" << base << "\n"
                         << r.summary();
     const std::size_t tiles = n / base;
@@ -515,29 +516,28 @@ TEST(SpecVerifyProperty, RandomCellsAgreeAcrossExecutionModels) {
     random_affine_cell cell{gen.next() % 8, gen.next() % 8, gen.next() % 8,
                             gen.next() % 8, gen.next() % 8};
     const std::uint64_t tb = gen.next() % 16, lb = gen.next() % 16;
-    auto make = [&] {
-      return wavefront_problem<std::uint64_t, random_affine_cell>(
-          n, n, cell, [tb](std::size_t j) { return tb * j; },
-          [lb](std::size_t i) { return lb * i; });
-    };
+    const auto fresh = test::boundary_table<std::uint64_t>(
+        n, n, [tb](std::size_t j) { return tb * j; },
+        [lb](std::size_t i) { return lb * i; });
 
-    auto oracle = make();
-    oracle.run_loop();
+    auto oracle = fresh;
+    test::fill_loop(oracle, cell);
 
-    auto rdp_serial = make();
-    rdp_serial.run_rdp_serial(base);
-    EXPECT_EQ(rdp_serial.table(), oracle.table()) << "trial " << trial;
+    auto t = fresh;
+    test::cell_spec<std::uint64_t, random_affine_cell> spec(t, cell, base);
+    exec::run_serial(spec);
+    EXPECT_EQ(t, oracle) << "trial " << trial;
 
-    auto fj = make();
-    fj.run_rdp_forkjoin(base, pool);
-    EXPECT_EQ(fj.table(), oracle.table()) << "trial " << trial;
+    t = fresh;
+    exec::run_forkjoin(spec, pool);
+    EXPECT_EQ(t, oracle) << "trial " << trial;
 
     for (const cnc_variant v :
          {cnc_variant::native, cnc_variant::tuner, cnc_variant::nonblocking,
           cnc_variant::batched, cnc_variant::sharded}) {
-      auto df = make();
-      df.run_cnc(base, v, 3);
-      EXPECT_EQ(df.table(), oracle.table())
+      t = fresh;
+      exec::run_dataflow(spec, {v, 3});
+      EXPECT_EQ(t, oracle)
           << "trial " << trial << " variant " << to_string(v);
     }
   }

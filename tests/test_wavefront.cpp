@@ -1,6 +1,6 @@
-// Tests for the generic wavefront-DP framework: LCS, edit distance and
-// Needleman-Wunsch against independent references, across every execution
-// model, plus boundary handling and re-use.
+// Tests for wavefront DPs defined by a cell functor (cell_wavefront.hpp):
+// LCS, edit distance and Needleman-Wunsch against independent references,
+// across every execution model, plus boundary handling and re-use.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,14 +8,65 @@
 #include <tuple>
 #include <vector>
 
-#include "dp/sw.hpp"
-#include "dp/wavefront.hpp"
+#include "cell_wavefront.hpp"
+#include "dp/dp.hpp"
 #include "support/rng.hpp"
 
 namespace {
 
 using namespace rdp;
 using namespace rdp::dp;
+using rdp::test::boundary_table;
+using rdp::test::cell_spec;
+using rdp::test::fill_loop;
+
+// ---------------------------- cell functors --------------------------------
+
+/// Longest common subsequence length.
+struct lcs_cell {
+  std::string_view a, b;
+  std::int32_t operator()(std::int32_t nw, std::int32_t north,
+                          std::int32_t west, std::size_t i,
+                          std::size_t j) const {
+    return a[i - 1] == b[j - 1] ? nw + 1 : std::max(north, west);
+  }
+};
+
+/// Levenshtein edit distance (boundary must be initialised to i and j).
+struct edit_distance_cell {
+  std::string_view a, b;
+  std::int32_t operator()(std::int32_t nw, std::int32_t north,
+                          std::int32_t west, std::size_t i,
+                          std::size_t j) const {
+    const std::int32_t subst = nw + (a[i - 1] == b[j - 1] ? 0 : 1);
+    return std::min({subst, north + 1, west + 1});
+  }
+};
+
+/// Needleman-Wunsch global alignment (linear gap; boundary -gap·i / -gap·j).
+struct nw_cell {
+  std::string_view a, b;
+  std::int32_t match = 2, mismatch = -1, gap = 1;
+  std::int32_t operator()(std::int32_t nw, std::int32_t north,
+                          std::int32_t west, std::size_t i,
+                          std::size_t j) const {
+    const std::int32_t diag =
+        nw + (a[i - 1] == b[j - 1] ? match : mismatch);
+    return std::max({diag, north - gap, west - gap});
+  }
+};
+
+/// Boundary functions: i / j for edit distance, -i / -j for global
+/// alignment.
+std::int32_t index_boundary(std::size_t k) {
+  return static_cast<std::int32_t>(k);
+}
+std::int32_t gap_boundary(std::size_t k) {
+  return -static_cast<std::int32_t>(k);
+}
+
+template <class Cell>
+using int_spec = cell_spec<std::int32_t, Cell>;
 
 // ------------------------------ references --------------------------------
 
@@ -48,10 +99,9 @@ std::int32_t edit_reference(std::string_view a, std::string_view b) {
 
 TEST(Wavefront, LcsHandExample) {
   const std::string a = "ABCBDAB", b = "BDCABA";  // classic CLRS example
-  wavefront_problem<std::int32_t, lcs_cell> p(a.size(), b.size(),
-                                              lcs_cell{a, b});
-  p.run_loop();
-  EXPECT_EQ(p.table()(a.size(), b.size()), 4);  // "BCBA"
+  auto t = boundary_table<std::int32_t>(a.size(), b.size());
+  fill_loop(t, lcs_cell{a, b});
+  EXPECT_EQ(t(a.size(), b.size()), 4);  // "BCBA"
 }
 
 class WavefrontModels
@@ -62,31 +112,33 @@ TEST_P(WavefrontModels, LcsAgreesAcrossAllModels) {
   const auto a = make_dna(n, 81);
   const auto b = make_dna(n, 82);
   const auto expected = lcs_reference(a, b);
+  const lcs_cell cell{a, b};
 
-  wavefront_problem<std::int32_t, lcs_cell> p(n, n, lcs_cell{a, b});
-  p.run_loop();
-  const auto loop_table = p.table();
+  auto loop_table = boundary_table<std::int32_t>(n, n);
+  fill_loop(loop_table, cell);
   EXPECT_EQ(loop_table(n, n), expected);
 
-  p.reset();
-  p.run_rdp_serial(base);
-  EXPECT_TRUE(p.table() == loop_table);
+  auto t = boundary_table<std::int32_t>(n, n);
+  int_spec<lcs_cell> spec(t, cell, base);
+  exec::run_serial(spec);
+  EXPECT_TRUE(t == loop_table);
 
-  p.reset();
+  t = boundary_table<std::int32_t>(n, n);
   forkjoin::worker_pool pool(4);
-  p.run_rdp_forkjoin(base, pool);
-  EXPECT_TRUE(p.table() == loop_table);
+  exec::run_forkjoin(spec, pool);
+  EXPECT_TRUE(t == loop_table);
 
   for (cnc_variant v : {cnc_variant::native, cnc_variant::tuner,
                         cnc_variant::manual, cnc_variant::nonblocking,
                         cnc_variant::batched, cnc_variant::sharded}) {
-    p.reset();
-    const auto info = p.run_cnc(base, v, 4);
-    EXPECT_TRUE(p.table() == loop_table) << to_string(v);
-    const std::uint64_t t = n / base;
-    EXPECT_EQ(info.stats.items_put, t * t);
-    if (v == cnc_variant::tuner || v == cnc_variant::manual)
+    t = boundary_table<std::int32_t>(n, n);
+    const auto info = exec::run_dataflow(spec, {v, 4});
+    EXPECT_TRUE(t == loop_table) << to_string(v);
+    const std::uint64_t tiles = n / base;
+    EXPECT_EQ(info.stats.items_put, tiles * tiles);
+    if (v == cnc_variant::tuner || v == cnc_variant::manual) {
       EXPECT_EQ(info.items_live_at_end, 1u);  // get-count GC
+    }
   }
 }
 
@@ -101,12 +153,10 @@ INSTANTIATE_TEST_SUITE_P(SizesAndBases, WavefrontModels,
 
 TEST(Wavefront, EditDistanceHandExamples) {
   auto dist = [](std::string_view a, std::string_view b) {
-    wavefront_problem<std::int32_t, edit_distance_cell> p(
-        a.size(), b.size(), edit_distance_cell{a, b},
-        [](std::size_t j) { return static_cast<std::int32_t>(j); },
-        [](std::size_t i) { return static_cast<std::int32_t>(i); });
-    p.run_loop();
-    return p.table()(a.size(), b.size());
+    auto t = boundary_table<std::int32_t>(a.size(), b.size(), index_boundary,
+                                          index_boundary);
+    fill_loop(t, edit_distance_cell{a, b});
+    return t(a.size(), b.size());
   };
   EXPECT_EQ(dist("kitten", "sitting"), 3);
   EXPECT_EQ(dist("", "abc"), 3);
@@ -119,17 +169,14 @@ TEST(Wavefront, EditDistanceAllModelsMatchReference) {
   const auto a = make_dna(n, 91), b = make_dna(n, 92);
   const auto expected = edit_reference(a, b);
 
-  auto top = [](std::size_t j) { return static_cast<std::int32_t>(j); };
-  auto left = [](std::size_t i) { return static_cast<std::int32_t>(i); };
-  wavefront_problem<std::int32_t, edit_distance_cell> p(
-      n, n, edit_distance_cell{a, b}, top, left);
+  auto t = boundary_table<std::int32_t>(n, n, index_boundary, index_boundary);
+  int_spec<edit_distance_cell> spec(t, edit_distance_cell{a, b}, 8);
+  exec::run_serial(spec);
+  EXPECT_EQ(t(n, n), expected);
 
-  p.run_rdp_serial(8);
-  EXPECT_EQ(p.table()(n, n), expected);
-
-  p.reset();
-  const auto info = p.run_cnc(8, cnc_variant::tuner, 4);
-  EXPECT_EQ(p.table()(n, n), expected);
+  t = boundary_table<std::int32_t>(n, n, index_boundary, index_boundary);
+  const auto info = exec::run_dataflow(spec, {cnc_variant::tuner, 4});
+  EXPECT_EQ(t(n, n), expected);
   EXPECT_EQ(info.stats.gets_failed, 0u);
 }
 
@@ -137,32 +184,26 @@ TEST(Wavefront, EditDistanceAllModelsMatchReference) {
 
 TEST(Wavefront, GlobalAlignmentOfIdenticalSequencesIsPerfect) {
   const auto a = make_dna(64, 7);
-  const nw_cell cell{a, a};
-  wavefront_problem<std::int32_t, nw_cell> p(
-      64, 64, cell,
-      [&](std::size_t j) { return -static_cast<std::int32_t>(j); },
-      [&](std::size_t i) { return -static_cast<std::int32_t>(i); });
-  p.run_cnc(16, cnc_variant::manual, 2);
-  EXPECT_EQ(p.table()(64, 64), 2 * 64);  // all matches, no gaps
+  auto t = boundary_table<std::int32_t>(64, 64, gap_boundary, gap_boundary);
+  int_spec<nw_cell> spec(t, nw_cell{a, a}, 16);
+  exec::run_dataflow(spec, {cnc_variant::manual, 2});
+  EXPECT_EQ(t(64, 64), 2 * 64);  // all matches, no gaps
 }
 
 TEST(Wavefront, GlobalVsLocalAlignmentRelationship) {
   // SW (local) score is always >= NW (global) score for the same scheme.
   const auto a = make_dna(128, 15), b = make_dna(128, 16);
-  const nw_cell cell{a, b};
-  wavefront_problem<std::int32_t, nw_cell> global(
-      128, 128, cell,
-      [&](std::size_t j) { return -static_cast<std::int32_t>(j); },
-      [&](std::size_t i) { return -static_cast<std::int32_t>(i); });
-  global.run_loop();
+  auto global =
+      boundary_table<std::int32_t>(128, 128, gap_boundary, gap_boundary);
+  fill_loop(global, nw_cell{a, b});
   const auto local = sw_linear_space_score(a, b, sw_params{});
-  EXPECT_GE(local, global.table()(128, 128));
+  EXPECT_GE(local, global(128, 128));
 }
 
-// --------------------------- framework API ---------------------------------
+// --------------------------- cell-functor specs ----------------------------
 
 TEST(Wavefront, SmithWatermanExpressedInTheFramework) {
-  // The dedicated SW implementation and a framework instance must agree.
+  // The dedicated SW implementation and a cell-functor spec must agree.
   const auto a = make_dna(64, 3), b = make_dna(64, 4);
   const sw_params params;
   struct sw_cell_fn {
@@ -175,37 +216,37 @@ TEST(Wavefront, SmithWatermanExpressedInTheFramework) {
                        west - p.gap});
     }
   };
-  wavefront_problem<std::int32_t, sw_cell_fn> p(64, 64,
-                                                sw_cell_fn{a, b, params});
-  p.run_cnc(8, cnc_variant::native, 4);
+  auto t = boundary_table<std::int32_t>(64, 64);
+  int_spec<sw_cell_fn> spec(t, sw_cell_fn{a, b, params}, 8);
+  exec::run_dataflow(spec, {cnc_variant::native, 4});
 
   matrix<std::int32_t> dedicated(65, 65, 0);
   sw_loop_serial(dedicated, a, b, params);
-  EXPECT_TRUE(p.table() == dedicated);
+  EXPECT_TRUE(t == dedicated);
 }
 
 TEST(Wavefront, RectangularLoopFill) {
   const std::string a = "ACGT", b = "ACGTACGT";
-  wavefront_problem<std::int32_t, lcs_cell> p(a.size(), b.size(),
-                                              lcs_cell{a, b});
-  p.run_loop();
-  EXPECT_EQ(p.table()(a.size(), b.size()), 4);
-  // Tiled execution refuses rectangles.
-  EXPECT_THROW(p.run_rdp_serial(2), contract_error);
+  auto t = boundary_table<std::int32_t>(a.size(), b.size());
+  fill_loop(t, lcs_cell{a, b});
+  EXPECT_EQ(t(a.size(), b.size()), 4);
+  // Tiled execution refuses rectangles: the cell spec and the LCS spec.
+  EXPECT_THROW(int_spec<lcs_cell>(t, lcs_cell{a, b}, 2), contract_error);
+  EXPECT_THROW(make_lcs_spec(t, a, b, lcs_mode::lcs, 2), contract_error);
 }
 
 TEST(Wavefront, ResetKeepsBoundary) {
-  const std::string a = "AAAA", b = "AAAA";
-  wavefront_problem<std::int32_t, edit_distance_cell> p(
-      4, 4, edit_distance_cell{a, b},
-      [](std::size_t j) { return static_cast<std::int32_t>(j); },
-      [](std::size_t i) { return static_cast<std::int32_t>(i); });
-  p.run_loop();
-  p.reset();
-  EXPECT_EQ(p.table()(0, 3), 3);  // boundary intact
-  EXPECT_EQ(p.table()(2, 2), 0);  // interior cleared
-  p.run_loop();
-  EXPECT_EQ(p.table()(4, 4), 0);
+  // Re-running a spec over an already-filled table rewrites only the
+  // interior: the boundary stays and the result is reproduced.
+  const std::string a = "AACA", b = "AAAA";
+  auto t = boundary_table<std::int32_t>(4, 4, index_boundary, index_boundary);
+  int_spec<edit_distance_cell> spec(t, edit_distance_cell{a, b}, 2);
+  exec::run_serial(spec);
+  const auto first = t;
+  EXPECT_EQ(t(4, 4), 1);
+  exec::run_serial(spec);
+  EXPECT_EQ(t(0, 3), 3);  // boundary intact
+  EXPECT_TRUE(t == first);
 }
 
 }  // namespace
