@@ -9,12 +9,13 @@
 #include <iostream>
 #include <string>
 
+#include "dp/registry.hpp"
+#include "exec/dag.hpp"
 #include "sim/des.hpp"
 #include "sim/machine.hpp"
 #include "support/cli.hpp"
 #include "support/csv.hpp"
 #include "support/table_printer.hpp"
-#include "trace/builders.hpp"
 
 int main(int argc, char** argv) {
   using namespace rdp;
@@ -37,7 +38,8 @@ int main(int argc, char** argv) {
   std::cout << "=== r-way ablation: GE fork-join DAG, " << t << "x" << t
             << " tiles of " << b << " ===\n\n";
 
-  const auto df = trace::analyze_work_span(trace::build_ge_dataflow(t, b));
+  const auto ge = dp::make_tile_scale_spec(dp::benchmark_id::ge, t);
+  const auto df = trace::analyze_work_span(exec::dataflow_dag(*ge, b));
   const auto mach = sim::epyc64();
   auto dur = [&](const trace::task_node& node) {
     return static_cast<double>(node.work) * mach.model.flop_time_s;
@@ -59,7 +61,7 @@ int main(int argc, char** argv) {
       s /= r;
     }
     if (!ok) continue;
-    const auto g = trace::build_ge_forkjoin_rway(t, b, r);
+    const auto g = exec::build_ge_forkjoin_rway(*ge, b, r);
     const auto ws = trace::analyze_work_span(g);
     const auto des = sim::simulate(g, mach.cores, dur);
     table.add_row({std::to_string(r), table_printer::num(ws.span),

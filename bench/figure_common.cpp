@@ -45,9 +45,10 @@ dp::benchmark_id to_benchmark_id(sim::benchmark bm) {
 /// figure sweeps and the equivalence/verification gates can never disagree
 /// about which variants exist or what they are called. The sweep prices
 /// DAGs at figure scale (n up to 16K), so it calls the simulator directly
-/// instead of through variant::run — the registry runner also fills the
-/// table with the serial reference for the bit-exactness gate, which at
-/// these sizes would dwarf the simulation itself.
+/// on the benchmark's tile-scale spec instead of through variant::run — the
+/// registry runner also fills the table with the serial reference for the
+/// bit-exactness gate, which at these sizes would dwarf the simulation
+/// itself.
 std::vector<const dp::variant*> sim_series(dp::benchmark_id bm) {
   std::vector<const dp::variant*> out;
   for (const dp::variant* v : dp::variants_for(bm))
@@ -598,10 +599,11 @@ int run_figure_bench(int argc, const char* const* argv,
 
     for (std::size_t base : bases) {
       std::vector<std::string> row = {std::to_string(base)};
+      const auto tiles =
+          dp::make_tile_scale_spec(to_benchmark_id(opts.bm), n / base);
       for (const dp::variant* sv : series) {
         const sim::exec_variant v = dp::sim_mode_to_exec(sv->mode);
-        const auto r = sim::simulate_variant(opts.bm, v, n, base,
-                                             opts.machine);
+        const auto r = sim::simulate_variant(*tiles, v, base, opts.machine);
         row.push_back(table_printer::num(r.seconds));
         csv.add_row({opts.figure_name, opts.machine.name,
                      sim::to_string(opts.bm), std::to_string(n),

@@ -2,7 +2,8 @@
 // reduce parallelism". For each benchmark and tile count, prints work T1,
 // span T∞ and average parallelism T1/T∞ of the fork-join DAG (with its
 // artificial join dependencies) versus the data-flow DAG (true
-// dependencies only), in units of base-task work.
+// dependencies only), in units of base-task work. Both DAGs are derived
+// from the benchmark's recurrence spec (exec/dag.hpp) at tile scale.
 //
 // For tile counts up to --measured-max-tiles the analytic DAG columns are
 // joined by *measured* ones: the benchmark is executed for real at
@@ -16,8 +17,10 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "dp/dp.hpp"
+#include "exec/dag.hpp"
 #include "forkjoin/worker_pool.hpp"
 #include "obs/analyze.hpp"
 #include "obs/tracer.hpp"
@@ -25,18 +28,11 @@
 #include "support/csv.hpp"
 #include "support/rng.hpp"
 #include "support/table_printer.hpp"
-#include "trace/builders.hpp"
 
 namespace {
 
 using namespace rdp;
 using trace::analyze_work_span;
-
-struct bm_builders {
-  const char* name;
-  trace::task_graph (*dataflow)(std::size_t, std::size_t);
-  trace::task_graph (*forkjoin)(std::size_t, std::size_t);
-};
 
 struct measured_run {
   double work_ms = 0;
@@ -122,10 +118,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const bm_builders benchmarks[] = {
-      {"GE", &trace::build_ge_dataflow, &trace::build_ge_forkjoin},
-      {"SW", &trace::build_sw_dataflow, &trace::build_sw_forkjoin},
-      {"FW-APSP", &trace::build_fw_dataflow, &trace::build_fw_forkjoin},
+  const std::pair<const char*, dp::benchmark_id> benchmarks[] = {
+      {"GE", dp::benchmark_id::ge},
+      {"SW", dp::benchmark_id::sw},
+      {"FW-APSP", dp::benchmark_id::fw},
   };
 
   std::cout << "=== E-X2: artificial dependencies inflate the span "
@@ -138,17 +134,18 @@ int main(int argc, char** argv) {
                   "measured_parallelism"});
   constexpr std::size_t kBase = 64;
 
-  for (const auto& bm : benchmarks) {
+  for (const auto& [name, id] : benchmarks) {
     table_printer table({"tiles", "T1 (work)", "T-inf FJ", "T-inf DF",
                          "par FJ", "par DF", "span ratio FJ/DF",
                          "meas par FJ", "meas par DF", "meas ratio"});
     for (std::size_t t : {4, 8, 16, 32, 64, 128}) {
-      const auto df = analyze_work_span(bm.dataflow(t, kBase));
-      const auto fj = analyze_work_span(bm.forkjoin(t, kBase));
+      const auto spec = dp::make_tile_scale_spec(id, t);
+      const auto df = analyze_work_span(exec::dataflow_dag(*spec, kBase));
+      const auto fj = analyze_work_span(exec::forkjoin_dag(*spec, kBase));
       std::optional<measured_run> mfj, mdf;
       if (t <= static_cast<std::size_t>(measured_max_tiles)) {
-        mfj = run_measured(bm.name, t, kBase, /*forkjoin_model=*/true);
-        mdf = run_measured(bm.name, t, kBase, /*forkjoin_model=*/false);
+        mfj = run_measured(name, t, kBase, /*forkjoin_model=*/true);
+        mdf = run_measured(name, t, kBase, /*forkjoin_model=*/false);
       }
       table.add_row(
           {std::to_string(t), table_printer::num(df.total_work),
@@ -162,7 +159,7 @@ int main(int argc, char** argv) {
                       : "-"});
       auto emit = [&](const char* model, const trace::work_span& ws,
                       const std::optional<measured_run>& m) {
-        csv.add_row({bm.name, std::to_string(t), model,
+        csv.add_row({name, std::to_string(t), model,
                      table_printer::num(ws.total_work, 9),
                      table_printer::num(ws.span, 9),
                      table_printer::num(ws.parallelism(), 6),
@@ -173,7 +170,7 @@ int main(int argc, char** argv) {
       emit("forkjoin", fj, mfj);
       emit("dataflow", df, mdf);
     }
-    std::cout << bm.name << "\n";
+    std::cout << name << "\n";
     table.print(std::cout);
     std::cout << "\n";
   }

@@ -8,7 +8,9 @@
 // ratio must cross 1 as cores grow.
 #include <iostream>
 #include <string>
+#include <utility>
 
+#include "dp/registry.hpp"
 #include "sim/experiment.hpp"
 #include "support/cli.hpp"
 #include "support/csv.hpp"
@@ -34,15 +36,19 @@ int main(int argc, char** argv) {
   csv_writer csv({"benchmark", "cores", "OpenMP_s", "CnC_tuner_s",
                   "cnc_over_omp"});
 
-  for (const sim::benchmark bm : {sim::benchmark::ge, sim::benchmark::fw}) {
+  const auto tiles = static_cast<std::size_t>(n / base);
+  for (const auto& [bm, id] :
+       {std::pair{sim::benchmark::ge, dp::benchmark_id::ge},
+        std::pair{sim::benchmark::fw, dp::benchmark_id::fw}}) {
+    const auto spec = dp::make_tile_scale_spec(id, tiles);
     table_printer table({"cores", "OpenMP (s)", "CnC_tuner (s)",
                          "CnC/OMP ratio", "OMP util", "CnC util"});
     for (unsigned cores : {8u, 16u, 32u, 64u, 96u, 128u, 192u, 256u}) {
       const auto mach = sim::with_cores(sim::skylake192(), cores);
       const auto omp = sim::simulate_variant(
-          bm, sim::exec_variant::omp_tasking, n, base, mach);
+          *spec, sim::exec_variant::omp_tasking, base, mach);
       const auto cnc = sim::simulate_variant(
-          bm, sim::exec_variant::cnc_tuner, n, base, mach);
+          *spec, sim::exec_variant::cnc_tuner, base, mach);
       const double ratio = cnc.seconds / omp.seconds;
       table.add_row({std::to_string(cores), table_printer::num(omp.seconds),
                      table_printer::num(cnc.seconds),

@@ -1,15 +1,22 @@
 // Export the task DAGs of a small problem as Graphviz DOT — the quickest
 // way to *see* the artificial dependencies: render the fork-join and
-// data-flow graphs of the same benchmark side by side.
+// data-flow graphs of the same benchmark side by side. Both graphs are
+// derived from the benchmark's recurrence spec (exec/dag.hpp), the same
+// derivation the simulator prices.
 //
 //   $ ./dag_export --benchmark=sw --tiles=4 --out-prefix=sw4
 //   $ dot -Tsvg sw4_forkjoin.dot > fj.svg && dot -Tsvg sw4_dataflow.dot > df.svg
+//
+// Exits 1 when either graph fails task_graph::validate().
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 
+#include "dp/registry.hpp"
+#include "exec/dag.hpp"
 #include "support/cli.hpp"
-#include "trace/builders.hpp"
 
 int main(int argc, char** argv) {
   using namespace rdp;
@@ -29,24 +36,30 @@ int main(int argc, char** argv) {
   const auto t = static_cast<std::size_t>(tiles);
   const auto b = static_cast<std::size_t>(base);
 
-  trace::task_graph fj, df;
+  dp::benchmark_id id;
   if (bm == "ge") {
-    fj = trace::build_ge_forkjoin(t, b);
-    df = trace::build_ge_dataflow(t, b);
+    id = dp::benchmark_id::ge;
   } else if (bm == "sw") {
-    fj = trace::build_sw_forkjoin(t, b);
-    df = trace::build_sw_dataflow(t, b);
+    id = dp::benchmark_id::sw;
   } else if (bm == "fw") {
-    fj = trace::build_fw_forkjoin(t, b);
-    df = trace::build_fw_dataflow(t, b);
+    id = dp::benchmark_id::fw;
   } else {
     std::cerr << "unknown benchmark: " << bm << "\n";
     return 2;
   }
+  const auto spec = dp::make_tile_scale_spec(id, t);
+  const trace::task_graph fj = exec::forkjoin_dag(*spec, b);
+  const trace::task_graph df = exec::dataflow_dag(*spec, b);
 
   for (const auto& [graph, kind] :
        {std::pair<const trace::task_graph&, const char*>{fj, "forkjoin"},
         {df, "dataflow"}}) {
+    try {
+      graph.validate();
+    } catch (const std::exception& e) {
+      std::cerr << kind << " DAG is invalid: " << e.what() << "\n";
+      return 1;
+    }
     const std::string path = prefix + "_" + kind + ".dot";
     std::ofstream out(path);
     if (!out) {

@@ -9,6 +9,7 @@
 #include <iostream>
 #include <string>
 
+#include "dp/registry.hpp"
 #include "sim/experiment.hpp"
 #include "support/cli.hpp"
 #include "support/table_printer.hpp"
@@ -29,12 +30,16 @@ int main(int argc, char** argv) {
   }
 
   sim::benchmark bm;
+  dp::benchmark_id id;
   if (bm_name == "ge") {
     bm = sim::benchmark::ge;
+    id = dp::benchmark_id::ge;
   } else if (bm_name == "sw") {
     bm = sim::benchmark::sw;
+    id = dp::benchmark_id::sw;
   } else if (bm_name == "fw") {
     bm = sim::benchmark::fw;
+    id = dp::benchmark_id::fw;
   } else {
     std::cerr << "unknown benchmark: " << bm_name << "\n";
     return 2;
@@ -45,12 +50,15 @@ int main(int argc, char** argv) {
 
   table_printer sweep({"cores", "OpenMP (s)", "CnC_tuner (s)", "winner",
                        "OMP util", "CnC util"});
+  const auto b = static_cast<std::size_t>(base);
+  const auto spec =
+      dp::make_tile_scale_spec(id, static_cast<std::size_t>(n) / b);
   for (unsigned cores : {4u, 8u, 16u, 32u, 64u, 128u, 192u}) {
     const auto mach = sim::with_cores(sim::skylake192(), cores);
     const auto omp = sim::simulate_variant(
-        bm, sim::exec_variant::omp_tasking, n, base, mach);
-    const auto cnc = sim::simulate_variant(bm, sim::exec_variant::cnc_tuner,
-                                           n, base, mach);
+        *spec, sim::exec_variant::omp_tasking, b, mach);
+    const auto cnc =
+        sim::simulate_variant(*spec, sim::exec_variant::cnc_tuner, b, mach);
     sweep.add_row({std::to_string(cores), table_printer::num(omp.seconds),
                    table_printer::num(cnc.seconds),
                    omp.seconds <= cnc.seconds ? "fork-join" : "data-flow",
@@ -63,13 +71,12 @@ int main(int argc, char** argv) {
   table_printer fixed({"n", "OpenMP (s)", "CnC_tuner (s)", "winner"});
   const auto epyc = sim::epyc64();
   for (std::size_t size = 1024; size <= 16384; size *= 2) {
-    if (size < static_cast<std::size_t>(base)) continue;
+    if (size < b) continue;
+    const auto tiles = dp::make_tile_scale_spec(id, size / b);
     const auto omp = sim::simulate_variant(
-        bm, sim::exec_variant::omp_tasking, size,
-        static_cast<std::size_t>(base), epyc);
-    const auto cnc = sim::simulate_variant(
-        bm, sim::exec_variant::cnc_tuner, size,
-        static_cast<std::size_t>(base), epyc);
+        *tiles, sim::exec_variant::omp_tasking, b, epyc);
+    const auto cnc =
+        sim::simulate_variant(*tiles, sim::exec_variant::cnc_tuner, b, epyc);
     fixed.add_row({std::to_string(size), table_printer::num(omp.seconds),
                    table_printer::num(cnc.seconds),
                    omp.seconds <= cnc.seconds ? "fork-join" : "data-flow"});

@@ -35,20 +35,6 @@ const char* to_string(backend_kind b) noexcept {
   return "?";
 }
 
-sim::benchmark to_sim_benchmark(benchmark_id bm) noexcept {
-  switch (bm) {
-    case benchmark_id::ge: return sim::benchmark::ge;
-    case benchmark_id::sw: return sim::benchmark::sw;
-    case benchmark_id::fw: return sim::benchmark::fw;
-    case benchmark_id::lcs:
-    case benchmark_id::paren:
-      // No sim:* rows exist for these; the registry never routes them here.
-      RDP_REQUIRE_MSG(false, "benchmark has no simulator series");
-      break;
-  }
-  return sim::benchmark::ge;
-}
-
 sim::exec_variant sim_mode_to_exec(std::string_view mode) {
   if (mode == "cnc") return sim::exec_variant::cnc_native;
   if (mode == "tuner") return sim::exec_variant::cnc_tuner;
@@ -218,8 +204,8 @@ run_outcome run_sim_v(const variant& self, const problem_ref& p,
   const sim::machine_profile machine =
       opts.sim_machine != nullptr ? *opts.sim_machine : sim::epyc64();
   const sim::variant_result r =
-      sim::simulate_variant(to_sim_benchmark(p.bm), sim_mode_to_exec(self.mode),
-                            problem_size(p), opts.base, machine);
+      sim::simulate_variant(*make_problem_spec(p, opts.base),
+                            sim_mode_to_exec(self.mode), opts.base, machine);
   out.simulated = true;
   out.sim_seconds = r.seconds;
   out.sim_utilization = r.utilization;
@@ -369,6 +355,27 @@ const variant* find_variant(benchmark_id bm, std::string_view impl) {
   for (const variant& v : registry())
     if (v.bm == bm && v.label == impl) return &v;
   return nullptr;
+}
+
+std::shared_ptr<recurrence> make_tile_scale_spec(benchmark_id bm,
+                                                 std::size_t tiles) {
+  struct owner {
+    matrix<double> table;
+    matrix<std::int32_t> sw_table;
+    std::string seq;
+    sw_params params;
+    std::vector<double> dims;
+    std::unique_ptr<recurrence> spec;
+  };
+  auto o = std::make_shared<owner>();
+  o->table = matrix<double>(tiles, tiles, 1.0);
+  o->sw_table = matrix<std::int32_t>(tiles + 1, tiles + 1, 0);
+  o->seq.assign(tiles, 'A');
+  o->dims.assign(tiles + 1, 1.0);
+  const problem_ref p{bm,     &o->table, &o->sw_table, o->seq,
+                      o->seq, &o->params, &o->dims};
+  o->spec = make_problem_spec(p, 1);
+  return {o, o->spec.get()};
 }
 
 std::string trace_phase_label(const variant& v) {

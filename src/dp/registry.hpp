@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,7 +26,6 @@ class worker_pool;
 }
 
 namespace rdp::sim {
-enum class benchmark;
 enum class exec_variant;
 struct machine_profile;
 }  // namespace rdp::sim
@@ -143,8 +143,13 @@ std::string trace_phase_label(const variant& v);
 /// the simulator's execution variant. Throws contract_error otherwise.
 sim::exec_variant sim_mode_to_exec(std::string_view mode);
 
-/// The simulator's benchmark enum for a registry benchmark. Only valid for
-/// the paper's three (GE/SW/FW) — the benchmarks with sim:* rows.
-sim::benchmark to_sim_benchmark(benchmark_id bm) noexcept;
+/// Tile-scale spec of a benchmark: `tiles` tiles of side 1 over dummy
+/// problem data the returned pointer owns. A spec's tile structure depends
+/// only on n/base, so the DAGs derived from it (exec/dag.hpp) are those of
+/// every (n, base) instance with n/base == tiles — which is how the figure
+/// sweeps price n up to 16K without allocating the table. Its kernels run
+/// on the dummy data; only the shape hooks are meant to be used.
+std::shared_ptr<recurrence> make_tile_scale_spec(benchmark_id bm,
+                                                 std::size_t tiles);
 
 }  // namespace rdp::dp

@@ -141,6 +141,11 @@ class fw_spec final : public recurrence {
         for (std::int32_t j = 0; j < n_tiles; ++j) emit({i, j, k, b});
   }
 
+  /// Every FW tile task relaxes the full cube slice.
+  std::uint64_t base_work(const tile3&, std::uint64_t b) const override {
+    return b * b * b;
+  }
+
   void run_base(const tile4& t) override {
     const auto b = static_cast<std::size_t>(t.b);
     fw_kernel(m_.data(), m_.rows(), t.i * b, t.j * b, t.k * b, b);

@@ -143,6 +143,21 @@ class ge_spec final : public recurrence {
     }
   }
 
+  std::uint64_t base_work(const tile3& t, std::uint64_t b) const override {
+    switch (classify(t.i, t.j, t.k)) {
+      case task_kind::A:
+        // sum_{k=0}^{b-1} (b-1-k)^2
+        return (b - 1) * b * (2 * b - 1) / 6;
+      case task_kind::B:
+      case task_kind::C:
+        // sum_{k=0}^{b-1} (b-1-k) * b
+        return b * b * (b - 1) / 2;
+      case task_kind::D:
+        return b * b * b;
+    }
+    return 0;
+  }
+
   void run_base(const tile4& t) override {
     const auto b = static_cast<std::size_t>(t.b);
     ge_kernel(m_.data(), m_.rows(), t.i * b, t.j * b, t.k * b, b);

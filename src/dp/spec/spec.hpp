@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cnc/context.hpp"  // context_stats
@@ -252,6 +253,17 @@ class recurrence {
 
   /// Emit every base tag (b == base()) in manual pre-declaration order.
   virtual void enumerate_base(const tag_sink& emit) const = 0;
+
+  /// Exact update (assignment) count of base tile t at tile side b — the
+  /// work the simulator and the work/span analysis price a task node with
+  /// (exec/dag.hpp). b is a parameter, not base(), so a tile-scale spec
+  /// (base 1) can price the tiles of the (n, b) instance it stands for.
+  /// Specs nothing prices yet keep this default, which throws.
+  virtual std::uint64_t base_work(const tile3& t, std::uint64_t b) const {
+    (void)t, (void)b;
+    RDP_REQUIRE_MSG(false, std::string(name()) + " has no base_work hook");
+    return 0;
+  }
 
   /// Run the base-case kernel for region t, in place on the problem data,
   /// through the dp/kernels.hpp dispatch. Thread-safe for disjoint tiles.

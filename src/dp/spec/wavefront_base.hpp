@@ -73,6 +73,11 @@ class wavefront_recurrence : public recurrence {
       for (std::int32_t j = 0; j < n_tiles; ++j) emit({i, j, 0, b});
   }
 
+  /// One cell-rule evaluation per cell of the tile.
+  std::uint64_t base_work(const tile3&, std::uint64_t b) const override {
+    return b * b;
+  }
+
  protected:
   std::size_t n_;
   std::size_t base_;

@@ -17,6 +17,10 @@
 //                   run_serial/run_forkjoin; r = n/base degenerates to
 //                   run_tiled).
 //
+// The same specs also lower to the task DAGs the simulator prices and the
+// work/span analysis measures (exec/dag.hpp: dataflow_dag, forkjoin_dag) —
+// the schedules run_dataflow and run_forkjoin execute, as graphs.
+//
 // Every backend routes base cases through recurrence::run_base (and thus
 // the dp/kernels.hpp dispatch) and preserves the exact per-variant
 // floating-point evaluation order of the hand-written implementations this

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 
+#include "exec/dag.hpp"
 #include "support/assertions.hpp"
 #include "support/math_utils.hpp"
-#include "trace/builders.hpp"
 
 namespace rdp::sim {
 
@@ -38,9 +38,7 @@ double sw_task_data_cost(std::uint64_t m, const model::model_machine& mm) {
 }
 
 struct duration_model {
-  benchmark bm;
   exec_variant variant;
-  std::uint64_t base;
   const machine_profile* machine;
   double data_cost;  // per base task, before locality discount
 
@@ -85,40 +83,21 @@ struct duration_model {
   }
 };
 
-trace::task_graph build_graph(benchmark bm, exec_variant variant,
-                              std::size_t tiles, std::size_t base) {
-  const bool fork_join = variant == exec_variant::omp_tasking;
-  switch (bm) {
-    case benchmark::ge:
-      return fork_join ? trace::build_ge_forkjoin(tiles, base)
-                       : trace::build_ge_dataflow(tiles, base);
-    case benchmark::sw:
-      return fork_join ? trace::build_sw_forkjoin(tiles, base)
-                       : trace::build_sw_dataflow(tiles, base);
-    case benchmark::fw:
-      return fork_join ? trace::build_fw_forkjoin(tiles, base)
-                       : trace::build_fw_dataflow(tiles, base);
-  }
-  RDP_REQUIRE_MSG(false, "unknown benchmark");
-  return trace::task_graph{};
-}
-
 }  // namespace
 
-variant_result simulate_variant(benchmark bm, exec_variant variant,
-                                std::size_t n, std::size_t base,
+variant_result simulate_variant(const dp::recurrence& rec,
+                                exec_variant variant, std::size_t base,
                                 const machine_profile& machine) {
-  RDP_REQUIRE_MSG(is_pow2(n) && is_pow2(base) && base <= n,
-                  "n and base must be powers of two");
-  const std::size_t tiles = n / base;
-  const trace::task_graph g = build_graph(bm, variant, tiles, base);
+  RDP_REQUIRE_MSG(is_pow2(rec.size() / rec.base()) && is_pow2(base),
+                  "tile count and base must be powers of two");
+  const trace::task_graph g = variant == exec_variant::omp_tasking
+                                  ? exec::forkjoin_dag(rec, base)
+                                  : exec::dataflow_dag(rec, base);
 
   duration_model dm;
-  dm.bm = bm;
   dm.variant = variant;
-  dm.base = base;
   dm.machine = &machine;
-  dm.data_cost = bm == benchmark::sw
+  dm.data_cost = rec.structure() == dp::structure_kind::wavefront
                      ? sw_task_data_cost(base, machine.model)
                      : block_task_data_cost(base, machine.model);
 

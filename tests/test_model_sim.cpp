@@ -4,17 +4,36 @@
 
 #include <cmath>
 
+#include "dp/registry.hpp"
+#include "exec/dag.hpp"
 #include "model/analytical.hpp"
 #include "sim/des.hpp"
 #include "sim/experiment.hpp"
 #include "sim/machine.hpp"
-#include "trace/builders.hpp"
 
 namespace {
 
 using namespace rdp;
 using namespace rdp::model;
 using namespace rdp::sim;
+using dp::benchmark_id;
+
+/// Derived DAGs of a benchmark's tile-scale spec, priced at tile side b.
+trace::task_graph dataflow_dag(benchmark_id bm, std::size_t tiles,
+                               std::size_t b) {
+  return exec::dataflow_dag(*dp::make_tile_scale_spec(bm, tiles), b);
+}
+trace::task_graph forkjoin_dag(benchmark_id bm, std::size_t tiles,
+                               std::size_t b) {
+  return exec::forkjoin_dag(*dp::make_tile_scale_spec(bm, tiles), b);
+}
+
+/// The figure benches' call: benchmark bm at (n, base) on a machine.
+variant_result simulate_at(benchmark_id bm, exec_variant v, std::size_t n,
+                           std::size_t base, const machine_profile& m) {
+  return simulate_variant(*dp::make_tile_scale_spec(bm, n / base), v, base,
+                          m);
+}
 
 // ------------------------------- model ------------------------------------
 
@@ -124,7 +143,7 @@ TEST(Des, DiamondRespectsDependencies) {
 }
 
 TEST(Des, MakespanNeverBelowSpanOrWorkOverP) {
-  const auto g = trace::build_ge_dataflow(8, 16);
+  const auto g = dataflow_dag(benchmark_id::ge, 8, 16);
   auto dur = [](const trace::task_node& node) {
     return static_cast<double>(node.work) * 1e-9;
   };
@@ -140,7 +159,7 @@ TEST(Des, MakespanNeverBelowSpanOrWorkOverP) {
 }
 
 TEST(Des, ZeroDurationSyntheticNodesAreFree) {
-  const auto g = trace::build_sw_forkjoin(8, 8);
+  const auto g = forkjoin_dag(benchmark_id::sw, 8, 8);
   const auto r = simulate(g, 4, [](const trace::task_node& node) {
     return node.type == trace::node_type::base_task ? 1.0 : 0.0;
   });
@@ -149,7 +168,7 @@ TEST(Des, ZeroDurationSyntheticNodesAreFree) {
 }
 
 TEST(Des, DeterministicAcrossRuns) {
-  const auto g = trace::build_fw_dataflow(8, 8);
+  const auto g = dataflow_dag(benchmark_id::fw, 8, 8);
   auto dur = [](const trace::task_node& node) {
     return static_cast<double>(node.work) * 1e-9 + 1e-7;
   };
@@ -162,7 +181,7 @@ TEST(Des, DeterministicAcrossRuns) {
 TEST(Des, MoreCoresNeverHurtMakespanOnTheseDags) {
   // Greedy list scheduling can in general suffer anomalies; on these
   // wide, uniform DAGs adding cores must not slow things down.
-  const auto g = trace::build_sw_dataflow(16, 16);
+  const auto g = dataflow_dag(benchmark_id::sw, 16, 16);
   auto dur = [](const trace::task_node&) { return 1.0; };
   double prev = 1e300;
   for (unsigned p : {1u, 2u, 4u, 8u, 16u, 31u}) {
@@ -173,7 +192,7 @@ TEST(Des, MoreCoresNeverHurtMakespanOnTheseDags) {
 }
 
 TEST(Des, BusyTimeEqualsSumOfDurations) {
-  const auto g = trace::build_ge_dataflow(4, 8);
+  const auto g = dataflow_dag(benchmark_id::ge, 4, 8);
   const double per_task = 3.5;
   const auto r = simulate(g, 7, [&](const auto&) { return per_task; });
   EXPECT_DOUBLE_EQ(r.busy_time,
@@ -186,11 +205,9 @@ TEST(Findings, F3SwDataflowBeatsForkjoinEvenAtLargeSizes) {
   const auto mach = skylake192();
   for (std::size_t n : {4096ull, 16384ull}) {
     const auto fj =
-        simulate_variant(benchmark::sw, exec_variant::omp_tasking, n, 128,
-                         mach);
+        simulate_at(benchmark_id::sw, exec_variant::omp_tasking, n, 128, mach);
     const auto df =
-        simulate_variant(benchmark::sw, exec_variant::cnc_tuner, n, 128,
-                         mach);
+        simulate_at(benchmark_id::sw, exec_variant::cnc_tuner, n, 128, mach);
     EXPECT_GT(fj.seconds, df.seconds) << "n=" << n;
   }
 }
@@ -200,10 +217,10 @@ TEST(Findings, F1ForkjoinCatchesUpOnLargeGeInputs) {
   // smallest to the largest input (the paper's headline crossover).
   const auto mach = epyc64();
   const auto ratio = [&](std::size_t n) {
-    const auto fj = simulate_variant(benchmark::ge,
-                                     exec_variant::omp_tasking, n, 128, mach);
-    const auto df = simulate_variant(benchmark::ge, exec_variant::cnc_native,
-                                     n, 128, mach);
+    const auto fj = simulate_at(benchmark_id::ge, exec_variant::omp_tasking,
+                                n, 128, mach);
+    const auto df = simulate_at(benchmark_id::ge, exec_variant::cnc_native,
+                                n, 128, mach);
     return df.seconds / fj.seconds;  // < 1 -> CnC wins
   };
   EXPECT_LT(ratio(1024), ratio(16384));
@@ -215,10 +232,10 @@ TEST(Findings, F2MoreCoresFavourDataflow) {
   const auto base_mach = skylake192();
   const auto ratio = [&](unsigned cores) {
     const auto mach = with_cores(base_mach, cores);
-    const auto fj = simulate_variant(
-        benchmark::ge, exec_variant::omp_tasking, 4096, 256, mach);
-    const auto df = simulate_variant(benchmark::ge, exec_variant::cnc_tuner,
-                                     4096, 256, mach);
+    const auto fj = simulate_at(benchmark_id::ge, exec_variant::omp_tasking,
+                                4096, 256, mach);
+    const auto df = simulate_at(benchmark_id::ge, exec_variant::cnc_tuner,
+                                4096, 256, mach);
     return df.seconds / fj.seconds;
   };
   EXPECT_LT(ratio(192), ratio(8));
@@ -226,8 +243,8 @@ TEST(Findings, F2MoreCoresFavourDataflow) {
 
 TEST(Findings, F4ForkjoinUtilizationDropsWithMoreCores) {
   const auto mk = [&](unsigned cores) {
-    return simulate_variant(benchmark::ge, exec_variant::omp_tasking, 2048,
-                            128, with_cores(epyc64(), cores));
+    return simulate_at(benchmark_id::ge, exec_variant::omp_tasking, 2048,
+                       128, with_cores(epyc64(), cores));
   };
   EXPECT_GT(mk(8).utilization, mk(128).utilization);
 }
@@ -236,11 +253,10 @@ TEST(Findings, ManualCncPaysPredeclarationAtSmallBases) {
   // Manual enumerates every base task serially: at tiny base sizes (huge
   // task counts) it must be slower than the tuner variant.
   const auto mach = skylake192();
-  const auto manual = simulate_variant(benchmark::ge,
-                                       exec_variant::cnc_manual, 8192, 64,
-                                       mach);
-  const auto tuner = simulate_variant(benchmark::ge, exec_variant::cnc_tuner,
-                                      8192, 64, mach);
+  const auto manual = simulate_at(benchmark_id::ge, exec_variant::cnc_manual,
+                                  8192, 64, mach);
+  const auto tuner = simulate_at(benchmark_id::ge, exec_variant::cnc_tuner,
+                                 8192, 64, mach);
   EXPECT_GT(manual.seconds, tuner.seconds);
 }
 

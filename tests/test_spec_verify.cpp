@@ -23,6 +23,8 @@
 
 #include "cell_wavefront.hpp"
 #include "dp/dp.hpp"
+#include "exec/dag.hpp"
+#include "exec/prepared_graph.hpp"
 #include "forkjoin/worker_pool.hpp"
 #include "support/math_utils.hpp"
 #include "support/rng.hpp"
@@ -260,6 +262,11 @@ TEST(SpecVerifyMutants, UnproducedDependencyKeyIsCaught) {
   const verify_report r = verify_spec(mutant);
   EXPECT_TRUE(r.has(verify_failure_kind::unproduced_dependency))
       << r.summary();
+  // The priced DAG must not silently drop the orphan edge either: a token
+  // spec cannot seed the key from the environment, so the data-flow
+  // lowering refuses the spec, exactly as the frozen executor does.
+  EXPECT_THROW(exec::dataflow_dag(mutant), contract_error);
+  EXPECT_THROW(exec::prepared_graph::freeze(mutant), contract_error);
 }
 
 /// Drops the last stage of the root's split: part of the enumerate_base set
