@@ -2,7 +2,7 @@
 //
 //     server_load [--n=128] [--base=8] [--workers=2] [--requests=200]
 //                 [--warmup=16] [--reps=3] [--rate=R|auto] [--util=0.5]
-//                 [--modes=prepared,batched,rearm,rebuild] [--check]
+//                 [--modes=prepared,batched,rebuild] [--check]
 //                 [--min-amortization=X] [--report=FILE]
 //
 // Drives a stream of GE instances (same shape, fresh data planes) through
@@ -65,7 +65,6 @@ struct options {
   double util = 0.5;
   std::vector<server::exec_mode> modes = {server::exec_mode::prepared,
                                           server::exec_mode::batched,
-                                          server::exec_mode::rearm,
                                           server::exec_mode::rebuild};
   bool check = false;
   double min_amortization = 0;  // 0 = don't enforce
@@ -75,7 +74,7 @@ struct options {
 void usage(std::ostream& os) {
   os << "usage: server_load [--n=N] [--base=B] [--workers=W]\n"
         "  [--requests=R] [--warmup=K] [--reps=P] [--rate=R|auto]\n"
-        "  [--util=U] [--modes=CSV of prepared,batched,rearm,rebuild]\n"
+        "  [--util=U] [--modes=CSV of prepared,batched,rebuild]\n"
         "  [--check]\n"
         "  [--min-amortization=X] [--report=FILE]\n";
 }
@@ -96,7 +95,6 @@ double parse_double(const std::string& v, const char* flag) {
 server::exec_mode parse_mode(const std::string& v) {
   if (v == "prepared") return server::exec_mode::prepared;
   if (v == "batched") return server::exec_mode::batched;
-  if (v == "rearm") return server::exec_mode::rearm;
   if (v == "rebuild") return server::exec_mode::rebuild;
   usage_error("unknown mode: " + v);
 }

@@ -5,7 +5,7 @@
 // spec (here the library's string-wavefront spec in edit-distance mode,
 // dp/spec/specs.hpp) instead of the old ad-hoc cell-functor adapter:
 // every execution model the paper studies, plus the ones the repo grew on
-// top — tiled rounds, r-way recursion, batched/sharded data-flow, and the
+// top — tiled rounds, r-way recursion, batched data-flow, and the
 // frozen dependence DAG (prepared_graph) that amortises dependency
 // discovery across repeated instances.
 //

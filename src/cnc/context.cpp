@@ -27,7 +27,14 @@ cnc_metrics_t& cnc_metrics() {
 
 }  // namespace detail
 
-context_base::context_base(unsigned workers) {
+context_base::context_base(unsigned workers)
+    : context_base(nullptr, workers) {}
+
+context_base::context_base(forkjoin::worker_pool& pool) : pool_(&pool) {}
+
+context_base::context_base(forkjoin::worker_pool* pool, unsigned workers)
+    : pool_(pool) {
+  if (pool_ != nullptr) return;
   if (workers == 0) {
     workers = std::thread::hardware_concurrency();
     if (workers == 0) workers = 1;
@@ -35,8 +42,6 @@ context_base::context_base(unsigned workers) {
   owned_pool_ = std::make_unique<forkjoin::worker_pool>(workers);
   pool_ = owned_pool_.get();
 }
-
-context_base::context_base(forkjoin::worker_pool& pool) : pool_(&pool) {}
 
 context_base::~context_base() {
   // Reclaim instances that never ran because their dependencies were never
@@ -187,18 +192,6 @@ void context_base::wait() {
   if (std::exception_ptr error = take_error()) std::rethrow_exception(error);
 }
 
-void context_base::rearm() {
-  RDP_REQUIRE_MSG(active_.load(std::memory_order_acquire) == 0 &&
-                      suspended_.load(std::memory_order_acquire) == 0,
-                  "context_base::rearm on a non-quiescent graph (step "
-                  "instances still active or parked)");
-  {
-    std::scoped_lock lock(suspended_mutex_);
-    RDP_ASSERT(suspended_registry_.empty());
-  }
-  (void)take_error();
-}
-
 std::exception_ptr context_base::take_error() noexcept {
   std::scoped_lock lock(error_mutex_);
   std::exception_ptr error = first_error_;
@@ -219,18 +212,6 @@ context_stats context_base::stats() const {
       counters_.deferrals.load(std::memory_order_relaxed);
   s.steps_requeued = counters_.requeued.load(std::memory_order_relaxed);
   return s;
-}
-
-void context_base::reset_stats() {
-  counters_.executed.store(0, std::memory_order_relaxed);
-  counters_.aborted.store(0, std::memory_order_relaxed);
-  counters_.prescribed.store(0, std::memory_order_relaxed);
-  counters_.items_put.store(0, std::memory_order_relaxed);
-  counters_.gets_ok.store(0, std::memory_order_relaxed);
-  counters_.gets_failed.store(0, std::memory_order_relaxed);
-  counters_.tags_put.store(0, std::memory_order_relaxed);
-  counters_.deferrals.store(0, std::memory_order_relaxed);
-  counters_.requeued.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace rdp::cnc

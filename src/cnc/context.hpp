@@ -70,6 +70,8 @@ public:
   explicit context_base(unsigned workers = 0);
   /// Borrow an existing pool (shared across contexts / with fork-join code).
   explicit context_base(forkjoin::worker_pool& pool);
+  /// Borrow `pool` when non-null, otherwise own one of `workers` threads.
+  context_base(forkjoin::worker_pool* pool, unsigned workers);
   virtual ~context_base();
 
   context_base(const context_base&) = delete;
@@ -101,16 +103,6 @@ public:
   void dump_state(std::string& out) const;
 
   context_stats stats() const;
-  void reset_stats();
-
-  /// Re-arm the runtime half for another execution of the same graph
-  /// without reconstructing the context or its collections (persistent
-  /// server sessions). Requires quiescence — no active or suspended step
-  /// instances, i.e. a wait() that returned normally — and clears any
-  /// recorded step error. Collections are re-armed separately (their
-  /// clear() methods); counters keep accumulating unless reset_stats() is
-  /// called.
-  void rearm();
 
   // ---- internal API used by collections and step instances ----
   struct counters {

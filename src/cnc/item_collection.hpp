@@ -139,24 +139,6 @@ public:
     return n;
   }
 
-  /// Re-arm support (persistent server sessions): drop every published
-  /// item, waiter slot and remaining get-count so the same collection can
-  /// back another execution of the graph without reconstruction. Only
-  /// legal while the context is quiescent — a parked step instance on any
-  /// waiter list would dangle, so finding one is a contract violation.
-  void clear() {
-    std::size_t live = 0;
-    map_.for_each([&](const Key&, const slot& s) {
-      RDP_REQUIRE_MSG(s.waiters.empty(),
-                      "item_collection::clear on '" + name_ +
-                          "' with step instances still parked on waiter "
-                          "lists (context not quiescent)");
-      if (s.value.has_value()) ++live;
-    });
-    map_.clear();
-    detail::cnc_metrics().items_live.sub(static_cast<std::int64_t>(live));
-  }
-
   /// Internal (pre-scheduling tuner): if the item exists return true;
   /// otherwise register `w` on the waiter list and return false.
   bool present_or_register(const Key& key, waiter* w) {

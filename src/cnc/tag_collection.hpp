@@ -52,14 +52,6 @@ public:
     return prescriptions_.size();
   }
 
-  /// Re-arm support (persistent server sessions): forget every memoised
-  /// tag so an identical control program can be replayed through the same
-  /// collection. No-op when memoisation is off. Only legal while the
-  /// context is quiescent (no step may be putting tags concurrently).
-  void clear() {
-    if (memoize_) seen_.clear();
-  }
-
 private:
   context_base& ctx_;
   std::string name_;

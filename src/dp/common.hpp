@@ -75,17 +75,6 @@ inline std::uint64_t mix64(std::uint64_t x) {
   return x;
 }
 
-/// Owner-computes placement hash of tile (i, j): the data-flow step's
-/// compute_on affinity AND the sharded item collection's shard index both
-/// derive from it (modulo the worker count), so with pinning a tile's items
-/// live in the shard of the worker that computes it.
-inline std::int32_t tile_placement_hash(std::int32_t i, std::int32_t j) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(i)) << 32) |
-      static_cast<std::uint32_t>(j);
-  return static_cast<std::int32_t>(mix64(key) & 0x7FFFFFFF);
-}
-
 }  // namespace rdp::dp
 
 template <>

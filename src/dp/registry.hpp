@@ -38,7 +38,7 @@ enum class backend_kind : std::uint8_t {
   forkjoin,  ///< 2-way recursion with task_group stages
   tiled,     ///< blocked rounds / tile wavefronts with barriers
   dataflow,  ///< CnC graph (modes: native, tuner, manual, nonblocking,
-             ///< batched, sharded)
+             ///< batched)
   rway,      ///< parametric r-way recursion (modes: r2, r4)
   prepared,  ///< frozen dependence DAG (exec::prepared_graph) built once
              ///< per run here; the batch server amortises the freeze
@@ -114,9 +114,9 @@ struct variant {
                      const run_options& opts);
 };
 
-/// All registered variants: the paper's three benchmarks get 17
-/// backend[:mode] entries each (13 real + 4 sim:* series); the
-/// variable-arity benchmarks (LCS, Paren) get the 13 real entries — the
+/// All registered variants: the paper's three benchmarks get 16
+/// backend[:mode] entries each (12 real + 4 sim:* series); the
+/// variable-arity benchmarks (LCS, Paren) get the 12 real entries — the
 /// simulator's cost model only covers the paper's figures.
 /// Debug builds cross-check every spec with dp::verify_spec on a small
 /// instance the first time this is called (see registry.cpp).

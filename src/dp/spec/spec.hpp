@@ -51,10 +51,8 @@ namespace rdp::dp {
 /// instead of parking on a waiter list. `batched` fuses a dependency band
 /// (one round's B∥C band, or a whole anti-diagonal for wavefront specs)
 /// into chunked steps whose readiness is tracked by one per-band counter
-/// instead of per-tile tag puts; `sharded` keeps the per-tile steps but
-/// partitions the item collection by owner worker (the compute_on placement
-/// hash) so pinned puts/gets stay core-local.
-enum class cnc_variant { native, tuner, manual, nonblocking, batched, sharded };
+/// instead of per-tile tag puts.
+enum class cnc_variant { native, tuner, manual, nonblocking, batched };
 
 constexpr const char* to_string(cnc_variant v) {
   switch (v) {
@@ -63,7 +61,6 @@ constexpr const char* to_string(cnc_variant v) {
     case cnc_variant::manual: return "CnC_manual";
     case cnc_variant::nonblocking: return "CnC_nonblocking";
     case cnc_variant::batched: return "CnC_batched";
-    case cnc_variant::sharded: return "CnC_sharded";
   }
   return "?";
 }

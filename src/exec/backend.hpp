@@ -9,7 +9,7 @@
 //                   collection trio, recursive tag expansion from split(),
 //                   base-step gets from depends(), get-count GC from
 //                   consumer_count(), manual pre-declaration from
-//                   enumerate_base(). All four cnc_variant modes.
+//                   enumerate_base(). All five cnc_variant modes.
 //   run_tiled     — the classic blocked round/wavefront schedule (no
 //                   recursion; barrier per phase).
 //   run_rway      — the parametric r-way recursion (r = 2 recovers the
@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 
 #include "dp/spec/spec.hpp"
 #include "forkjoin/worker_pool.hpp"
@@ -45,9 +44,6 @@ void run_forkjoin(dp::recurrence& rec, forkjoin::worker_pool& pool);
 struct dataflow_options {
   dp::cnc_variant variant = dp::cnc_variant::native;
   unsigned workers = 0;  // 0 = hardware concurrency
-  /// compute_on owner-computes placement (§V): pin every base task on tile
-  /// (I,J) to worker hash(I,J) % workers.
-  bool pin_tiles = false;
   /// Borrow this pool instead of owning one (shared across contexts — the
   /// batch server's substrate). `workers` is ignored when set.
   forkjoin::worker_pool* pool = nullptr;
@@ -57,35 +53,6 @@ struct dataflow_options {
 /// unless opts.pool borrows a shared one.
 dp::cnc_run_info run_dataflow(dp::recurrence& rec,
                               const dataflow_options& opts);
-
-/// A CnC graph kept alive across executions: collections and worker pool
-/// are constructed once, and each execute() re-runs the control program
-/// for a structurally identical recurrence (same name/size/base/
-/// value-passing — only the problem data may differ), then re-arms the
-/// collections (item/tag clear + context re-arm) for the next request.
-/// This amortises context construction but NOT dependency discovery — the
-/// graph is still re-expanded per run, which is exactly the gap
-/// prepared_graph closes; the batch server exposes both so the load bench
-/// can measure the difference.
-///
-/// Not internally synchronised: one execute() at a time.
-class dataflow_session {
- public:
-  /// `structural` fixes the graph's shape and names; it is not retained.
-  dataflow_session(dp::recurrence& structural, const dataflow_options& opts);
-  ~dataflow_session();
-
-  dataflow_session(const dataflow_session&) = delete;
-  dataflow_session& operator=(const dataflow_session&) = delete;
-
-  /// Execute `rec` (must be structurally identical to the constructor's
-  /// exemplar) and re-arm for the next call. Stats are per-execution.
-  dp::cnc_run_info execute(dp::recurrence& rec);
-
- private:
-  struct impl;
-  std::unique_ptr<impl> impl_;
-};
 
 /// Blocked loop schedule: abcd structures run per-pivot rounds of
 /// {A; B band ∥ C band; D sweep} with a barrier per phase; wavefront

@@ -17,21 +17,14 @@
 // graphs) and put their output item with the spec's consumer count when
 // get-count GC is enabled (preschedule tuners only).
 //
-// Two further variants trade generality for per-tile overhead:
-//
-//   sharded   the same per-tile graph, but the item collection is
-//             partitioned by owner worker (cnc/sharded_item_collection.hpp)
-//             and owner-computes pinning is forced on, so hot-path puts and
-//             same-tile gets stay core-local.
-//
-//   batched   the recursion is not expanded at all: exec/banding.hpp groups
-//             the base tiles into dependency bands at lowering time, each
-//             band is cut into at most `workers` fused chunk steps, and
-//             per-tile tag puts / waiter parking collapse into one atomic
-//             predecessor counter per band. A chunk's tag is only put after
-//             every producer band completed, so its blocking gets always
-//             hit and a fused step never aborts or re-executes (re-running
-//             non-idempotent token kernels would corrupt the table).
+// The batched variant trades generality for per-tile overhead: the
+// recursion is not expanded at all. exec/banding.hpp groups the base tiles
+// into dependency bands at lowering time, each band is cut into at most
+// `workers` fused chunk steps, and per-tile tag puts / waiter parking
+// collapse into one atomic predecessor counter per band. A chunk's tag is
+// only put after every producer band completed, so its blocking gets always
+// hit and a fused step never aborts or re-executes (re-running
+// non-idempotent token kernels would corrupt the table).
 #include "exec/backend.hpp"
 
 #include <atomic>
@@ -42,7 +35,6 @@
 #include <utility>
 
 #include "cnc/cnc.hpp"
-#include "cnc/sharded_item_collection.hpp"
 #include "dp/common.hpp"
 #include "exec/banding.hpp"
 #include "obs/metrics.hpp"
@@ -73,21 +65,7 @@ df_metrics_t& df_metrics() {
   return m;
 }
 
-/// Shard owner of an item key: the same placement hash compute_on uses, so
-/// with pinning the worker that computes tile (i, j) owns its items' shard.
-struct tile_owner {
-  std::int32_t operator()(const dp::tile3& t) const noexcept {
-    return dp::tile_placement_hash(t.i, t.j);
-  }
-};
-
 template <class Value>
-using global_items = cnc::item_collection<dp::tile3, Value>;
-template <class Value>
-using owner_items =
-    cnc::sharded_item_collection<dp::tile3, Value, tile_owner>;
-
-template <class Value, class Items>
 struct df_context;
 
 template <class Ctx>
@@ -95,52 +73,43 @@ struct df_step {
   int execute(const dp::tile4& t, Ctx& ctx) const;
   void depends(const dp::tile4& t, Ctx& ctx,
                cnc::dependency_collector& dc) const;
-  /// Owner-computes placement (§V): base tasks only — expansion steps are
-  /// cheap and benefit from running wherever they were prescribed.
-  int compute_on(const dp::tile4& t, Ctx& ctx) const {
-    if (!ctx.pin || !ctx.rec->is_base(t)) return -1;
-    return dp::tile_placement_hash(t.i, t.j);
-  }
 };
 
-template <class Value, class Items>
-struct df_context : cnc::context<df_context<Value, Items>> {
+cnc::schedule_policy policy_for(dp::cnc_variant variant) {
+  return (variant == dp::cnc_variant::tuner ||
+          variant == dp::cnc_variant::manual)
+             ? cnc::schedule_policy::preschedule
+             : cnc::schedule_policy::spawn_immediately;
+}
+
+template <class Value>
+struct df_context : cnc::context<df_context<Value>> {
   using value_type = Value;
 
-  /// The recurrence CURRENTLY bound to the graph. A pointer, not a
-  /// reference: a persistent dataflow_session swaps in a structurally
-  /// identical spec per request without reconstructing the collections.
-  dp::recurrence* rec;
-  bool nonblocking = false;  // poll-and-requeue instead of blocking gets
-  bool collect = false;      // get-count GC (single-execution tuners only)
-  bool pin = false;          // compute_on owner-computes placement
+  dp::recurrence& rec;
+  /// Poll-and-requeue instead of blocking gets.
+  bool nonblocking;
+  /// Get-count GC requires every consumer to run its gets exactly once:
+  /// true for the preschedule tuners, not for abort-and-re-execute (native)
+  /// or poll-and-requeue (nonblocking) execution.
+  bool collect;
 
   cnc::step_collection<df_context, df_step<df_context>, dp::tile4> steps;
   // Recursive expansion puts each tag exactly once -> memoisation off.
   cnc::tag_collection<dp::tile4> tags;
-  Items items;
+  cnc::item_collection<dp::tile3, Value> items;
 
   /// Per-spec dependency fan-in bound (a spec-consistency guard for the
   /// collectors below, not a buffer capacity — lists of any length work).
   std::size_t max_deps = 0;
 
-  df_context(dp::recurrence& r, cnc::schedule_policy policy, unsigned workers)
-      : cnc::context<df_context<Value, Items>>(workers), rec(&r),
+  df_context(dp::recurrence& r, const dataflow_options& opts)
+      : cnc::context<df_context<Value>>(opts.pool, opts.workers), rec(r),
+        nonblocking(opts.variant == dp::cnc_variant::nonblocking),
+        collect(opts.variant == dp::cnc_variant::tuner ||
+                opts.variant == dp::cnc_variant::manual),
         steps(*this, std::string(r.name()) + "_step", df_step<df_context>{},
-              policy),
-        tags(*this, std::string(r.name()) + "_tags", false),
-        items(*this, std::string(r.name()) + "_items"),
-        max_deps(r.max_dependencies()) {
-    tags.prescribe(steps);
-  }
-
-  /// Borrowed-pool construction (shared pool across contexts — the batch
-  /// server's rebuild path and persistent sessions).
-  df_context(dp::recurrence& r, cnc::schedule_policy policy,
-             forkjoin::worker_pool& pool)
-      : cnc::context<df_context<Value, Items>>(pool), rec(&r),
-        steps(*this, std::string(r.name()) + "_step", df_step<df_context>{},
-              policy),
+              policy_for(opts.variant)),
         tags(*this, std::string(r.name()) + "_tags", false),
         items(*this, std::string(r.name()) + "_items"),
         max_deps(r.max_dependencies()) {
@@ -148,7 +117,7 @@ struct df_context : cnc::context<df_context<Value, Items>> {
   }
 
   std::uint32_t count_for(const dp::tile3& t) const {
-    return collect ? rec->consumer_count(t) : 0;
+    return collect ? rec.consumer_count(t) : 0;
   }
 };
 
@@ -176,9 +145,9 @@ struct dep_list {
 template <class Ctx>
 int df_step<Ctx>::execute(const dp::tile4& t, Ctx& ctx) const {
   using Value = typename Ctx::value_type;
-  if (!ctx.rec->is_base(t)) {
+  if (!ctx.rec.is_base(t)) {
     df_metrics().expand_steps.add();
-    const dp::split_plan plan = ctx.rec->split(t);
+    const dp::split_plan plan = ctx.rec.split(t);
     for (std::size_t c = 0; c < plan.child_count; ++c)
       ctx.tags.put(plan.children[c]);
     return 0;
@@ -186,7 +155,7 @@ int df_step<Ctx>::execute(const dp::tile4& t, Ctx& ctx) const {
 
   const dp::tile3 coord{t.i, t.j, t.k};
   dep_list deps(ctx.max_deps);
-  ctx.rec->depends(coord, dp::dep_sink(deps));
+  ctx.rec.depends(coord, dp::dep_sink(deps));
 
   rdp::small_vector<Value, dp::typical_dependency_arity> vals;
   vals.assign_default(deps.keys.size());
@@ -196,7 +165,7 @@ int df_step<Ctx>::execute(const dp::tile4& t, Ctx& ctx) const {
     // respawned attempt re-polls inputs that already hit earlier — safe
     // for get-count accounting only because try_get never consumes a
     // declared get (item_collection counts blocking gets exclusively) AND
-    // ctx.collect is never enabled for this variant (see run_df); either
+    // ctx.collect is never enabled for this variant (see df_context); either
     // property alone prevents a retry from double-decrementing a consumer
     // count and freeing an item early.
     RDP_ASSERT(!ctx.collect);
@@ -219,10 +188,10 @@ int df_step<Ctx>::execute(const dp::tile4& t, Ctx& ctx) const {
   df_metrics().dep_fanin.record(deps.keys.size());
 
   if constexpr (std::is_same_v<Value, bool>) {
-    ctx.rec->run_base(t);
+    ctx.rec.run_base(t);
     ctx.items.put(coord, true, ctx.count_for(coord));
   } else {
-    Value out = ctx.rec->run_base_value(coord, vals.data());
+    Value out = ctx.rec.run_base_value(coord, vals.data());
     ctx.items.put(coord, std::move(out), ctx.count_for(coord));
   }
   return 0;
@@ -231,9 +200,9 @@ int df_step<Ctx>::execute(const dp::tile4& t, Ctx& ctx) const {
 template <class Ctx>
 void df_step<Ctx>::depends(const dp::tile4& t, Ctx& ctx,
                            cnc::dependency_collector& dc) const {
-  if (!ctx.rec->is_base(t)) return;
+  if (!ctx.rec.is_base(t)) return;
   auto require = [&](const dp::tile3& key) { dc.require(ctx.items, key); };
-  ctx.rec->depends({t.i, t.j, t.k}, dp::dep_sink(require));
+  ctx.rec.depends({t.i, t.j, t.k}, dp::dep_sink(require));
 }
 
 /// value_store over a value-passing context's item collection, for the
@@ -254,26 +223,18 @@ struct env_value_store final : dp::value_store {
   }
 };
 
-cnc::schedule_policy policy_for(dp::cnc_variant variant) {
-  return (variant == dp::cnc_variant::tuner ||
-          variant == dp::cnc_variant::manual)
-             ? cnc::schedule_policy::preschedule
-             : cnc::schedule_policy::spawn_immediately;
-}
-
-/// One execution of the control program over an already-constructed
-/// context: seed (value-passing), put the root tag (or every base tag for
-/// manual pre-declaration), wait for quiescence, gather. Shared by the
-/// per-run entry point and the persistent session.
-template <class Ctx>
-dp::cnc_run_info execute_once(Ctx& ctx, dp::recurrence& rec,
-                              dp::cnc_variant variant) {
-  if constexpr (std::is_same_v<typename Ctx::value_type, dp::tile_value>) {
-    env_value_store<Ctx> store(ctx);
+/// One execution of the control program: seed (value-passing), put the
+/// root tag (or every base tag for manual pre-declaration), wait for
+/// quiescence, gather.
+template <class Value>
+dp::cnc_run_info run_df(dp::recurrence& rec, const dataflow_options& opts) {
+  df_context<Value> ctx(rec, opts);
+  if constexpr (std::is_same_v<Value, dp::tile_value>) {
+    env_value_store<df_context<Value>> store(ctx);
     rec.seed_values(store);
   }
 
-  if (variant == dp::cnc_variant::manual) {
+  if (opts.variant == dp::cnc_variant::manual) {
     // Manual pre-scheduling (§III-D): enumerate every base task up front;
     // the tuner dispatches each one when its inputs exist.
     auto emit = [&](const dp::tile4& tag) { ctx.tags.put(tag); };
@@ -283,38 +244,11 @@ dp::cnc_run_info execute_once(Ctx& ctx, dp::recurrence& rec,
   }
   ctx.wait();
 
-  if constexpr (std::is_same_v<typename Ctx::value_type, dp::tile_value>) {
-    env_value_store<Ctx> store(ctx);
+  if constexpr (std::is_same_v<Value, dp::tile_value>) {
+    env_value_store<df_context<Value>> store(ctx);
     rec.gather_values(store);
   }
   return dp::cnc_run_info{ctx.stats(), ctx.items.size()};
-}
-
-template <class Ctx>
-void configure(Ctx& ctx, const dataflow_options& opts) {
-  ctx.nonblocking = opts.variant == dp::cnc_variant::nonblocking;
-  // Get-count GC requires every consumer to run its gets exactly once:
-  // true for the preschedule tuners, not for abort-and-re-execute (native,
-  // sharded) or poll-and-requeue (nonblocking) execution.
-  ctx.collect = opts.variant == dp::cnc_variant::tuner ||
-                opts.variant == dp::cnc_variant::manual;
-  // Sharded execution is owner-computes by construction: without pinning,
-  // shard ownership and execution placement would be uncorrelated and
-  // every hot-path access a cross-core miss.
-  ctx.pin = opts.pin_tiles || opts.variant == dp::cnc_variant::sharded;
-}
-
-template <class Value, class Items>
-dp::cnc_run_info run_df(dp::recurrence& rec, const dataflow_options& opts) {
-  const cnc::schedule_policy policy = policy_for(opts.variant);
-  if (opts.pool != nullptr) {
-    df_context<Value, Items> ctx(rec, policy, *opts.pool);
-    configure(ctx, opts);
-    return execute_once(ctx, rec, opts.variant);
-  }
-  df_context<Value, Items> ctx(rec, policy, opts.workers);
-  configure(ctx, opts);
-  return execute_once(ctx, rec, opts.variant);
 }
 
 // ---- batched lowering ------------------------------------------------------
@@ -330,12 +264,12 @@ struct bd_step {
 /// Context of the batched variant: the recursion is pre-banded
 /// (exec/banding.hpp) and the tag space is chunk ids, not tiles. Dependency
 /// tracking is two atomic counters per band — chunks still running, and
-/// predecessor bands still incomplete — re-armed per execution.
+/// predecessor bands still incomplete.
 template <class Value>
 struct bd_context : cnc::context<bd_context<Value>> {
   using value_type = Value;
 
-  dp::recurrence* rec;
+  dp::recurrence& rec;
   band_plan plan;
   chunk_table chunk_plan;
   std::unique_ptr<std::atomic<std::uint32_t>[]> preds_left;   // per band
@@ -347,8 +281,8 @@ struct bd_context : cnc::context<bd_context<Value>> {
   cnc::tag_collection<std::int32_t> tags;
   cnc::item_collection<dp::tile3, Value> items;
 
-  bd_context(dp::recurrence& r, unsigned workers)
-      : cnc::context<bd_context<Value>>(workers), rec(&r),
+  bd_context(dp::recurrence& r, const dataflow_options& opts)
+      : cnc::context<bd_context<Value>>(opts.pool, opts.workers), rec(r),
         plan(build_band_plan(r)),
         chunk_plan(build_chunks(
             plan, static_cast<std::uint32_t>(this->pool().worker_count()))),
@@ -364,37 +298,14 @@ struct bd_context : cnc::context<bd_context<Value>> {
         tags(*this, std::string(r.name()) + "_tags", false),
         items(*this, std::string(r.name()) + "_items") {
     tags.prescribe(steps);
-  }
-
-  bd_context(dp::recurrence& r, forkjoin::worker_pool& pool)
-      : cnc::context<bd_context<Value>>(pool), rec(&r),
-        plan(build_band_plan(r)),
-        chunk_plan(build_chunks(
-            plan, static_cast<std::uint32_t>(this->pool().worker_count()))),
-        preds_left(
-            std::make_unique<std::atomic<std::uint32_t>[]>(plan.band_count)),
-        chunks_left(
-            std::make_unique<std::atomic<std::uint32_t>[]>(plan.band_count)),
-        max_deps(r.max_dependencies()),
-        fused_trace_name(obs::tracer::instance().intern(
-            std::string(r.name()) + "_step")),
-        steps(*this, std::string(r.name()) + "_step", bd_step<Value>{},
-              cnc::schedule_policy::spawn_immediately),
-        tags(*this, std::string(r.name()) + "_tags", false),
-        items(*this, std::string(r.name()) + "_items") {
-    tags.prescribe(steps);
-  }
-
-  std::uint32_t count_for(const dp::tile3&) const { return 0; }
-
-  /// Re-initialise the band counters for one execution of the graph.
-  void arm_bands() {
     for (std::uint32_t b = 0; b < plan.band_count; ++b) {
       preds_left[b].store(plan.in_degree[b], std::memory_order_relaxed);
       chunks_left[b].store(chunk_plan.chunk_count(b),
                            std::memory_order_relaxed);
     }
   }
+
+  std::uint32_t count_for(const dp::tile3&) const { return 0; }
 
   void put_band(std::uint32_t band) {
     for (std::uint32_t c = chunk_plan.first_chunk[band];
@@ -417,7 +328,7 @@ int bd_step<Value>::execute(std::int32_t chunk,
     const dp::tile4& tag = ctx.plan.tiles[ctx.plan.members[m]];
     const dp::tile3 coord{tag.i, tag.j, tag.k};
     deps.reset();
-    ctx.rec->depends(coord, dp::dep_sink(deps));
+    ctx.rec.depends(coord, dp::dep_sink(deps));
     vals.assign_default(deps.keys.size());
     // Band gating guarantees every producer band completed before this
     // chunk's tag was put, so these blocking gets always hit: a fused step
@@ -428,10 +339,10 @@ int bd_step<Value>::execute(std::int32_t chunk,
     df_metrics().base_steps.add();
     df_metrics().dep_fanin.record(deps.keys.size());
     if constexpr (std::is_same_v<Value, bool>) {
-      ctx.rec->run_base(tag);
+      ctx.rec.run_base(tag);
       ctx.items.put(coord, true, 0);
     } else {
-      Value out = ctx.rec->run_base_value(coord, vals.data());
+      Value out = ctx.rec.run_base_value(coord, vals.data());
       ctx.items.put(coord, std::move(out), 0);
     }
   }
@@ -455,13 +366,13 @@ int bd_step<Value>::execute(std::int32_t chunk,
 }
 
 template <class Value>
-dp::cnc_run_info execute_once_batched(bd_context<Value>& ctx,
-                                      dp::recurrence& rec) {
+dp::cnc_run_info run_batched(dp::recurrence& rec,
+                             const dataflow_options& opts) {
+  bd_context<Value> ctx(rec, opts);
   if constexpr (std::is_same_v<Value, dp::tile_value>) {
     env_value_store<bd_context<Value>> store(ctx);
     rec.seed_values(store);
   }
-  ctx.arm_bands();
   for (std::uint32_t b = 0; b < ctx.plan.band_count; ++b)
     if (ctx.plan.in_degree[b] == 0) ctx.put_band(b);
   ctx.wait();
@@ -472,159 +383,15 @@ dp::cnc_run_info execute_once_batched(bd_context<Value>& ctx,
   return dp::cnc_run_info{ctx.stats(), ctx.items.size()};
 }
 
-template <class Value>
-dp::cnc_run_info run_batched(dp::recurrence& rec,
-                             const dataflow_options& opts) {
-  if (opts.pool != nullptr) {
-    bd_context<Value> ctx(rec, *opts.pool);
-    return execute_once_batched(ctx, rec);
-  }
-  bd_context<Value> ctx(rec, opts.workers);
-  return execute_once_batched(ctx, rec);
-}
-
-template <class Value>
-dp::cnc_run_info run_variant(dp::recurrence& rec,
-                             const dataflow_options& opts) {
-  switch (opts.variant) {
-    case dp::cnc_variant::batched:
-      return run_batched<Value>(rec, opts);
-    case dp::cnc_variant::sharded:
-      return run_df<Value, owner_items<Value>>(rec, opts);
-    default:
-      return run_df<Value, global_items<Value>>(rec, opts);
-  }
-}
-
-// ---- persistent session ----------------------------------------------------
-
-struct session_base {
-  virtual ~session_base() = default;
-  virtual dp::cnc_run_info execute(dp::recurrence& rec) = 0;
-};
-
-/// The structural fingerprint every session enforces per request.
-struct session_shape {
-  std::string name;
-  std::size_t n, base, max_deps;
-
-  explicit session_shape(const dp::recurrence& structural)
-      : name(structural.name()), n(structural.size()),
-        base(structural.base()), max_deps(structural.max_dependencies()) {}
-
-  void check(const dp::recurrence& rec, bool passes_values) const {
-    RDP_REQUIRE_MSG(
-        name == rec.name() && n == rec.size() && base == rec.base() &&
-            max_deps == rec.max_dependencies() &&
-            rec.value_passing() == passes_values,
-        std::string(rec.name()) +
-            ": recurrence does not match the session's structural exemplar");
-  }
-};
-
-template <class Value, class Items>
-struct session_impl final : session_base {
-  // Behind a pointer: df_context is neither movable nor copyable (its
-  // collections hold references into it).
-  std::unique_ptr<df_context<Value, Items>> ctx;
-  dp::cnc_variant variant;
-  session_shape shape;
-
-  session_impl(dp::recurrence& structural, const dataflow_options& opts,
-               forkjoin::worker_pool* pool)
-      : variant(opts.variant), shape(structural) {
-    const cnc::schedule_policy policy = policy_for(opts.variant);
-    if (pool != nullptr)
-      ctx = std::make_unique<df_context<Value, Items>>(structural, policy,
-                                                       *pool);
-    else
-      ctx = std::make_unique<df_context<Value, Items>>(structural, policy,
-                                                       opts.workers);
-    configure(*ctx, opts);
-  }
-
-  dp::cnc_run_info execute(dp::recurrence& rec) override {
-    shape.check(rec, std::is_same_v<Value, dp::tile_value>);
-    ctx->rec = &rec;
-    ctx->reset_stats();
-    const dp::cnc_run_info info = execute_once(*ctx, rec, variant);
-    // Re-arm for the next request: drop items and memoised tags, clear any
-    // consumed error state. The collections themselves survive.
-    ctx->items.clear();
-    ctx->tags.clear();
-    ctx->rearm();
-    return info;
-  }
-};
-
-template <class Value>
-struct batched_session_impl final : session_base {
-  std::unique_ptr<bd_context<Value>> ctx;
-  session_shape shape;
-
-  batched_session_impl(dp::recurrence& structural,
-                       const dataflow_options& opts,
-                       forkjoin::worker_pool* pool)
-      : shape(structural) {
-    if (pool != nullptr)
-      ctx = std::make_unique<bd_context<Value>>(structural, *pool);
-    else
-      ctx = std::make_unique<bd_context<Value>>(structural, opts.workers);
-  }
-
-  dp::cnc_run_info execute(dp::recurrence& rec) override {
-    shape.check(rec, std::is_same_v<Value, dp::tile_value>);
-    ctx->rec = &rec;
-    ctx->reset_stats();
-    const dp::cnc_run_info info = execute_once_batched(*ctx, rec);
-    ctx->items.clear();
-    ctx->tags.clear();
-    ctx->rearm();
-    return info;
-  }
-};
-
-template <class Value>
-std::unique_ptr<session_base> make_session(dp::recurrence& structural,
-                                           const dataflow_options& opts) {
-  switch (opts.variant) {
-    case dp::cnc_variant::batched:
-      return std::make_unique<batched_session_impl<Value>>(structural, opts,
-                                                           opts.pool);
-    case dp::cnc_variant::sharded:
-      return std::make_unique<session_impl<Value, owner_items<Value>>>(
-          structural, opts, opts.pool);
-    default:
-      return std::make_unique<session_impl<Value, global_items<Value>>>(
-          structural, opts, opts.pool);
-  }
-}
-
 }  // namespace
 
 dp::cnc_run_info run_dataflow(dp::recurrence& rec,
                               const dataflow_options& opts) {
-  return rec.value_passing() ? run_variant<dp::tile_value>(rec, opts)
-                             : run_variant<bool>(rec, opts);
-}
-
-struct dataflow_session::impl {
-  std::unique_ptr<session_base> session;
-};
-
-dataflow_session::dataflow_session(dp::recurrence& structural,
-                                   const dataflow_options& opts)
-    : impl_(std::make_unique<impl>()) {
-  if (structural.value_passing())
-    impl_->session = make_session<dp::tile_value>(structural, opts);
-  else
-    impl_->session = make_session<bool>(structural, opts);
-}
-
-dataflow_session::~dataflow_session() = default;
-
-dp::cnc_run_info dataflow_session::execute(dp::recurrence& rec) {
-  return impl_->session->execute(rec);
+  if (opts.variant == dp::cnc_variant::batched)
+    return rec.value_passing() ? run_batched<dp::tile_value>(rec, opts)
+                               : run_batched<bool>(rec, opts);
+  return rec.value_passing() ? run_df<dp::tile_value>(rec, opts)
+                             : run_df<bool>(rec, opts);
 }
 
 }  // namespace rdp::exec

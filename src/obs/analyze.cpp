@@ -641,8 +641,13 @@ std::vector<phase_metrics> analyze_trace(
     phase_metrics m =
         b.build(events.data() + begin, events.data() + end, window_begin,
                 label_of, phase_name);
-    // Drop an empty untitled prefix (everything fell into marked phases).
-    if (!(m.phase == "(untitled)" && m.threads == 0 && m.tasks == 0))
+    // Drop an untitled prefix that holds no task span: pool workers may
+    // emit events (a park, a steal attempt) between tracer start() and the
+    // first phase marker. An unmarked trace keeps its one phase unless it
+    // is empty.
+    const bool marked_after = end < events.size();
+    if (!(m.phase == "(untitled)" && m.tasks == 0 && m.aborted_tasks == 0 &&
+          (marked_after || m.threads == 0)))
       out.push_back(std::move(m));
   };
   for (std::size_t i = 0; i < events.size(); ++i) {

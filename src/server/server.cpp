@@ -21,7 +21,6 @@ const char* to_string(exec_mode m) noexcept {
   switch (m) {
     case exec_mode::prepared: return "prepared";
     case exec_mode::batched: return "batched";
-    case exec_mode::rearm: return "rearm";
     case exec_mode::rebuild: return "rebuild";
   }
   return "?";
@@ -39,6 +38,10 @@ const char* to_string(request_status s) noexcept {
 namespace {
 
 using sclock = std::chrono::steady_clock;
+
+/// The CnC variant rebuild mode runs: native, the "no server" per-run
+/// baseline.
+constexpr dp::cnc_variant k_baseline_variant = dp::cnc_variant::native;
 
 std::uint64_t ns_between(sclock::time_point a, sclock::time_point b) {
   return b <= a ? 0
@@ -80,12 +83,8 @@ struct batch_server::impl {
   /// prepare() grows the set.
   struct graph_slot {
     exec::prepared_graph graph;
-    /// rearm mode: the persistent CnC session (one execute() at a time —
-    /// the dispatcher's busy flag serialises it).
-    std::unique_ptr<exec::dataflow_session> session;
-    std::string label;          ///< "<spec>/<n>/<base>" (trace + errors)
+    std::string label;  ///< "<spec>/<n>/<base>" (trace + errors)
     std::uint16_t trace_name = 0;
-    bool busy = false;          ///< dispatcher-only, under `m`
 
     explicit graph_slot(exec::prepared_graph g) : graph(std::move(g)) {}
   };
@@ -156,19 +155,11 @@ struct batch_server::impl {
         cfg.mode == exec_mode::batched
             ? exec::prepared_graph::freeze_batched(structural, pool.worker_count())
             : exec::prepared_graph::freeze(structural);
-    std::unique_ptr<exec::dataflow_session> session;
-    if (cfg.mode == exec_mode::rearm) {
-      exec::dataflow_options o;
-      o.variant = cfg.rebuild_variant;
-      o.pool = &pool;
-      session = std::make_unique<exec::dataflow_session>(structural, o);
-    }
     std::lock_guard<std::mutex> lk(m);
     const auto it = graph_ids.find(key);
     if (it != graph_ids.end()) return it->second;
     graphs.emplace_back(std::move(g));
     graph_slot& slot = graphs.back();
-    slot.session = std::move(session);
     slot.label = key;
     slot.trace_name = obs::tracer::instance().intern(key);
     const graph_id id = graphs.size() - 1;
@@ -224,11 +215,7 @@ struct batch_server::impl {
 
   /// A queued request the dispatcher could start right now.
   bool admissible() const {
-    if (flights.size() >= cfg.max_inflight || queue.empty()) return false;
-    if (cfg.mode != exec_mode::rearm) return true;
-    for (const request& r : queue)
-      if (!graphs[r.graph].busy) return true;
-    return false;
+    return !queue.empty() && flights.size() < cfg.max_inflight;
   }
 
   void dispatcher_loop() {
@@ -252,28 +239,21 @@ struct batch_server::impl {
     }
   }
 
-  /// Drain up to max_batch admissible requests in one scheduling decision —
-  /// the cross-request batching. Called under `m`.
+  /// Drain up to max_batch queued requests, in FIFO order, in one
+  /// scheduling decision — the cross-request batching. Called under `m`.
   void admit_batch() {
-    std::size_t admitted = 0;
-    for (auto it = queue.begin();
-         it != queue.end() && admitted < cfg.max_batch &&
-         flights.size() < cfg.max_inflight;) {
-      graph_slot& slot = graphs[it->graph];
-      if (cfg.mode == exec_mode::rearm && slot.busy) {
-        ++it;  // this graph's session is running; keep FIFO order otherwise
-        continue;
-      }
+    for (std::size_t admitted = 0;
+         admitted < cfg.max_batch && admissible(); ++admitted) {
       auto f = std::make_unique<flight>();
-      f->req = std::move(*it);
-      it = queue.erase(it);
+      f->req = std::move(queue.front());
+      queue.pop_front();
       smetrics().queue_depth.sub();
+      graph_slot& slot = graphs[f->req.graph];
       f->slot = &slot;
       f->admit_tp = sclock::now();
       f->queue_ns = ns_between(f->req.submit_tp, f->admit_tp);
       smetrics().queue_ns.record(f->queue_ns);
       smetrics().inflight.add();
-      if (cfg.mode == exec_mode::rearm) slot.busy = true;
       RDP_TRACE_EVENT(obs::event_kind::request_begin, slot.trace_name,
                       f->req.id, f->queue_ns);
       if (cfg.scoped_metrics) {
@@ -281,7 +261,6 @@ struct batch_server::impl {
         f->before = obs::metrics_registry::instance().snapshot();
       }
       launch(std::move(f));
-      ++admitted;
     }
   }
 
@@ -297,10 +276,6 @@ struct batch_server::impl {
         raw->exec->start();
         break;
       }
-      case exec_mode::rearm:
-        pool.enqueue(forkjoin::make_task([this, raw] { run_rearm(raw); },
-                                         nullptr));
-        break;
       case exec_mode::rebuild:
         pool.enqueue(forkjoin::make_task([this, raw] { run_rebuild(raw); },
                                          nullptr));
@@ -325,24 +300,10 @@ struct batch_server::impl {
     publish_finished(f);
   }
 
-  void run_rearm(flight* f) {
-    try {
-      const dp::cnc_run_info info = f->slot->session->execute(*f->req.rec);
-      f->nodes = info.stats.steps_executed;
-    } catch (const std::exception& e) {
-      f->status = request_status::failed;
-      f->error = e.what();
-    } catch (...) {
-      f->status = request_status::failed;
-      f->error = "unknown error";
-    }
-    publish_finished(f);
-  }
-
   void run_rebuild(flight* f) {
     try {
       exec::dataflow_options o;
-      o.variant = cfg.rebuild_variant;
+      o.variant = k_baseline_variant;
       o.pool = &pool;
       const dp::cnc_run_info info = exec::run_dataflow(*f->req.rec, o);
       f->nodes = info.stats.steps_executed;
@@ -398,7 +359,6 @@ struct batch_server::impl {
         smetrics().failed.add();
       else
         smetrics().completed.add();
-      if (cfg.mode == exec_mode::rearm) f->slot->busy = false;
       f->req.promise.set_value(std::move(resp));
       it = flights.erase(it);
     }

@@ -38,8 +38,6 @@
 //   batched   frozen band-fused DAG (prepared_graph::freeze_batched) — same
 //             data plane as prepared, but schedule nodes are band chunks,
 //             collapsing per-tile countdowns into per-band barriers
-//   rearm     per-graph exec::dataflow_session — collections built once and
-//             re-armed per request, but tags re-expanded (per-graph serial)
 //   rebuild   full exec::run_dataflow per request on the shared pool — the
 //             "no server" baseline every prior bench measured
 #pragma once
@@ -59,7 +57,6 @@ namespace rdp::server {
 enum class exec_mode : std::uint8_t {
   prepared,  ///< frozen prepared_graph, per-request data plane
   batched,   ///< frozen band-fused prepared_graph (freeze_batched)
-  rearm,     ///< persistent CnC session, re-armed per request
   rebuild,   ///< fresh CnC graph per request (baseline)
 };
 
@@ -75,8 +72,6 @@ struct server_config {
   /// Max requests executing concurrently (clamped to >= 1).
   std::size_t max_inflight = 4;
   exec_mode mode = exec_mode::prepared;
-  /// CnC mode used by rearm/rebuild execution.
-  dp::cnc_variant rebuild_variant = dp::cnc_variant::native;
   /// Attach a per-request metrics window (snapshot delta) to responses.
   /// Only meaningful when requests run one at a time; the constructor
   /// enforces max_inflight == 1 via RDP_REQUIRE when set.

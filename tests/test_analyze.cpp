@@ -222,6 +222,36 @@ TEST(Analyze, MultiplePhasesSplitAtMarkers) {
   EXPECT_NEAR(phases[1].wall_ms, 40 * kMs, kTol);  // marker at 50 to 90
 }
 
+// A pool worker's event between tracer start() and the first phase marker
+// (here a park/unpark pair) must not open an extra "(untitled)" phase: it
+// holds no task span. Real captures hit this window at random.
+TEST(Analyze, StrayWorkerEventBeforeFirstMarkerOpensNoPhase) {
+  const std::vector<event> events = {
+      ev(2, 1, event_kind::worker_park, 1),
+      ev(4, 1, event_kind::worker_unpark, 1),
+      ev(10, 0, event_kind::phase_begin, 0, 0, 1),
+      ev(20, 0, event_kind::task_run_begin, 100),
+      ev(50, 0, event_kind::task_run_end, 100),
+  };
+  const auto phases = analyze(events);
+  ASSERT_EQ(phases.size(), 1u);
+  EXPECT_EQ(phases[0].phase, "name1");
+  EXPECT_EQ(phases[0].tasks, 1u);
+  EXPECT_NEAR(phases[0].work_ms, 30 * kMs, kTol);
+}
+
+// An unmarked trace is one "(untitled)" phase, kept even without tasks.
+TEST(Analyze, UnmarkedTraceKeepsItsUntitledPhase) {
+  const std::vector<event> events = {
+      ev(2, 1, event_kind::worker_park, 1),
+      ev(4, 1, event_kind::worker_unpark, 1),
+  };
+  const auto phases = analyze(events);
+  ASSERT_EQ(phases.size(), 1u);
+  EXPECT_EQ(phases[0].phase, "(untitled)");
+  EXPECT_EQ(phases[0].tasks, 0u);
+}
+
 // ------------------------------------------------ raw trace IO ----
 
 TEST(RawTrace, RoundTripThroughText) {

@@ -1,8 +1,7 @@
-// Batched (band-fused) and sharded data-flow backends: hand-computed
-// fusion counts for a known GE instance, bit-exactness against the serial
-// reference, item-accounting parity with the native CnC lowering, shard
-// locality accounting, and the band-fused prepared graph. Runs under the
-// TSan/UBSan presets (LABELS runtime).
+// Batched (band-fused) data-flow backend: hand-computed fusion counts for a
+// known GE instance, bit-exactness against the serial reference,
+// item-accounting parity with the native CnC lowering, and the band-fused
+// prepared graph. Runs under the sanitizer presets (LABELS runtime).
 #include <algorithm>
 #include <cstdint>
 #include <string>
@@ -75,30 +74,7 @@ TEST(BatchedDataflow, GeFusedStepCountsMatchHandComputation) {
   EXPECT_EQ(batched.stats.gets_failed, 0u);
 }
 
-TEST(ShardedDataflow, GeMatchesSerialAndCountsShardLocality) {
-  const std::size_t n = 64, base = 8;
-  const auto input = make_diag_dominant(n, 7);
-  auto serial = input;
-  exec::run_serial(*make_ge_spec(serial, base));
-
-  auto& reg = obs::metrics_registry::instance();
-  obs::counter& hit = reg.get_counter("dataflow.shard_hit");
-  obs::counter& miss = reg.get_counter("dataflow.shard_miss");
-  const std::uint64_t h0 = hit.value(), m0 = miss.value();
-
-  auto m = input;
-  const cnc_run_info info =
-      exec::run_dataflow(*make_ge_spec(m, base), {cnc_variant::sharded, 4});
-  EXPECT_TRUE(m == serial);
-  EXPECT_GT(info.stats.steps_executed, 0u);
-  // Every put/get on the owner-sharded collection is classified.
-  EXPECT_GT(hit.value() + miss.value(), h0 + m0);
-  // Owner-computes pinning makes at least the pinned producers' puts local
-  // (64 base tiles; a zero hit count would mean pinning is not happening).
-  EXPECT_GT(hit.value(), h0);
-}
-
-TEST(ShardedDataflow, FwValuePassingMatchesSerial) {
+TEST(BatchedDataflow, FwValuePassingMatchesSerial) {
   const std::size_t n = 32, base = 8;
   auto input = make_digraph(n, 0.3, 5, 1e9);
   for (std::size_t i = 0; i < input.size(); ++i)
@@ -108,12 +84,8 @@ TEST(ShardedDataflow, FwValuePassingMatchesSerial) {
   exec::run_serial(*make_fw_spec(serial, base));
 
   auto m = input;
-  exec::run_dataflow(*make_fw_spec(m, base), {cnc_variant::sharded, 3});
+  exec::run_dataflow(*make_fw_spec(m, base), {cnc_variant::batched, 3});
   EXPECT_TRUE(m == serial);
-
-  auto m2 = input;
-  exec::run_dataflow(*make_fw_spec(m2, base), {cnc_variant::batched, 3});
-  EXPECT_TRUE(m2 == serial);
 }
 
 TEST(PreparedBatched, GeGraphIsAtLeastFourTimesCoarserAndBitExact) {

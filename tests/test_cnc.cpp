@@ -97,32 +97,6 @@ void chain_step::depends(int tag, chain_ctx& ctx,
   if (tag > 0) dc.require(ctx.values, tag - 1);
 }
 
-TEST(Cnc, RearmedContextRunsASecondWave) {
-  // The batch server's re-arm cycle: after quiescence, clearing the
-  // collections and re-arming the context must allow the SAME tags again —
-  // DSA and tag memoisation restart from scratch, stats are per-wave.
-  hello_ctx ctx;
-  ctx.tags.put(4);
-  ctx.wait();
-  double v = 0;
-  ctx.data.get(4, v);
-  EXPECT_DOUBLE_EQ(v, 10.0);
-  EXPECT_EQ(ctx.stats().steps_executed, 1u);
-
-  ctx.data.clear();
-  ctx.tags.clear();
-  ctx.rearm();
-  ctx.reset_stats();
-  EXPECT_EQ(ctx.data.size(), 0u);
-
-  ctx.tags.put(4);  // duplicate of wave 1: only legal because of the clear
-  ctx.wait();
-  v = 0;
-  ctx.data.get(4, v);
-  EXPECT_DOUBLE_EQ(v, 10.0);
-  EXPECT_EQ(ctx.stats().steps_executed, 1u);  // wave-local, not cumulative
-}
-
 TEST(Cnc, ChainWithRetriesComputesPrefixSums) {
   chain_ctx ctx(schedule_policy::spawn_immediately);
   constexpr int kN = 64;
@@ -642,18 +616,6 @@ TEST(Cnc, ManyConsumersParkOnFewItems) {
   EXPECT_EQ(ctx.stats().steps_executed, static_cast<std::uint64_t>(total));
   EXPECT_EQ(ctx.results.size(),
             static_cast<std::size_t>(total - fanout_ctx::kHubs));
-}
-
-TEST(Cnc, ResetStatsClearsCounters) {
-  hello_ctx ctx;
-  ctx.tags.put(1);
-  ctx.wait();
-  EXPECT_GT(ctx.stats().steps_executed, 0u);
-  ctx.reset_stats();
-  const auto s = ctx.stats();
-  EXPECT_EQ(s.steps_executed, 0u);
-  EXPECT_EQ(s.items_put, 0u);
-  EXPECT_EQ(s.tags_put, 0u);
 }
 
 // Items put by the environment before any tag: steps find them immediately.

@@ -195,20 +195,6 @@ TEST(GeCnc, NonblockingNeverParksInstances) {
   EXPECT_EQ(info.stats.gets_failed, 0u);
 }
 
-TEST(GeCnc, ComputeOnTilePinningStaysCorrect) {
-  // Owner-computes placement (§V compute_on suggestion): same bits, for
-  // every variant, with tasks pinned per tile.
-  auto oracle = input(64);
-  auto c = oracle;
-  ge_loop_serial(oracle);
-  for (cnc_variant v : {cnc_variant::native, cnc_variant::tuner,
-                        cnc_variant::manual}) {
-    c = input(64);
-    exec::run_dataflow(*make_ge_spec(c, 8), {v, 3, /*pin_tiles=*/true});
-    EXPECT_TRUE(oracle == c) << to_string(v);
-  }
-}
-
 TEST(GeCnc, LargerProblemAllVariantsAgree) {
   auto oracle = input(128, 7);
   auto c_native = oracle, c_tuner = oracle, c_manual = oracle;

@@ -136,7 +136,7 @@ TEST_P(GeVariantSweep, AllSixVariantsAgreeOnRandomInstances) {
 
   for (cnc_variant v : {cnc_variant::native, cnc_variant::tuner,
                         cnc_variant::manual, cnc_variant::nonblocking,
-                        cnc_variant::batched, cnc_variant::sharded}) {
+                        cnc_variant::batched}) {
     auto m = in;
     exec::run_dataflow(*make_ge_spec(m, base), {v, 3});
     EXPECT_TRUE(m == oracle) << to_string(v) << " seed=" << seed;

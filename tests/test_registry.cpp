@@ -2,10 +2,10 @@
 // advertises must produce a table bit-identical to the benchmark's loop
 // oracle (ge/sw/fw/paren_loop_serial; a single-tile LCS spec for LCS), for
 // every benchmark, across sizes and base cases — and every row must raise
-// contract_error on a shape its own supports(n, base) rejects. This is the
-// property the whole spec/executor refactor is built on — one recurrence
-// spec, many lowerings, no numerical drift — and it runs under the
-// TSan/UBSan presets (LABELS runtime).
+// contract_error on a shape its own supports(n, base) rejects and on a
+// malformed problem. This is the property the whole spec/executor refactor
+// is built on — one recurrence spec, many lowerings, no numerical drift —
+// and it runs under the sanitizer presets (LABELS runtime).
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -155,7 +155,7 @@ TEST(RegistryShape, AdvertisesEveryBackendPerBenchmark) {
   for (benchmark_id bm : {benchmark_id::ge, benchmark_id::sw,
                           benchmark_id::fw}) {
     const auto rows = variants_for(bm);
-    ASSERT_EQ(rows.size(), 17u) << to_string(bm);
+    ASSERT_EQ(rows.size(), 16u) << to_string(bm);
     // Labels resolve back to their own row, and are unique per benchmark.
     for (const variant* v : rows)
       EXPECT_EQ(find_variant(bm, v->label), v) << v->label;
@@ -164,27 +164,26 @@ TEST(RegistryShape, AdvertisesEveryBackendPerBenchmark) {
   // series (the simulator's cost model only covers the paper's figures).
   for (benchmark_id bm : {benchmark_id::lcs, benchmark_id::paren}) {
     const auto rows = variants_for(bm);
-    ASSERT_EQ(rows.size(), 13u) << to_string(bm);
+    ASSERT_EQ(rows.size(), 12u) << to_string(bm);
     for (const variant* v : rows) {
       EXPECT_EQ(find_variant(bm, v->label), v) << v->label;
       EXPECT_NE(v->backend, backend_kind::sim) << v->label;
     }
   }
-  EXPECT_EQ(registry().size(), 77u);
+  EXPECT_EQ(registry().size(), 72u);
   EXPECT_EQ(find_variant(benchmark_id::ge, "no-such-backend"), nullptr);
   EXPECT_NE(impl_help().find("dataflow:tuner"), std::string::npos);
   EXPECT_NE(impl_help().find("dataflow:batched"), std::string::npos);
-  EXPECT_NE(impl_help().find("dataflow:sharded"), std::string::npos);
   EXPECT_NE(impl_help().find("prepared:batched"), std::string::npos);
   EXPECT_NE(impl_help().find("sim:omp"), std::string::npos);
 }
 
-// serial + forkjoin + tiled + 6 dataflow modes + rway:r2 + prepared +
-// prepared:batched always apply on a power-of-two sweep point (12 rows);
+// serial + forkjoin + tiled + 5 dataflow modes + rway:r2 + prepared +
+// prepared:batched always apply on a power-of-two sweep point (11 rows);
 // GE/SW/FW add their 4 sim modes; rway:r4 joins whenever n/base is a power
 // of 4.
-constexpr std::size_t k_min_rows_paper = 16;
-constexpr std::size_t k_min_rows_spec_only = 12;
+constexpr std::size_t k_min_rows_paper = 15;
+constexpr std::size_t k_min_rows_spec_only = 11;
 
 TEST(RegistryEquivalence, GeAllVariantsMatchSerial) {
   forkjoin::worker_pool pool(3);
@@ -227,7 +226,7 @@ TEST(RegistryEquivalence, ParenAllVariantsMatchSerial) {
 /// with contract_error (its supports() is false) or runs it bit-exact.
 /// At (96, 8) only the rows without a power-of-two requirement — tiled,
 /// prepared, prepared:batched — accept; (64, 6) and (32, 64) (base does
-/// not divide n / exceeds it) are rejected by all 77 rows.
+/// not divide n / exceeds it) are rejected by all 72 rows.
 TEST(RegistryPreconditions, EveryRowRejectsOrMatchesTheOracle) {
   forkjoin::worker_pool pool(3);
   xoshiro256 gen(5);
@@ -245,6 +244,74 @@ TEST(RegistryPreconditions, EveryRowRejectsOrMatchesTheOracle) {
         << "LCS n=" << sh.n << " base=" << sh.base;
     EXPECT_EQ(check_paren(sh.n, sh.base, pool, gen), sh.accepted)
         << "Paren n=" << sh.n << " base=" << sh.base;
+  }
+}
+
+/// Runs every row of `bm` on a malformed problem: each must raise
+/// contract_error and leave `table` as it found it. Returns the row count.
+template <class Table>
+std::size_t expect_every_row_rejects(benchmark_id bm, const problem_ref& prob,
+                                     const Table& table,
+                                     forkjoin::worker_pool& pool,
+                                     const char* what) {
+  const Table before = table;
+  std::size_t rows = 0;
+  for (const variant* v : variants_for(bm)) {
+    EXPECT_THROW(v->run(*v, prob, options_for(8, pool)), contract_error)
+        << to_string(bm) << " × " << v->label << " accepted " << what;
+    EXPECT_EQ(table, before)
+        << to_string(bm) << " × " << v->label << " wrote to " << what;
+    ++rows;
+  }
+  return rows;
+}
+
+/// Problems no spec can describe — a non-square GE/FW/Paren table, SW/LCS
+/// sequences of unequal length, a Paren chain whose dims.size() != n + 1 —
+/// are rejected by every registry row, before any write to the table. The
+/// shapes pass each row's supports(n, base), so the rejection is the spec's.
+TEST(RegistryPreconditions, EveryRowRejectsAMalformedProblem) {
+  forkjoin::worker_pool pool(3);
+  constexpr std::size_t n = 32;
+  xoshiro256 gen(9);
+  auto filled = [&](std::size_t rows, std::size_t cols) {
+    matrix<double> m(rows, cols, 0.0);
+    for (std::size_t i = 0; i < m.size(); ++i)
+      m.data()[i] = static_cast<double>(1 + gen.next() % 100);
+    return m;
+  };
+
+  std::size_t rows = 0;
+  matrix<double> ge = filled(n, 2 * n);
+  rows += expect_every_row_rejects(benchmark_id::ge, ge_problem(ge), ge, pool,
+                                   "a non-square table");
+  matrix<double> fw = filled(n, 2 * n);
+  rows += expect_every_row_rejects(benchmark_id::fw, fw_problem(fw), fw, pool,
+                                   "a non-square table");
+
+  const std::string a = make_dna(n, 3), b = make_dna(n / 2, 4);
+  const sw_params p;
+  matrix<std::int32_t> sw(a.size() + 1, b.size() + 1, 7);
+  rows += expect_every_row_rejects(benchmark_id::sw, sw_problem(sw, a, b, p),
+                                   sw, pool, "sequences of unequal length");
+  matrix<std::int32_t> lcs(a.size() + 1, b.size() + 1, 7);
+  rows += expect_every_row_rejects(benchmark_id::lcs, lcs_problem(lcs, a, b),
+                                   lcs, pool, "sequences of unequal length");
+
+  const std::vector<double> dims(n + 1, 2.0);
+  matrix<double> paren = filled(n, 2 * n);
+  rows += expect_every_row_rejects(benchmark_id::paren,
+                                   paren_problem(paren, dims), paren, pool,
+                                   "a non-square table");
+  EXPECT_EQ(rows, registry().size());
+
+  for (const std::size_t len : {n, n + 2}) {
+    const std::vector<double> bad_dims(len, 2.0);
+    matrix<double> c = filled(n, n);
+    EXPECT_EQ(expect_every_row_rejects(benchmark_id::paren,
+                                       paren_problem(c, bad_dims), c, pool,
+                                       "a chain with dims.size() != n + 1"),
+              variants_for(benchmark_id::paren).size());
   }
 }
 

@@ -1,11 +1,15 @@
 // Graph-reuse and batch-server coverage: a prepared_graph executed
 // back-to-back must stay bit-identical to fresh-build runs for every
-// benchmark; a re-armed dataflow_session must do the same; and the server
-// must preserve those guarantees under admission control, batching, and
-// concurrent submission. Runs under the TSan/UBSan presets (LABELS runtime).
+// benchmark, and the server must preserve that guarantee under admission
+// control, batching, concurrent submission and shutdown. Runs under the
+// sanitizer presets (LABELS runtime).
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +21,7 @@
 #include "exec/backend.hpp"
 #include "exec/prepared_graph.hpp"
 #include "forkjoin/worker_pool.hpp"
+#include "forwarding_spec.hpp"
 #include "obs/metrics.hpp"
 #include "server/server.hpp"
 #include "support/assertions.hpp"
@@ -225,35 +230,6 @@ TEST(PreparedGraph, ConcurrentExecutionsShareOneGraph) {
   }
 }
 
-// ---- dataflow_session re-arm ----------------------------------------------
-
-TEST(DataflowSession, ReuseBitExact) {
-  matrix<double> exemplar = ge_input(6);
-  auto structural = make_ge_spec(exemplar, k_base);
-  exec::dataflow_options opts;
-  opts.workers = 3;
-  exec::dataflow_session session(*structural, opts);
-  for (std::uint64_t seed = 40; seed < 44; ++seed) {
-    const matrix<double> input = ge_input(seed);
-    const matrix<double> expected = ge_expected(input);
-    auto m = input;
-    auto spec = make_ge_spec(m, k_base);
-    const cnc_run_info info = session.execute(*spec);
-    EXPECT_GT(info.stats.steps_executed, 0u);
-    EXPECT_EQ(m, expected) << "re-armed session diverged, seed=" << seed;
-  }
-}
-
-TEST(DataflowSession, RejectsStructuralMismatch) {
-  matrix<double> exemplar = ge_input(7);
-  auto structural = make_ge_spec(exemplar, k_base);
-  exec::dataflow_options opts;
-  opts.workers = 2;
-  exec::dataflow_session session(*structural, opts);
-  auto coarser = make_ge_spec(exemplar, k_base * 2);
-  EXPECT_THROW(session.execute(*coarser), contract_error);
-}
-
 // ---- batch server ---------------------------------------------------------
 
 /// One GE instance routed through the server; the table the caller handed
@@ -295,13 +271,6 @@ TEST(BatchServer, PreparedModeBitExact) {
   cfg.workers = 3;
   cfg.mode = server::exec_mode::prepared;
   check_server_ge(cfg, 8);
-}
-
-TEST(BatchServer, RearmModeBitExact) {
-  server::server_config cfg;
-  cfg.workers = 3;
-  cfg.mode = server::exec_mode::rearm;
-  check_server_ge(cfg, 6);
 }
 
 /// The server must carry the variable-arity graph end to end: prepare one
@@ -477,6 +446,143 @@ TEST(BatchServer, ConcurrentSubmittersStress) {
   for (auto& th : submitters) th.join();
   for (std::size_t t = 0; t < k_threads; ++t)
     EXPECT_TRUE(failures[t].empty()) << "thread " << t << ": " << failures[t];
+}
+
+/// GE spec whose first base kernel blocks until the test opens the gate:
+/// pins one request in flight while later ones wait in the queue.
+class gated_ge_spec final : public test::forwarding_spec {
+ public:
+  struct gate {
+    std::atomic<bool> entered{false};
+    std::atomic<bool> open{false};
+  };
+
+  gated_ge_spec(matrix<double>& m, gate& g)
+      : forwarding_spec(make_ge_spec(m, k_base)), gate_(g) {}
+
+  void run_base(const tile4& t) override {
+    if (!gate_.entered.exchange(true))
+      while (!gate_.open.load()) std::this_thread::yield();
+    inner_->run_base(t);
+  }
+
+ private:
+  gate& gate_;
+};
+
+/// Sets an environment variable for one scope, restoring the old value.
+class scoped_env {
+ public:
+  scoped_env(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~scoped_env() {
+    if (old_.has_value())
+      ::setenv(name_, old_->c_str(), 1);
+    else
+      ::unsetenv(name_);
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+/// Destroying a server under load: queued requests are shed, in-flight ones
+/// run to completion, every future resolves and nothing hangs. The armed
+/// fatal watchdog turns a wedged CnC wait (rebuild mode) into an abort.
+TEST(BatchServer, ShutdownUnderLoadResolvesEveryRequest) {
+  const scoped_env period("RDP_WATCHDOG_MS", "5000");
+  const scoped_env fatal("RDP_WATCHDOG_FATAL", "1");
+  for (const server::exec_mode mode :
+       {server::exec_mode::prepared, server::exec_mode::rebuild}) {
+    SCOPED_TRACE(server::to_string(mode));
+    server::server_config cfg;
+    cfg.workers = 2;
+    cfg.mode = mode;
+    cfg.queue_capacity = 64;
+
+    // Deterministic phase: one request held in flight by the gate, the
+    // rest queued behind it (max_inflight 1) when destruction starts.
+    {
+      cfg.max_inflight = 1;
+      auto srv = std::make_unique<server::batch_server>(cfg);
+      matrix<double> exemplar = ge_input(15);
+      const server::graph_id gid = srv->prepare(*make_ge_spec(exemplar, k_base));
+
+      constexpr std::size_t k_queued = 8;
+      gated_ge_spec::gate g;
+      const matrix<double> held_input = ge_input(600);
+      auto held_table = std::make_shared<matrix<double>>(held_input);
+      auto held_spec = std::make_shared<gated_ge_spec>(*held_table, g);
+      std::future<server::response> held = srv->submit(gid, held_spec);
+      while (!g.entered.load()) std::this_thread::yield();
+
+      std::vector<std::shared_ptr<matrix<double>>> tables;
+      std::vector<std::future<server::response>> queued;
+      for (std::size_t i = 0; i < k_queued; ++i) {
+        tables.push_back(std::make_shared<matrix<double>>(ge_input(610 + i)));
+        std::shared_ptr<dp::recurrence> spec(make_ge_spec(*tables[i], k_base));
+        auto holder = std::make_shared<std::pair<
+            std::shared_ptr<matrix<double>>, std::shared_ptr<dp::recurrence>>>(
+            tables[i], std::move(spec));
+        queued.push_back(srv->submit(
+            gid, std::shared_ptr<dp::recurrence>(holder, holder->second.get())));
+      }
+
+      std::thread destroyer([&] { srv.reset(); });
+      // Shutdown sheds the queue while the held request is still running.
+      for (std::size_t i = 0; i < k_queued; ++i) {
+        const server::response r = queued[i].get();
+        EXPECT_EQ(r.status, server::request_status::shed) << "request " << i;
+        EXPECT_EQ(*tables[i], ge_input(610 + i)) << "shed table was touched";
+      }
+      g.open.store(true);
+      destroyer.join();
+      ASSERT_EQ(held.wait_for(std::chrono::seconds(0)),
+                std::future_status::ready);
+      const server::response r = held.get();
+      EXPECT_EQ(r.status, server::request_status::ok) << r.error;
+      EXPECT_EQ(*held_table, ge_expected(held_input));
+    }
+
+    // Free-running phase: a burst destroyed right after submission, with
+    // several requests in flight; whatever mix of ok and shed results, the
+    // ok tables must be bit-exact.
+    {
+      cfg.max_inflight = 2;
+      auto srv = std::make_unique<server::batch_server>(cfg);
+      matrix<double> exemplar = ge_input(16);
+      const server::graph_id gid = srv->prepare(*make_ge_spec(exemplar, k_base));
+      constexpr std::size_t k_burst = 16;
+      std::vector<std::shared_ptr<matrix<double>>> tables;
+      std::vector<std::future<server::response>> futs;
+      for (std::size_t i = 0; i < k_burst; ++i) {
+        tables.push_back(std::make_shared<matrix<double>>(ge_input(700 + i)));
+        std::shared_ptr<dp::recurrence> spec(make_ge_spec(*tables[i], k_base));
+        auto holder = std::make_shared<std::pair<
+            std::shared_ptr<matrix<double>>, std::shared_ptr<dp::recurrence>>>(
+            tables[i], std::move(spec));
+        futs.push_back(srv->submit(
+            gid, std::shared_ptr<dp::recurrence>(holder, holder->second.get())));
+      }
+      srv.reset();
+      for (std::size_t i = 0; i < k_burst; ++i) {
+        ASSERT_EQ(futs[i].wait_for(std::chrono::seconds(0)),
+                  std::future_status::ready)
+            << "request " << i << " unresolved after destruction";
+        const server::response r = futs[i].get();
+        if (r.status == server::request_status::ok) {
+          EXPECT_EQ(*tables[i], ge_expected(ge_input(700 + i)))
+              << "request " << i;
+        } else {
+          EXPECT_EQ(r.status, server::request_status::shed)
+              << "request " << i << ": " << r.error;
+        }
+      }
+    }
+  }
 }
 
 /// Per-request metrics scoping: with scoped_metrics the response carries

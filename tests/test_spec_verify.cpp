@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "cell_wavefront.hpp"
+#include "forwarding_spec.hpp"
 #include "dp/dp.hpp"
 #include "exec/dag.hpp"
 #include "exec/prepared_graph.hpp"
@@ -120,39 +121,9 @@ TEST(SpecVerify, ReportStatisticsMatchKnownGeGraph) {
 
 // -------------------------------------------------------------- mutants ----
 
-/// Forwarding decorator over a real spec: each mutant overrides exactly one
-/// hook to plant one inconsistency, so the expected failure kind is
-/// unambiguous.
-class spec_mutant : public recurrence {
- public:
-  explicit spec_mutant(std::unique_ptr<recurrence> inner)
-      : inner_(std::move(inner)) {}
-
-  const char* name() const override { return inner_->name(); }
-  structure_kind structure() const override { return inner_->structure(); }
-  std::size_t size() const override { return inner_->size(); }
-  std::size_t base() const override { return inner_->base(); }
-  split_plan split(const tile4& t) const override { return inner_->split(t); }
-  void depends(const tile3& t, const dep_sink& need) const override {
-    inner_->depends(t, need);
-  }
-  std::size_t max_dependencies() const override {
-    return inner_->max_dependencies();
-  }
-  std::size_t dependency_bound(const tile3& t) const override {
-    return inner_->dependency_bound(t);
-  }
-  std::uint32_t consumer_count(const tile3& t) const override {
-    return inner_->consumer_count(t);
-  }
-  void enumerate_base(const tag_sink& emit) const override {
-    inner_->enumerate_base(emit);
-  }
-  void run_base(const tile4& t) override { inner_->run_base(t); }
-
- protected:
-  std::unique_ptr<recurrence> inner_;
-};
+/// Each mutant overrides exactly one hook of the forwarding decorator to
+/// plant one inconsistency, so the expected failure kind is unambiguous.
+using spec_mutant = test::forwarding_spec;
 
 /// A GE base tile whose output is consumed at least once (so dropping an
 /// edge or miscounting it is observable): the first round's A tile.
@@ -541,7 +512,7 @@ TEST(SpecVerifyProperty, RandomCellsAgreeAcrossExecutionModels) {
 
     for (const cnc_variant v :
          {cnc_variant::native, cnc_variant::tuner, cnc_variant::nonblocking,
-          cnc_variant::batched, cnc_variant::sharded}) {
+          cnc_variant::batched}) {
       t = fresh;
       exec::run_dataflow(spec, {v, 3});
       EXPECT_EQ(t, oracle)

@@ -130,7 +130,7 @@ TEST_P(WavefrontModels, LcsAgreesAcrossAllModels) {
 
   for (cnc_variant v : {cnc_variant::native, cnc_variant::tuner,
                         cnc_variant::manual, cnc_variant::nonblocking,
-                        cnc_variant::batched, cnc_variant::sharded}) {
+                        cnc_variant::batched}) {
     t = boundary_table<std::int32_t>(n, n);
     const auto info = exec::run_dataflow(spec, {v, 4});
     EXPECT_TRUE(t == loop_table) << to_string(v);
