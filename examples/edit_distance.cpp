@@ -5,8 +5,8 @@
 // spec (here the library's string-wavefront spec in edit-distance mode,
 // dp/spec/specs.hpp) instead of the old ad-hoc cell-functor adapter:
 // every execution model the paper studies, plus the ones the repo grew on
-// top — tiled rounds, r-way recursion, batched data-flow, and the
-// frozen dependence DAG (prepared_graph) that amortises dependency
+// top — tiled rounds, r-way recursion, and the frozen dependence DAG
+// (prepared_graph, per-tile or band-fused) that amortises dependency
 // discovery across repeated instances.
 //
 //   $ ./edit_distance --n=512 --base=64 --workers=4

@@ -74,6 +74,7 @@ void context_base::on_resume(step_instance_base* inst) {
 void context_base::record_error(std::exception_ptr e) noexcept {
   std::scoped_lock lock(error_mutex_);
   if (!first_error_) first_error_ = std::move(e);
+  failed_.store(true, std::memory_order_relaxed);
 }
 
 void context_base::dump_state(std::string& out) const {
@@ -196,6 +197,7 @@ std::exception_ptr context_base::take_error() noexcept {
   std::scoped_lock lock(error_mutex_);
   std::exception_ptr error = first_error_;
   first_error_ = nullptr;
+  failed_.store(false, std::memory_order_relaxed);
   return error;
 }
 

@@ -131,6 +131,13 @@ public:
   /// Record a user-step exception; the first one is rethrown by wait().
   void record_error(std::exception_ptr e) noexcept;
 
+  /// Whether a step error is recorded and not yet taken. Read lock-free by
+  /// the retry path: a graph that already failed stops requeueing steps, so
+  /// consumers polling for an item the failed step never put let it quiesce.
+  bool failed() const noexcept {
+    return failed_.load(std::memory_order_relaxed);
+  }
+
   /// Remove and return the recorded error (nullptr when none). Used by
   /// wait() and by environment-side blocking gets, which prefer surfacing
   /// a real step error over a quiescence diagnostic.
@@ -173,6 +180,7 @@ private:
 
   std::mutex error_mutex_;
   std::exception_ptr first_error_;
+  std::atomic<bool> failed_{false};
   std::optional<obs::watchdog::config> watchdog_cfg_;
 
   // Suspended instances are owned by the waiter lists; the context keeps a

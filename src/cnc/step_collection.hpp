@@ -16,6 +16,7 @@
 #include <atomic>
 #include <concepts>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -82,7 +83,7 @@ concept declares_placement = requires(const Step s, const Tag& t, Ctx& c) {
 };
 
 /// Countdown that fires a parked step instance when every declared
-/// dependency has been produced. Self-deleting.
+/// dependency has been produced. Owned by that instance.
 class preschedule_countdown final : public waiter {
 public:
   explicit preschedule_countdown(step_instance_base& inst) : inst_(inst) {}
@@ -96,11 +97,10 @@ public:
 
 private:
   void release() {
-    if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      step_instance_base& inst = inst_;
-      delete this;
-      inst.dispatch_prescheduled();  // resume accounting + first dispatch
-    }
+    // The dispatched instance may run and delete itself, and this
+    // countdown with it, before the call returns: touch no member after it.
+    if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1)
+      inst_.dispatch_prescheduled();  // resume accounting + first dispatch
   }
 
   std::atomic<long> remaining_{1};  // arming guard
@@ -169,6 +169,7 @@ public:
     if (policy_ == schedule_policy::preschedule) {
       if constexpr (detail::declares_dependencies<Step, Tag, Ctx>) {
         auto* cd = new detail::preschedule_countdown(*inst);
+        inst->own_countdown(std::unique_ptr<waiter>(cd));
         // The instance starts out parked: it becomes active only when the
         // countdown fires (possibly during depends() below).
         ctx_.on_suspend(inst);
@@ -192,8 +193,12 @@ public:
 
   /// Requeue `tag` for a later retry (non-blocking get protocol, §IV-B):
   /// a fresh instance is dispatched through the pool's FIFO injection
-  /// queue so the retry runs after currently queued producers.
+  /// queue so the retry runs after currently queued producers. Once a step
+  /// of the graph has failed the retry is dropped instead: the item it polls
+  /// for may never be put, and requeueing forever would keep the graph from
+  /// quiescing, so wait() could never rethrow the error.
   void respawn(const Tag& tag) {
+    if (ctx_.failed()) return;
     ctx_.metrics().requeued.fetch_add(1, std::memory_order_relaxed);
     detail::cnc_metrics().steps_requeued.add();
     RDP_TRACE_EVENT(obs::event_kind::step_requeue, trace_name_, 0, 0);

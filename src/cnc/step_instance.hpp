@@ -13,6 +13,7 @@
 #pragma once
 
 #include <exception>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -75,6 +76,14 @@ public:
     enqueue();
   }
 
+  /// Take ownership of the countdown gating this instance's first dispatch
+  /// (preschedule tuner). An instance whose inputs never arrive (a failed
+  /// or deadlocked graph) is reclaimed by its context, and its countdown,
+  /// still parked on item waiter lists, must go with it.
+  void own_countdown(std::unique_ptr<waiter> countdown) noexcept {
+    countdown_ = std::move(countdown);
+  }
+
 protected:
   /// Runs the user step body once. Throws detail::unmet_dependency_signal
   /// if a blocking get failed (after parking `this` on the waiter list).
@@ -93,6 +102,7 @@ private:
 
   context_base& ctx_;
   int affinity_ = -1;
+  std::unique_ptr<waiter> countdown_;
 };
 
 }  // namespace rdp::cnc

@@ -175,7 +175,6 @@ cnc_variant mode_to_variant(std::string_view mode) {
   if (mode == "tuner") return cnc_variant::tuner;
   if (mode == "manual") return cnc_variant::manual;
   if (mode == "nonblocking") return cnc_variant::nonblocking;
-  if (mode == "batched") return cnc_variant::batched;
   RDP_REQUIRE_MSG(false, "unknown data-flow mode");
   return cnc_variant::native;
 }
@@ -309,8 +308,6 @@ std::vector<variant> build_registry() {
                     &supports_pow2, &run_dataflow_v});
     rows.push_back({bm, backend_kind::dataflow, "nonblocking",
                     "dataflow:nonblocking", &supports_pow2, &run_dataflow_v});
-    rows.push_back({bm, backend_kind::dataflow, "batched",
-                    "dataflow:batched", &supports_pow2, &run_dataflow_v});
     rows.push_back({bm, backend_kind::rway, "r2", "rway:r2",  //
                     &supports_r2, &run_rway_v});
     rows.push_back({bm, backend_kind::rway, "r4", "rway:r4",  //

@@ -37,8 +37,7 @@ enum class backend_kind : std::uint8_t {
   serial,    ///< depth-first 2-way recursion on one thread
   forkjoin,  ///< 2-way recursion with task_group stages
   tiled,     ///< blocked rounds / tile wavefronts with barriers
-  dataflow,  ///< CnC graph (modes: native, tuner, manual, nonblocking,
-             ///< batched)
+  dataflow,  ///< CnC graph (modes: native, tuner, manual, nonblocking)
   rway,      ///< parametric r-way recursion (modes: r2, r4)
   prepared,  ///< frozen dependence DAG (exec::prepared_graph) built once
              ///< per run here; the batch server amortises the freeze

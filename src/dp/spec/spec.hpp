@@ -48,11 +48,8 @@ namespace rdp::dp {
 /// alternative get protocol the paper also evaluated ("profitable only for
 /// smaller block sizes"): a step polls its inputs with try_get and, when
 /// any is missing, requeues its own tag through the scheduler's FIFO path
-/// instead of parking on a waiter list. `batched` fuses a dependency band
-/// (one round's B∥C band, or a whole anti-diagonal for wavefront specs)
-/// into chunked steps whose readiness is tracked by one per-band counter
-/// instead of per-tile tag puts.
-enum class cnc_variant { native, tuner, manual, nonblocking, batched };
+/// instead of parking on a waiter list.
+enum class cnc_variant { native, tuner, manual, nonblocking };
 
 constexpr const char* to_string(cnc_variant v) {
   switch (v) {
@@ -60,7 +57,6 @@ constexpr const char* to_string(cnc_variant v) {
     case cnc_variant::tuner: return "CnC_tuner";
     case cnc_variant::manual: return "CnC_manual";
     case cnc_variant::nonblocking: return "CnC_nonblocking";
-    case cnc_variant::batched: return "CnC_batched";
   }
   return "?";
 }

@@ -9,7 +9,7 @@
 //                   collection trio, recursive tag expansion from split(),
 //                   base-step gets from depends(), get-count GC from
 //                   consumer_count(), manual pre-declaration from
-//                   enumerate_base(). All five cnc_variant modes.
+//                   enumerate_base(). All four cnc_variant modes.
 //   run_tiled     — the classic blocked round/wavefront schedule (no
 //                   recursion; barrier per phase).
 //   run_rway      — the parametric r-way recursion (r = 2 recovers the

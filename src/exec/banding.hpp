@@ -1,4 +1,4 @@
-// Banding: the shared fusion analysis of the batched data-flow backends.
+// Banding: the fusion analysis behind prepared_graph::freeze_batched.
 //
 // A *band* is a maximal set of base tiles that (a) are mutually independent
 // and (b) become ready together: one pivot round's A, its B∥C band, its D
@@ -9,12 +9,10 @@
 // spec whose depends() disagrees with its declared structure is rejected at
 // build instead of deadlocking.
 //
-// Both batched lowerings consume the same plan: the CnC `batched` variant
-// replaces per-tile tag puts and waiter parking with one atomic predecessor
-// counter per band, and prepared_graph::freeze_batched coarsens its CSR
-// nodes from tiles to band chunks. Chunking (build_chunks) splits each band
-// into at most `parallelism` contiguous runs so fusing never serialises a
-// band that used to run wide.
+// prepared_graph::freeze_batched consumes the plan to coarsen its CSR nodes
+// from tiles to band chunks. Chunking (build_chunks) splits each band into
+// at most `parallelism` contiguous runs so fusing never serialises a band
+// that used to run wide.
 #pragma once
 
 #include <cstdint>

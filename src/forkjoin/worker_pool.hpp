@@ -15,6 +15,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -105,12 +106,20 @@ public:
 
   /// Run `f` as a root task and block until it (not its spawns) completes.
   /// Usually `f` creates a task_group and waits on it before returning.
+  /// An exception escaping `f` (thrown inline, or a child's error rethrown
+  /// by task_group::wait) is rethrown here: the root has no group to carry
+  /// it, so it is captured in the root itself and `done` is set regardless.
   template <class F>
   void run(F&& f) {
     std::atomic<bool> done{false};
+    std::exception_ptr error;
     auto* t = make_task(
-        [fn = std::forward<F>(f), &done]() mutable {
-          fn();
+        [fn = std::forward<F>(f), &done, &error]() mutable {
+          try {
+            fn();
+          } catch (...) {
+            error = std::current_exception();
+          }
           done.store(true, std::memory_order_release);
         },
         nullptr);
@@ -124,6 +133,7 @@ public:
       else
         bo.pause();
     }
+    if (error) std::rethrow_exception(error);
   }
 
   /// Snapshot of the counters (approximate while tasks are in flight).

@@ -378,10 +378,6 @@ private:
       // Request markers delimit server requests; they carry no DAG edges.
       case event_kind::request_begin:
       case event_kind::request_end:
-      // A fused chunk's member tiles still emit their item_put/item_get
-      // pairs individually, so the DAG reconstruction above needs nothing
-      // from this marker — it only annotates how the tiles were scheduled.
-      case event_kind::step_fused:
         break;
     }
   }

@@ -49,7 +49,6 @@ constexpr const char* category(event_kind k) {
     case event_kind::item_get_miss:
     case event_kind::data_wait_begin:
     case event_kind::data_wait_end:
-    case event_kind::step_fused:
       return "cnc";
     case event_kind::counter_sample:
     case event_kind::phase_begin:

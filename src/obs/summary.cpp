@@ -73,9 +73,6 @@ std::vector<phase_summary> summarize(const std::vector<event>& events,
       case event_kind::phase_begin: break;  // handled above
       case event_kind::request_begin: ++p.requests; break;
       case event_kind::request_end: break;
-      // Fused chunks already show up as task runs and their member tiles
-      // as item traffic; the marker adds no phase-level count of its own.
-      case event_kind::step_fused: break;
     }
   }
 

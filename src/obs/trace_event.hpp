@@ -52,17 +52,13 @@ enum class event_kind : std::uint8_t {
   request_end,      // request completed            name = graph label,
                     //                              arg0 = request id,
                     //                              arg1 = exec ns
-  // -- batched data-flow backends (emitted by rdp::exec) ------------------
-  step_fused,       // one fused chunk executed     name = step collection,
-                    //                              arg0 = band index,
-                    //                              arg1 = member tile count
 };
 
-/// Number of event kinds (step_fused is last). Used by the raw-trace
+/// Number of event kinds (request_end is last). Used by the raw-trace
 /// reader to reject records from incompatible files. Appending kinds keeps
 /// older trace files readable; reordering would not.
 inline constexpr unsigned k_event_kind_count =
-    static_cast<unsigned>(event_kind::step_fused) + 1;
+    static_cast<unsigned>(event_kind::request_end) + 1;
 
 inline constexpr const char* to_string(event_kind k) noexcept {
   switch (k) {
@@ -90,7 +86,6 @@ inline constexpr const char* to_string(event_kind k) noexcept {
     case event_kind::phase_begin: return "phase_begin";
     case event_kind::request_begin: return "request_begin";
     case event_kind::request_end: return "request_end";
-    case event_kind::step_fused: return "step_fused";
   }
   return "?";
 }

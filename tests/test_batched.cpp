@@ -1,7 +1,7 @@
-// Batched (band-fused) data-flow backend: hand-computed fusion counts for a
-// known GE instance, bit-exactness against the serial reference,
-// item-accounting parity with the native CnC lowering, and the band-fused
-// prepared graph. Runs under the sanitizer presets (LABELS runtime).
+// Band fusion: the band plans of the wavefront and diagonal specs, and the
+// band-fused prepared graph — hand-computed chunk count for a known GE
+// instance and bit-exactness against the serial reference. Runs under the
+// sanitizer presets (LABELS runtime).
 #include <algorithm>
 #include <cstdint>
 #include <string>
@@ -14,7 +14,6 @@
 #include "exec/banding.hpp"
 #include "exec/prepared_graph.hpp"
 #include "forkjoin/worker_pool.hpp"
-#include "obs/metrics.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -22,72 +21,11 @@ namespace {
 using namespace rdp;
 using namespace rdp::dp;
 
-obs::counter& fused_counter() {
-  return obs::metrics_registry::instance().get_counter("dataflow.steps_fused");
-}
-
 /// GE at n=64, base=4, 4 workers: T = 16 tiles per side. Round k has an A
 /// band of 1 tile, a B∥C band of 2(T-1-k) tiles and a D band of (T-1-k)²
-/// tiles; each band is chunked to at most min(|band|, workers) fused steps.
+/// tiles; each band is chunked to at most min(|band|, workers) fused nodes.
 ///   chunks = Σ_{k=0..13} (1+4+4) + (1+2+1) + 1            = 131
 ///   tiles  = Σ_{k=0..15} (1 + 2(15-k) + (15-k)²) = Σ_{m=1..16} m² = 1496
-TEST(BatchedDataflow, GeFusedStepCountsMatchHandComputation) {
-  const std::size_t n = 64, base = 4;
-  const unsigned workers = 4;
-  const auto input = make_diag_dominant(n, 99);
-  auto serial = input;
-  exec::run_serial(*make_ge_spec(serial, base));
-
-  // Native first: it must not touch the fusion counter, and its per-tile
-  // step count is the ≥4× baseline.
-  auto native_m = input;
-  const std::uint64_t fused_before_native = fused_counter().value();
-  const cnc_run_info native =
-      exec::run_dataflow(*make_ge_spec(native_m, base),
-                         {cnc_variant::native, workers});
-  EXPECT_TRUE(native_m == serial);
-  EXPECT_EQ(fused_counter().value(), fused_before_native);
-
-  auto batched_m = input;
-  const std::uint64_t fused_before = fused_counter().value();
-  const cnc_run_info batched =
-      exec::run_dataflow(*make_ge_spec(batched_m, base),
-                         {cnc_variant::batched, workers});
-  EXPECT_TRUE(batched_m == serial);
-
-  // One CnC step instance per band chunk, all 1496 tiles fused into them.
-  EXPECT_EQ(batched.stats.steps_executed, 131u);
-  EXPECT_EQ(fused_counter().value() - fused_before, 1496u);
-
-  // The ISSUE's headline: ≥4× fewer step instances than native (native
-  // runs at least one step per base tile, 1496/131 ≈ 11×).
-  EXPECT_GE(native.stats.steps_executed,
-            4 * batched.stats.steps_executed);
-
-  // Fusion is a scheduling change only: the item plane is identical.
-  EXPECT_EQ(batched.items_live_at_end, native.items_live_at_end);
-  EXPECT_EQ(batched.stats.items_put, native.stats.items_put);
-
-  // Band gating means a fused step's gets can never miss: no aborts, no
-  // failed gets, no re-execution of non-idempotent token kernels.
-  EXPECT_EQ(batched.stats.steps_aborted, 0u);
-  EXPECT_EQ(batched.stats.gets_failed, 0u);
-}
-
-TEST(BatchedDataflow, FwValuePassingMatchesSerial) {
-  const std::size_t n = 32, base = 8;
-  auto input = make_digraph(n, 0.3, 5, 1e9);
-  for (std::size_t i = 0; i < input.size(); ++i)
-    input.data()[i] =
-        static_cast<double>(static_cast<long long>(input.data()[i]));
-  auto serial = input;
-  exec::run_serial(*make_fw_spec(serial, base));
-
-  auto m = input;
-  exec::run_dataflow(*make_fw_spec(m, base), {cnc_variant::batched, 3});
-  EXPECT_TRUE(m == serial);
-}
-
 TEST(PreparedBatched, GeGraphIsAtLeastFourTimesCoarserAndBitExact) {
   const std::size_t n = 64, base = 4;
   const auto input = make_diag_dominant(n, 21);
@@ -98,7 +36,7 @@ TEST(PreparedBatched, GeGraphIsAtLeastFourTimesCoarserAndBitExact) {
   const auto spec = make_ge_spec(m, base);
   const exec::prepared_graph g = exec::prepared_graph::freeze_batched(*spec, 4);
   EXPECT_EQ(g.tile_count(), 1496u);
-  EXPECT_EQ(g.node_count(), 131u);  // same chunking as cnc:batched
+  EXPECT_EQ(g.node_count(), 131u);
   EXPECT_GE(g.tile_count(), 4 * g.node_count());
 
   forkjoin::worker_pool pool(4);

@@ -10,6 +10,7 @@
 #include <string>
 #include <thread>
 
+#include "bounded_wait.hpp"
 #include "cnc/cnc.hpp"
 
 namespace {
@@ -765,6 +766,44 @@ TEST(Cnc, WaitPrefersStepErrorOverDeadlockDiagnostic) {
   // The diagnostic is still produced for a second wait(): the error was
   // consumed, only the parked instance remains.
   EXPECT_THROW(ctx.wait(), unsatisfied_dependency);
+}
+
+// ------------------------------- non-blocking retry after a step error ----
+// A step that polls with try_get and respawns itself while its input is
+// missing used to livelock once the producer died: the retry never stopped,
+// the graph never quiesced, and wait() never rethrew the error. After a
+// step error the runtime drops retries, so the graph drains and the error
+// surfaces.
+
+struct retry_ctx;
+struct retry_step {
+  int execute(int tag, retry_ctx& ctx) const;
+};
+struct retry_ctx : context<retry_ctx> {
+  step_collection<retry_ctx, retry_step, int> steps{*this, "retry"};
+  tag_collection<int> tags{*this, "ctrl"};
+  item_collection<int, int> data{*this, "data"};
+  retry_ctx() : context(2) { tags.prescribe(steps); }
+};
+int retry_step::execute(int tag, retry_ctx& ctx) const {
+  if (tag == 0) throw std::runtime_error("boom");
+  int v = 0;
+  if (!ctx.data.try_get(0, v)) ctx.steps.respawn(tag);  // never produced
+  return 0;
+}
+
+TEST(Cnc, NonblockingRetryStopsAfterStepError) {
+  using namespace std::chrono_literals;
+  retry_ctx ctx;
+  for (int consumer = 1; consumer <= 4; ++consumer) ctx.tags.put(consumer);
+  ctx.tags.put(0);  // throws "boom" instead of producing item 0
+  try {
+    rdp::test::within(10s, "context::wait", [&] { ctx.wait(); });
+    FAIL() << "wait must rethrow the step error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom");
+  }
+  EXPECT_EQ(ctx.active_count(), 0);
 }
 
 // ------------------------------------ concurrent get-count GC stress ----

@@ -4,17 +4,21 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "bounded_wait.hpp"
 #include "forkjoin/task_group.hpp"
 #include "forkjoin/worker_pool.hpp"
 
 namespace {
 
 using namespace rdp::forkjoin;
+using rdp::test::within;
 
 TEST(WorkerPool, RunExecutesRootTask) {
   worker_pool pool(2);
@@ -133,6 +137,41 @@ TEST(TaskGroup, ExceptionFromChildPropagatesToWait) {
     }
   });
   EXPECT_TRUE(caught);
+}
+
+// The root task has no group to carry an exception: run() used to set its
+// completion flag only after `f` returned, so a throwing root hung the
+// caller forever. Both ways out of the root must reach the caller — a
+// direct throw, and a child's error that task_group::wait() rethrows — and
+// the pool must stay usable afterwards.
+TEST(WorkerPool, RunRethrowsRootTaskError) {
+  using namespace std::chrono_literals;
+  worker_pool pool(4);
+  auto message_of = [&](auto root) {
+    std::string what;
+    try {
+      within(10s, "worker_pool::run", [&] { pool.run(root); });
+    } catch (const std::runtime_error& e) {
+      what = e.what();
+    }
+    return what;
+  };
+  EXPECT_EQ(message_of([] { throw std::runtime_error("root failed"); }),
+            "root failed");
+  EXPECT_EQ(message_of([&] {
+              task_group g(pool);
+              for (int i = 0; i < 8; ++i)
+                g.spawn([i] {
+                  if (i == 5) throw std::runtime_error("child failed");
+                });
+              g.wait();
+            }),
+            "child failed");
+
+  std::atomic<int> x{0};
+  within(10s, "worker_pool::run after a failed root",
+         [&] { pool.run([&] { x.store(7); }); });
+  EXPECT_EQ(x.load(), 7);
 }
 
 TEST(TaskGroup, AllSiblingsStillRunWhenOneThrows) {

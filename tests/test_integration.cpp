@@ -11,6 +11,7 @@
 
 #include "cnc/cnc.hpp"
 #include "dp/dp.hpp"
+#include "exec/prepared_graph.hpp"
 #include "forkjoin/task_group.hpp"
 #include "support/rng.hpp"
 
@@ -135,12 +136,16 @@ TEST_P(GeVariantSweep, AllSixVariantsAgreeOnRandomInstances) {
   EXPECT_TRUE(m2 == oracle);
 
   for (cnc_variant v : {cnc_variant::native, cnc_variant::tuner,
-                        cnc_variant::manual, cnc_variant::nonblocking,
-                        cnc_variant::batched}) {
+                        cnc_variant::manual, cnc_variant::nonblocking}) {
     auto m = in;
     exec::run_dataflow(*make_ge_spec(m, base), {v, 3});
     EXPECT_TRUE(m == oracle) << to_string(v) << " seed=" << seed;
   }
+
+  auto m3 = in;
+  const auto spec = make_ge_spec(m3, base);
+  exec::prepared_graph::freeze_batched(*spec, 3).execute(*spec, pool);
+  EXPECT_TRUE(m3 == oracle) << "prepared:batched seed=" << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GeVariantSweep,

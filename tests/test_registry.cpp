@@ -155,7 +155,7 @@ TEST(RegistryShape, AdvertisesEveryBackendPerBenchmark) {
   for (benchmark_id bm : {benchmark_id::ge, benchmark_id::sw,
                           benchmark_id::fw}) {
     const auto rows = variants_for(bm);
-    ASSERT_EQ(rows.size(), 16u) << to_string(bm);
+    ASSERT_EQ(rows.size(), 15u) << to_string(bm);
     // Labels resolve back to their own row, and are unique per benchmark.
     for (const variant* v : rows)
       EXPECT_EQ(find_variant(bm, v->label), v) << v->label;
@@ -164,26 +164,25 @@ TEST(RegistryShape, AdvertisesEveryBackendPerBenchmark) {
   // series (the simulator's cost model only covers the paper's figures).
   for (benchmark_id bm : {benchmark_id::lcs, benchmark_id::paren}) {
     const auto rows = variants_for(bm);
-    ASSERT_EQ(rows.size(), 12u) << to_string(bm);
+    ASSERT_EQ(rows.size(), 11u) << to_string(bm);
     for (const variant* v : rows) {
       EXPECT_EQ(find_variant(bm, v->label), v) << v->label;
       EXPECT_NE(v->backend, backend_kind::sim) << v->label;
     }
   }
-  EXPECT_EQ(registry().size(), 72u);
+  EXPECT_EQ(registry().size(), 67u);
   EXPECT_EQ(find_variant(benchmark_id::ge, "no-such-backend"), nullptr);
   EXPECT_NE(impl_help().find("dataflow:tuner"), std::string::npos);
-  EXPECT_NE(impl_help().find("dataflow:batched"), std::string::npos);
   EXPECT_NE(impl_help().find("prepared:batched"), std::string::npos);
   EXPECT_NE(impl_help().find("sim:omp"), std::string::npos);
 }
 
-// serial + forkjoin + tiled + 5 dataflow modes + rway:r2 + prepared +
-// prepared:batched always apply on a power-of-two sweep point (11 rows);
+// serial + forkjoin + tiled + 4 dataflow modes + rway:r2 + prepared +
+// prepared:batched always apply on a power-of-two sweep point (10 rows);
 // GE/SW/FW add their 4 sim modes; rway:r4 joins whenever n/base is a power
 // of 4.
-constexpr std::size_t k_min_rows_paper = 15;
-constexpr std::size_t k_min_rows_spec_only = 11;
+constexpr std::size_t k_min_rows_paper = 14;
+constexpr std::size_t k_min_rows_spec_only = 10;
 
 TEST(RegistryEquivalence, GeAllVariantsMatchSerial) {
   forkjoin::worker_pool pool(3);
@@ -226,7 +225,7 @@ TEST(RegistryEquivalence, ParenAllVariantsMatchSerial) {
 /// with contract_error (its supports() is false) or runs it bit-exact.
 /// At (96, 8) only the rows without a power-of-two requirement — tiled,
 /// prepared, prepared:batched — accept; (64, 6) and (32, 64) (base does
-/// not divide n / exceeds it) are rejected by all 72 rows.
+/// not divide n / exceeds it) are rejected by all 67 rows.
 TEST(RegistryPreconditions, EveryRowRejectsOrMatchesTheOracle) {
   forkjoin::worker_pool pool(3);
   xoshiro256 gen(5);

@@ -511,13 +511,16 @@ TEST(SpecVerifyProperty, RandomCellsAgreeAcrossExecutionModels) {
     EXPECT_EQ(t, oracle) << "trial " << trial;
 
     for (const cnc_variant v :
-         {cnc_variant::native, cnc_variant::tuner, cnc_variant::nonblocking,
-          cnc_variant::batched}) {
+         {cnc_variant::native, cnc_variant::tuner, cnc_variant::nonblocking}) {
       t = fresh;
       exec::run_dataflow(spec, {v, 3});
       EXPECT_EQ(t, oracle)
           << "trial " << trial << " variant " << to_string(v);
     }
+
+    t = fresh;
+    exec::prepared_graph::freeze_batched(spec, 3).execute(spec, pool);
+    EXPECT_EQ(t, oracle) << "trial " << trial << " prepared:batched";
   }
 }
 

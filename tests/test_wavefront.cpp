@@ -10,6 +10,7 @@
 
 #include "cell_wavefront.hpp"
 #include "dp/dp.hpp"
+#include "exec/prepared_graph.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -129,8 +130,7 @@ TEST_P(WavefrontModels, LcsAgreesAcrossAllModels) {
   EXPECT_TRUE(t == loop_table);
 
   for (cnc_variant v : {cnc_variant::native, cnc_variant::tuner,
-                        cnc_variant::manual, cnc_variant::nonblocking,
-                        cnc_variant::batched}) {
+                        cnc_variant::manual, cnc_variant::nonblocking}) {
     t = boundary_table<std::int32_t>(n, n);
     const auto info = exec::run_dataflow(spec, {v, 4});
     EXPECT_TRUE(t == loop_table) << to_string(v);
@@ -140,6 +140,10 @@ TEST_P(WavefrontModels, LcsAgreesAcrossAllModels) {
       EXPECT_EQ(info.items_live_at_end, 1u);  // get-count GC
     }
   }
+
+  t = boundary_table<std::int32_t>(n, n);
+  exec::prepared_graph::freeze_batched(spec, 4).execute(spec, pool);
+  EXPECT_TRUE(t == loop_table) << "prepared:batched";
 }
 
 INSTANTIATE_TEST_SUITE_P(SizesAndBases, WavefrontModels,
