@@ -8,6 +8,7 @@
 #include <string>
 
 #include "dp/dp.hpp"
+#include "forkjoin/worker_pool.hpp"
 #include "support/cli.hpp"
 #include "support/csv.hpp"
 #include "support/rng.hpp"
@@ -32,6 +33,10 @@ int main(int argc, char** argv) {
     std::cerr << e.what() << "\n";
     return 2;
   }
+  if (workers < 1) {
+    std::cerr << "--workers must be at least 1\n";
+    return 2;
+  }
 
   std::cout << "=== E-A1: get-mode ablation, real runtime, GE " << n << "x"
             << n << ", " << workers << " workers ===\n\n";
@@ -44,6 +49,7 @@ int main(int argc, char** argv) {
   auto oracle = input;
   ge_loop_serial(oracle);
 
+  forkjoin::worker_pool pool(static_cast<unsigned>(workers));
   for (std::int64_t base : {16ll, 32ll, 64ll, 128ll}) {
     if (base > n) continue;
     for (cnc_variant v : {cnc_variant::native, cnc_variant::tuner,
@@ -54,8 +60,7 @@ int main(int argc, char** argv) {
         auto m = input;
         stopwatch sw;
         info = exec::run_dataflow(
-            *make_ge_spec(m, static_cast<std::size_t>(base)),
-            {v, static_cast<unsigned>(workers)});
+            *make_ge_spec(m, static_cast<std::size_t>(base)), {v, &pool});
         best = std::min(best, sw.seconds());
         if (!(m == oracle)) {
           std::cerr << "VALIDATION FAILED for " << to_string(v) << "\n";

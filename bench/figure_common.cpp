@@ -99,34 +99,29 @@ void print_counters(std::ostream& os, const counter_log& log) {
 }
 
 /// One traced phase: marks the phase, runs `body`, and samples the pool's
-/// gauges (when one is given) for the counter tracks of the trace. The
-/// trailing idle window keeps the pool alive with nothing to do so the
-/// workers' spin-then-park transition is on the record too. With `pmu`,
-/// the PMU counts the body (not the idle window) and the reading is logged
-/// under the phase label.
+/// gauges for the counter tracks of the trace. The trailing idle window
+/// keeps the pool alive with nothing to do so the workers' spin-then-park
+/// transition is on the record too. With `pmu`, the PMU counts the body
+/// (not the idle window) and the reading is logged under the phase label.
 template <class Body>
-void traced_phase(const std::string& label, forkjoin::worker_pool* pool,
+void traced_phase(const std::string& label, forkjoin::worker_pool& pool,
                   counter_log* pmu, Body&& body) {
   auto& t = obs::tracer::instance();
   t.begin_phase(label);
   obs::sampler s;
-  if (pool != nullptr) {
-    s.add_gauge("parked workers",
-                [pool] { return std::uint64_t(pool->parked_workers()); });
-    s.add_gauge("ready tasks (est)",
-                [pool] { return std::uint64_t(pool->ready_estimate()); });
-    s.start();
-  }
+  s.add_gauge("parked workers",
+              [&pool] { return std::uint64_t(pool.parked_workers()); });
+  s.add_gauge("ready tasks (est)",
+              [&pool] { return std::uint64_t(pool.ready_estimate()); });
+  s.start();
   if (pmu != nullptr) pmu->counters.start();
   body();
   if (pmu != nullptr) {
     pmu->counters.stop();
     pmu->rows.emplace_back(label, pmu->counters.read());
   }
-  if (pool != nullptr) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    s.stop();
-  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  s.stop();
 }
 
 /// Run `fn` as a task of the pool and block until it finished. The figure
@@ -211,9 +206,9 @@ std::vector<const dp::variant*> resolve_impls(dp::benchmark_id bm,
 
 /// Run one traced phase per registry variant: reset the table, run the
 /// variant's backend, label the phase from the registry (spec name + the
-/// paper's series names). Pool-backed backends get their own pool so the
-/// trace shows worker-local spawns and steals; the data-flow/serial rows
-/// run on the context's own threads.
+/// paper's series names). Each phase starts one pool, lends it to the row
+/// and runs the row as a root task on it, so the trace shows worker-local
+/// spawns and steals; rows that use no pool (serial, sim:*) ignore it.
 ///
 /// With `report` != nullptr each variant also becomes one report_entry:
 /// the metrics registry is reset before the phase and snapshotted after,
@@ -238,10 +233,6 @@ void run_trace_phases(const std::vector<const dp::variant*>& phases,
     ropt.base = base;
     ropt.workers = workers;
     const std::string label = dp::trace_phase_label(*v) + " " + tag;
-    const bool pool_backed = v->backend == dp::backend_kind::forkjoin ||
-                             v->backend == dp::backend_kind::tiled ||
-                             v->backend == dp::backend_kind::rway ||
-                             v->backend == dp::backend_kind::prepared;
 
     const int rep_count = report != nullptr && reps > 1 ? reps : 1;
     std::vector<double> wall;
@@ -257,16 +248,11 @@ void run_trace_phases(const std::vector<const dp::variant*>& phases,
         wall.push_back(sw.seconds() * 1e3);
       }
     };
-    if (pool_backed) {
-      forkjoin::worker_pool pool(workers);
-      ropt.pool = &pool;
-      traced_phase(label, &pool, pmu, [&] {
-        timed_reps([&] { run_on_pool(pool, [&] { v->run(*v, prob, ropt); }); });
-      });
-    } else {
-      traced_phase(label, nullptr, pmu,
-                   [&] { timed_reps([&] { v->run(*v, prob, ropt); }); });
-    }
+    forkjoin::worker_pool pool(workers);
+    ropt.pool = &pool;
+    traced_phase(label, pool, pmu, [&] {
+      timed_reps([&] { run_on_pool(pool, [&] { v->run(*v, prob, ropt); }); });
+    });
     if (report != nullptr) {
       obs::report_entry e;
       e.benchmark = bench_name;

@@ -142,7 +142,10 @@ struct bench_ctx : cnc::context<bench_ctx> {
   cnc::step_collection<bench_ctx, bench_step, int> steps{*this, "s"};
   cnc::tag_collection<int> tags{*this, "t", false};
   cnc::item_collection<int, int> items{*this, "i"};
-  bench_ctx() : cnc::context<bench_ctx>(2) { tags.prescribe(steps); }
+  explicit bench_ctx(forkjoin::worker_pool& pool)
+      : cnc::context<bench_ctx>(pool) {
+    tags.prescribe(steps);
+  }
 };
 int bench_step::execute(int tag, bench_ctx& ctx) const {
   ctx.items.put(tag, tag);
@@ -150,14 +153,16 @@ int bench_step::execute(int tag, bench_ctx& ctx) const {
 }
 
 void BM_CncItemPut(benchmark::State& state) {
-  bench_ctx ctx;
+  forkjoin::worker_pool pool(2);
+  bench_ctx ctx(pool);
   int key = 0;
   for (auto _ : state) ctx.items.put(1'000'000 + key++, 7);
 }
 BENCHMARK(BM_CncItemPut);
 
 void BM_CncItemTryGet(benchmark::State& state) {
-  bench_ctx ctx;
+  forkjoin::worker_pool pool(2);
+  bench_ctx ctx(pool);
   for (int i = 0; i < 1024; ++i) ctx.items.put(i, i);
   int key = 0, v = 0;
   for (auto _ : state) {
@@ -170,9 +175,10 @@ BENCHMARK(BM_CncItemTryGet);
 void BM_CncTagToStepThroughput(benchmark::State& state) {
   const auto batch = static_cast<int>(state.range(0));
   int tag_base = 0;
+  forkjoin::worker_pool pool(2);
   for (auto _ : state) {
     state.PauseTiming();
-    bench_ctx ctx;  // fresh graph per batch (single-assignment items)
+    bench_ctx ctx(pool);  // fresh graph per batch (single-assignment items)
     state.ResumeTiming();
     for (int i = 0; i < batch; ++i) ctx.tags.put(tag_base + i);
     ctx.wait();
@@ -194,8 +200,8 @@ struct chain_ctx2 : cnc::context<chain_ctx2> {
   cnc::step_collection<chain_ctx2, chain_step2, int> steps;
   cnc::tag_collection<int> tags{*this, "t", false};
   cnc::item_collection<int, int> items{*this, "i"};
-  explicit chain_ctx2(cnc::schedule_policy p)
-      : cnc::context<chain_ctx2>(2), steps(*this, "s", chain_step2{}, p) {
+  chain_ctx2(forkjoin::worker_pool& pool, cnc::schedule_policy p)
+      : cnc::context<chain_ctx2>(pool), steps(*this, "s", chain_step2{}, p) {
     tags.prescribe(steps);
   }
 };
@@ -213,10 +219,11 @@ void chain_step2::depends(int tag, chain_ctx2& ctx,
 void BM_CncChain(benchmark::State& state) {
   const bool preschedule = state.range(0) != 0;
   constexpr int kLen = 128;
+  forkjoin::worker_pool pool(2);
   for (auto _ : state) {
     state.PauseTiming();
-    chain_ctx2 ctx(preschedule ? cnc::schedule_policy::preschedule
-                               : cnc::schedule_policy::spawn_immediately);
+    chain_ctx2 ctx(pool, preschedule ? cnc::schedule_policy::preschedule
+                                     : cnc::schedule_policy::spawn_immediately);
     state.ResumeTiming();
     for (int i = kLen - 1; i >= 0; --i) ctx.tags.put(i);  // worst case order
     ctx.wait();

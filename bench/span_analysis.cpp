@@ -52,36 +52,29 @@ std::optional<measured_run> run_measured(std::string_view bm,
   auto& t = obs::tracer::instance();
   t.start();
   t.begin_phase("measured");
+  forkjoin::worker_pool pool(workers);
+  const exec::dataflow_options df{dp::cnc_variant::native, &pool};
   if (bm == "GE") {
     auto m = make_diag_dominant(n, 1);
-    if (forkjoin_model) {
-      forkjoin::worker_pool pool(workers);
+    if (forkjoin_model)
       exec::run_forkjoin(*dp::make_ge_spec(m, base), pool);
-    } else {
-      exec::run_dataflow(*dp::make_ge_spec(m, base),
-                         {dp::cnc_variant::native, workers});
-    }
+    else
+      exec::run_dataflow(*dp::make_ge_spec(m, base), df);
   } else if (bm == "SW") {
     const auto a = make_dna(n, 7);
     const auto b = make_dna(n, 8);
     const dp::sw_params p;
     matrix<std::int32_t> s(n + 1, n + 1, 0);
-    if (forkjoin_model) {
-      forkjoin::worker_pool pool(workers);
+    if (forkjoin_model)
       exec::run_forkjoin(*dp::make_sw_spec(s, a, b, p, base), pool);
-    } else {
-      exec::run_dataflow(*dp::make_sw_spec(s, a, b, p, base),
-                         {dp::cnc_variant::native, workers});
-    }
+    else
+      exec::run_dataflow(*dp::make_sw_spec(s, a, b, p, base), df);
   } else {  // FW-APSP
     auto m = make_digraph(n, 0.3, 5, 1e9);
-    if (forkjoin_model) {
-      forkjoin::worker_pool pool(workers);
+    if (forkjoin_model)
       exec::run_forkjoin(*dp::make_fw_spec(m, base), pool);
-    } else {
-      exec::run_dataflow(*dp::make_fw_spec(m, base),
-                         {dp::cnc_variant::native, workers});
-    }
+    else
+      exec::run_dataflow(*dp::make_fw_spec(m, base), df);
   }
   t.stop();
   const auto metrics = obs::analyze_trace(

@@ -71,9 +71,10 @@ int main(int argc, char** argv) {
                                        padded, 99);
   const auto tile = static_cast<std::size_t>(base);
 
+  forkjoin::worker_pool pool(static_cast<unsigned>(workers));
+
   auto d_fj = input;
   {
-    forkjoin::worker_pool pool(static_cast<unsigned>(workers));
     stopwatch t;
     exec::run_forkjoin(*dp::make_fw_spec(d_fj, tile), pool);
     std::cout << "fork-join R-DP APSP:  " << t.millis() << " ms\n";
@@ -82,9 +83,8 @@ int main(int argc, char** argv) {
   auto d_df = input;
   {
     stopwatch t;
-    const auto info = exec::run_dataflow(
-        *dp::make_fw_spec(d_df, tile),
-        {dp::cnc_variant::tuner, static_cast<unsigned>(workers)});
+    const auto info = exec::run_dataflow(*dp::make_fw_spec(d_df, tile),
+                                         {dp::cnc_variant::tuner, &pool});
     std::cout << "data-flow APSP:       " << t.millis() << " ms  ("
               << info.stats.steps_executed << " tile tasks)\n";
   }

@@ -8,10 +8,12 @@
 // The program computes a collatz-style chain through the data-flow graph:
 // step t reads item t, writes item t+1, and prescribes tag t+1 — control
 // and data both flow through the collections; the environment (main) only
-// seeds the graph and gets the final item.
+// starts the worker pool the graph runs on, seeds the graph and gets the
+// final item.
 #include <iostream>
 
 #include "cnc/cnc.hpp"
+#include "forkjoin/worker_pool.hpp"
 #include "support/cli.hpp"
 
 namespace {
@@ -31,7 +33,7 @@ struct collatz_ctx : rdp::cnc::context<collatz_ctx> {
   rdp::cnc::item_collection<int, long> my_data{*this, "myData"};
   int chain_limit = 1 << 20;
 
-  explicit collatz_ctx(unsigned workers) : context(workers) {
+  explicit collatz_ctx(rdp::forkjoin::worker_pool& pool) : context(pool) {
     my_ctrl.prescribe(my_step);  // <myCtrl> :: (myStep);
   }
 };
@@ -59,8 +61,13 @@ int main(int argc, char** argv) {
     std::cerr << e.what() << "\n";
     return 2;
   }
+  if (workers < 1) {
+    std::cerr << "--workers must be at least 1\n";
+    return 2;
+  }
 
-  collatz_ctx ctx(static_cast<unsigned>(workers));
+  rdp::forkjoin::worker_pool pool(static_cast<unsigned>(workers));
+  collatz_ctx ctx(pool);
   // The environment seeds the graph: one item, one tag.
   ctx.my_data.put(0, start);
   ctx.my_ctrl.put(0);

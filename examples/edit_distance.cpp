@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
     auto spec = make_spec();
     exec::dataflow_options opts;
     opts.variant = dp::cnc_variant::tuner;
-    opts.workers = static_cast<unsigned>(workers);
+    opts.pool = &pool;
     stopwatch t;
     const auto info = exec::run_dataflow(*spec, opts);
     const double ms = t.millis();

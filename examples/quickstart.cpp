@@ -50,10 +50,12 @@ int main(int argc, char** argv) {
   dp::ge_loop_serial(oracle);
   std::cout << "loop-serial      " << t0.millis() << " ms\n";
 
+  // Both runtimes share one worker pool, started once.
+  forkjoin::worker_pool pool(static_cast<unsigned>(workers));
+
   // 3. Fork-join: function A of Listing 3 — spawn B and C, taskwait, D, A.
   {
     auto m = input;
-    forkjoin::worker_pool pool(static_cast<unsigned>(workers));
     stopwatch t1;
     exec::run_forkjoin(*dp::make_ge_spec(m, tile), pool);
     const double ms = t1.millis();
@@ -69,9 +71,8 @@ int main(int argc, char** argv) {
   {
     auto m = input;
     stopwatch t2;
-    const auto info = exec::run_dataflow(
-        *dp::make_ge_spec(m, tile),
-        {dp::cnc_variant::native, static_cast<unsigned>(workers)});
+    const auto info = exec::run_dataflow(*dp::make_ge_spec(m, tile),
+                                         {dp::cnc_variant::native, &pool});
     const double ms = t2.millis();
     ok = ok && m == oracle;
     std::cout << "data-flow R-DP   " << ms << " ms   (steps "

@@ -53,10 +53,11 @@ int main(int argc, char** argv) {
             << "bp segment (match +" << params.match << ", mismatch "
             << params.mismatch << ", gap -" << params.gap << ")\n\n";
 
+  forkjoin::worker_pool pool(static_cast<unsigned>(workers));
+
   // Fork-join R-DP fill.
   matrix<std::int32_t> s_fj(len + 1, len + 1, 0);
   {
-    forkjoin::worker_pool pool(static_cast<unsigned>(workers));
     stopwatch t;
     exec::run_forkjoin(*dp::make_sw_spec(s_fj, a, b, params, tile), pool);
     std::cout << "fork-join R-DP fill:  " << t.millis() << " ms\n";
@@ -68,8 +69,7 @@ int main(int argc, char** argv) {
     stopwatch t;
     const auto info =
         exec::run_dataflow(*dp::make_sw_spec(s_df, a, b, params, tile),
-                           {dp::cnc_variant::tuner,
-                            static_cast<unsigned>(workers)});
+                           {dp::cnc_variant::tuner, &pool});
     std::cout << "data-flow fill:       " << t.millis() << " ms  ("
               << info.stats.steps_executed << " tile tasks, "
               << info.stats.gets_failed << " failed gets)\n";

@@ -47,12 +47,14 @@ int main() {
   auto& tracer = obs::tracer::instance();
   tracer.set_thread_label("environment");
   tracer.start();
+  // One pool for both phases: the two runtimes differ in how they schedule
+  // on the same workers, not in which workers they get.
+  forkjoin::worker_pool pool(workers);
 
   // Phase 1: fork-join. Joins (taskwait) are the only synchronisation, so
   // the trace shows workers parking whenever a subtree finishes early.
   {
     auto m = input;
-    forkjoin::worker_pool pool(workers);
     tracer.begin_phase("forkjoin GE");
     obs::sampler sampler;
     sampler.add_gauge("parked workers", [&pool] {
@@ -88,7 +90,7 @@ int main() {
     auto m = input;
     tracer.begin_phase("CnC GE (native)");
     exec::run_dataflow(*dp::make_ge_spec(m, base),
-                       {dp::cnc_variant::native, workers});
+                       {dp::cnc_variant::native, &pool});
     ok = ok && m == oracle;
   }
 

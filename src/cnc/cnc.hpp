@@ -10,10 +10,13 @@
 //     rdp::cnc::step_collection<my_ctx, my_step, int> steps{*this, "step"};
 //     rdp::cnc::tag_collection<int> tags{*this, "ctrl"};
 //     rdp::cnc::item_collection<int, double> data{*this, "data"};
-//     my_ctx() : context(4) { tags.prescribe(steps); }
+//     explicit my_ctx(rdp::forkjoin::worker_pool& pool) : context(pool) {
+//       tags.prescribe(steps);
+//     }
 //   };
 //
-//   my_ctx ctx;
+//   rdp::forkjoin::worker_pool pool(4);
+//   my_ctx ctx(pool);
 //   ctx.data.put(0, 3.14);
 //   ctx.tags.put(0);
 //   ctx.wait();

@@ -1,7 +1,6 @@
 #include "cnc/context.hpp"
 
 #include <sstream>
-#include <thread>
 
 #include "cnc/step_instance.hpp"
 #include "concurrent/backoff.hpp"
@@ -27,21 +26,7 @@ cnc_metrics_t& cnc_metrics() {
 
 }  // namespace detail
 
-context_base::context_base(unsigned workers)
-    : context_base(nullptr, workers) {}
-
-context_base::context_base(forkjoin::worker_pool& pool) : pool_(&pool) {}
-
-context_base::context_base(forkjoin::worker_pool* pool, unsigned workers)
-    : pool_(pool) {
-  if (pool_ != nullptr) return;
-  if (workers == 0) {
-    workers = std::thread::hardware_concurrency();
-    if (workers == 0) workers = 1;
-  }
-  owned_pool_ = std::make_unique<forkjoin::worker_pool>(workers);
-  pool_ = owned_pool_.get();
-}
+context_base::context_base(forkjoin::worker_pool& pool) : pool_(pool) {}
 
 context_base::~context_base() {
   // Reclaim instances that never ran because their dependencies were never
@@ -88,15 +73,14 @@ void context_base::dump_state(std::string& out) const {
      << " gets_ok=" << counters_.gets_ok.load(std::memory_order_relaxed)
      << " gets_failed="
      << counters_.gets_failed.load(std::memory_order_relaxed) << "\n";
-  os << "  pool: ready~" << pool_->ready_estimate()
-     << " injection~" << pool_->injection_depth()
-     << " parked=" << pool_->parked_workers() << "/"
-     << pool_->worker_count() << "\n";
-  for (const forkjoin::worker_snapshot& w : pool_->worker_snapshots())
+  os << "  pool: ready~" << pool_.ready_estimate()
+     << " injection~" << pool_.injection_depth()
+     << " parked=" << pool_.parked_workers() << "/"
+     << pool_.worker_count() << "\n";
+  for (const forkjoin::worker_snapshot& w : pool_.worker_snapshots())
     os << "  worker " << w.index << ": executed=" << w.executed
        << " steals=" << w.steals << " parks=" << w.parks
-       << " deque~" << w.deque_depth << " affinity~" << w.affinity_depth
-       << "\n";
+       << " deque~" << w.deque_depth << "\n";
   {
     std::scoped_lock lock(suspended_mutex_);
     const std::size_t total = suspended_registry_.size();
@@ -153,7 +137,7 @@ void context_base::wait() {
           suspended_.load(std::memory_order_acquire));
     });
     wd.add_gauge("queue_depth",
-                 [this] { return pool_->ready_estimate(); });
+                 [this] { return pool_.ready_estimate(); });
     wd.set_busy([this] {
       return active_.load(std::memory_order_acquire) > 0 ||
              suspended_.load(std::memory_order_acquire) > 0;
@@ -166,7 +150,7 @@ void context_base::wait() {
   RDP_TRACE_EVENT(obs::event_kind::data_wait_begin, 0, 0, 0);
   concurrent::backoff bo;
   for (;;) {
-    if (pool_->try_run_one()) {
+    if (pool_.try_run_one()) {
       bo.reset();
       continue;
     }

@@ -2,7 +2,8 @@
 //
 // A user context derives from rdp::cnc::context<Derived> (CRTP, mirroring
 // Intel CnC) and declares its step/item/tag collections as members. The base
-// owns (or borrows) the worker pool, tracks in-flight step instances, and
+// runs on a worker pool the caller owns (shared with fork-join code, other
+// contexts or a batch server), tracks in-flight step instances, and
 // implements wait(): help the pool until the graph quiesces, then either
 // return (all steps done) or throw unsatisfied_dependency (steps still
 // parked on items nobody produced).
@@ -17,7 +18,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -66,18 +66,14 @@ struct context_stats {
 
 class context_base {
 public:
-  /// `workers` == 0 uses hardware_concurrency(). The pool is owned.
-  explicit context_base(unsigned workers = 0);
-  /// Borrow an existing pool (shared across contexts / with fork-join code).
+  /// Run on `pool`, which must outlive the context.
   explicit context_base(forkjoin::worker_pool& pool);
-  /// Borrow `pool` when non-null, otherwise own one of `workers` threads.
-  context_base(forkjoin::worker_pool* pool, unsigned workers);
   virtual ~context_base();
 
   context_base(const context_base&) = delete;
   context_base& operator=(const context_base&) = delete;
 
-  forkjoin::worker_pool& pool() noexcept { return *pool_; }
+  forkjoin::worker_pool& pool() noexcept { return pool_; }
 
   /// Block until every prescribed step instance has finished. Helps the
   /// pool while waiting. Throws unsatisfied_dependency if the graph
@@ -146,7 +142,7 @@ public:
   /// Schedule a type-erased runnable in the pool as a detached task.
   template <class F>
   void schedule(F&& f) {
-    pool_->enqueue(forkjoin::make_task(std::forward<F>(f), nullptr));
+    pool_.enqueue(forkjoin::make_task(std::forward<F>(f), nullptr));
   }
 
   /// Low-priority scheduling through the pool's FIFO injection queue —
@@ -154,14 +150,7 @@ public:
   /// cannot starve the producer it waits for (see worker_pool).
   template <class F>
   void schedule_global(F&& f) {
-    pool_->enqueue_global(forkjoin::make_task(std::forward<F>(f), nullptr));
-  }
-
-  /// Pin a runnable to one worker (the compute_on tuner's substrate).
-  template <class F>
-  void schedule_affine(unsigned worker, F&& f) {
-    pool_->enqueue_affine(worker,
-                          forkjoin::make_task(std::forward<F>(f), nullptr));
+    pool_.enqueue_global(forkjoin::make_task(std::forward<F>(f), nullptr));
   }
 
   long active_count() const noexcept {
@@ -172,8 +161,7 @@ public:
   }
 
 private:
-  std::unique_ptr<forkjoin::worker_pool> owned_pool_;
-  forkjoin::worker_pool* pool_;
+  forkjoin::worker_pool& pool_;
   std::atomic<long> active_{0};
   std::atomic<long> suspended_{0};
   counters counters_;

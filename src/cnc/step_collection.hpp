@@ -14,7 +14,6 @@
 #pragma once
 
 #include <atomic>
-#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -72,15 +71,6 @@ concept declares_dependencies =
     requires(const Step s, const Tag& t, Ctx& c, dependency_collector& dc) {
       s.depends(t, c, dc);
     };
-
-/// Steps usable with the compute_on tuner map tags to worker indices:
-///     int compute_on(const Tag&, Ctx&) const;
-/// (§V of the paper: pinning steps to cores to minimise inter-core and
-/// inter-NUMA data movement.)
-template <class Step, class Tag, class Ctx>
-concept declares_placement = requires(const Step s, const Tag& t, Ctx& c) {
-  { s.compute_on(t, c) } -> std::convertible_to<int>;
-};
 
 /// Countdown that fires a parked step instance when every declared
 /// dependency has been produced. Owned by that instance.
@@ -159,13 +149,6 @@ public:
     ctx_.metrics().prescribed.fetch_add(1, std::memory_order_relaxed);
     auto* inst = new detail::typed_step_instance<Ctx, Step, Tag>(ctx_, step_,
                                                                  tag, name_);
-    if constexpr (detail::declares_placement<Step, Tag, Ctx>) {
-      const auto workers = ctx_.pool().worker_count();
-      const int target = step_.compute_on(tag, ctx_);
-      if (target >= 0)
-        inst->set_affinity(static_cast<int>(
-            static_cast<unsigned>(target) % workers));
-    }
     if (policy_ == schedule_policy::preschedule) {
       if constexpr (detail::declares_dependencies<Step, Tag, Ctx>) {
         auto* cd = new detail::preschedule_countdown(*inst);

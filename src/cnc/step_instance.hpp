@@ -48,11 +48,6 @@ public:
     ctx_.schedule_global([this] { this->execute_wrapper(); });
   }
 
-  /// Pin this instance to one worker (compute_on tuner). Applies to the
-  /// initial dispatch AND every resume after a suspension.
-  void set_affinity(int worker) noexcept { affinity_ = worker; }
-  int affinity() const noexcept { return affinity_; }
-
   /// One-line identification for stall dumps ("<collection>(tag)"). Called
   /// by context_base::dump_state() under the suspended-registry lock, so a
   /// parked instance cannot be resumed-and-deleted mid-call.
@@ -91,17 +86,11 @@ protected:
 
 private:
   void enqueue() {
-    if (affinity_ >= 0) {
-      ctx_.schedule_affine(static_cast<unsigned>(affinity_),
-                           [this] { this->execute_wrapper(); });
-    } else {
-      ctx_.schedule([this] { this->execute_wrapper(); });
-    }
+    ctx_.schedule([this] { this->execute_wrapper(); });
   }
   void execute_wrapper() noexcept;
 
   context_base& ctx_;
-  int affinity_ = -1;
   std::unique_ptr<waiter> countdown_;
 };
 

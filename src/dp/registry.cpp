@@ -179,14 +179,14 @@ cnc_variant mode_to_variant(std::string_view mode) {
   return cnc_variant::native;
 }
 
-/// The data-flow rows own their context pool (opts.workers threads); they
-/// never borrow opts.pool.
 run_outcome run_dataflow_v(const variant& self, const problem_ref& p,
                            const run_options& opts) {
+  const std::unique_ptr<recurrence> spec = checked_spec(self, p, opts);
   run_outcome out;
   out.used_dataflow = true;
-  out.info = exec::run_dataflow(*checked_spec(self, p, opts),
-                                {mode_to_variant(self.mode), opts.workers});
+  with_pool(opts, [&](forkjoin::worker_pool& pool) {
+    out.info = exec::run_dataflow(*spec, {mode_to_variant(self.mode), &pool});
+  });
   return out;
 }
 

@@ -76,11 +76,10 @@ std::size_t problem_size(const problem_ref& p);
 
 struct run_options {
   std::size_t base = 64;
-  /// Worker count for parallel backends (and the data-flow context).
+  /// Size of the transient pool a parallel row starts when `pool` is null.
   unsigned workers = 4;
-  /// Pool for the fork-join/tiled/r-way/prepared backends; when null each
-  /// run owns a transient pool of `workers` threads. The data-flow backend
-  /// always owns its context pool.
+  /// Pool every parallel backend runs on; when null each run owns a
+  /// transient pool of `workers` threads.
   forkjoin::worker_pool* pool = nullptr;
   /// Machine profile for sim:* rows; when null they price the schedule on
   /// sim::epyc64(). Ignored by every real backend.

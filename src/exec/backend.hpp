@@ -43,14 +43,13 @@ void run_forkjoin(dp::recurrence& rec, forkjoin::worker_pool& pool);
 
 struct dataflow_options {
   dp::cnc_variant variant = dp::cnc_variant::native;
-  unsigned workers = 0;  // 0 = hardware concurrency
-  /// Borrow this pool instead of owning one (shared across contexts — the
-  /// batch server's substrate). `workers` is ignored when set.
+  /// The pool the context runs on (required; shared with other contexts,
+  /// fork-join runs or a batch server).
   forkjoin::worker_pool* pool = nullptr;
 };
 
-/// Data-flow execution on the CnC runtime. The context owns its pool
-/// unless opts.pool borrows a shared one.
+/// Data-flow execution on the CnC runtime, on the caller's opts.pool.
+/// Throws contract_error when opts.pool is null.
 dp::cnc_run_info run_dataflow(dp::recurrence& rec,
                               const dataflow_options& opts);
 

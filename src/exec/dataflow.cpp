@@ -88,7 +88,7 @@ struct df_context : cnc::context<df_context<Value>> {
   std::size_t max_deps = 0;
 
   df_context(dp::recurrence& r, const dataflow_options& opts)
-      : cnc::context<df_context<Value>>(opts.pool, opts.workers), rec(r),
+      : cnc::context<df_context<Value>>(*opts.pool), rec(r),
         nonblocking(opts.variant == dp::cnc_variant::nonblocking),
         collect(opts.variant == dp::cnc_variant::tuner ||
                 opts.variant == dp::cnc_variant::manual),
@@ -238,6 +238,8 @@ dp::cnc_run_info run_df(dp::recurrence& rec, const dataflow_options& opts) {
 
 dp::cnc_run_info run_dataflow(dp::recurrence& rec,
                               const dataflow_options& opts) {
+  RDP_REQUIRE_MSG(opts.pool != nullptr,
+                  "run_dataflow needs a worker pool (dataflow_options::pool)");
   return rec.value_passing() ? run_df<dp::tile_value>(rec, opts)
                              : run_df<bool>(rec, opts);
 }

@@ -48,7 +48,6 @@ constexpr std::uint32_t k_task_ns_sample_mask = 255;  // 1 in 256
 
 struct worker_pool::worker {
   concurrent::chase_lev_deque<task_node*> deque;
-  concurrent::mpmc_queue<task_node*> affinity{4096};  // pinned tasks (MPSC)
   // Per-worker relaxed counters, folded into pool_stats on demand.
   std::atomic<std::uint64_t> executed{0};
   std::atomic<std::uint64_t> steals{0};
@@ -86,10 +85,8 @@ worker_pool::~worker_pool() {
   // destroy-only op releases the node back to its owning arena without
   // running the payload or reporting to a group.
   while (auto t = injection_.try_pop()) (*t)->destroy(*t);
-  for (auto& w : workers_) {
+  for (auto& w : workers_)
     while (auto t = w->deque.pop()) (*t)->destroy(*t);
-    while (auto t = w->affinity.try_pop()) (*t)->destroy(*t);
-  }
 }
 
 void worker_pool::push_injection_blocking(task_node* t, bool low_priority,
@@ -162,31 +159,6 @@ void worker_pool::enqueue_global(task_node* t) {
   }
 }
 
-void worker_pool::enqueue_affine(unsigned target, task_node* t) {
-  RDP_ASSERT(t != nullptr);
-  RDP_REQUIRE_MSG(target < workers_.size(), "affinity worker out of range");
-  spawned_hint();
-  RDP_TRACE_EVENT(obs::event_kind::task_affine, 0, target,
-                  reinterpret_cast<std::uintptr_t>(t));
-  if (workers_[target]->affinity.try_push(t)) {
-    wake_one();
-    return;
-  }
-  // Queue full: correctness over placement — run it anywhere, but never in
-  // the producer's stack frame (same recursion hazard as above). The lost
-  // placement is an overflow like any other: count it and emit the event so
-  // the obs summary's Ovfl column surfaces undersized affinity queues.
-  overflow_retries_.fetch_add(1, std::memory_order_relaxed);
-  RDP_TRACE_EVENT(obs::event_kind::task_overflow, 0, target,
-                  reinterpret_cast<std::uintptr_t>(t));
-  if (tl_pool == this && tl_index >= 0) {
-    workers_[static_cast<std::size_t>(tl_index)]->deque.push(t);
-    wake_one();
-  } else {
-    push_injection_blocking(t, /*low_priority=*/false, /*trace=*/false);
-  }
-}
-
 void worker_pool::wake_one() {
   epoch_.fetch_add(1, std::memory_order_release);
   if (parked_.load(std::memory_order_acquire) > 0) {
@@ -197,10 +169,6 @@ void worker_pool::wake_one() {
 
 task_node* worker_pool::find_task(int self_index) {
   if (self_index >= 0) {
-    // 0. Tasks pinned to this worker (compute_on affinity).
-    if (auto t =
-            workers_[static_cast<std::size_t>(self_index)]->affinity.try_pop())
-      return *t;
     // 1. Own deque (LIFO — depth-first execution preserves locality).
     if (auto t = workers_[static_cast<std::size_t>(self_index)]->deque.pop())
       return *t;
@@ -380,7 +348,6 @@ std::vector<worker_snapshot> worker_pool::worker_snapshots() const {
     s.steals = w.steals.load(std::memory_order_relaxed);
     s.parks = w.parks.load(std::memory_order_relaxed);
     s.deque_depth = w.deque.size_estimate();
-    s.affinity_depth = w.affinity.size_estimate();
     out.push_back(s);
   }
   return out;
@@ -388,8 +355,7 @@ std::vector<worker_snapshot> worker_pool::worker_snapshots() const {
 
 std::size_t worker_pool::ready_estimate() const {
   std::size_t n = injection_.size_estimate();
-  for (const auto& w : workers_)
-    n += w->deque.size_estimate() + w->affinity.size_estimate();
+  for (const auto& w : workers_) n += w->deque.size_estimate();
   return n;
 }
 

@@ -6,6 +6,12 @@
 // Idle workers spin briefly with exponential backoff, then park on a
 // condition variable; any enqueue wakes one parked worker.
 //
+// The caller owns the pool and lends it by reference to every runtime that
+// runs on it — a task_group, a CnC context, a prepared graph — the way TBB
+// programs share one process-wide scheduler. No runtime starts threads of
+// its own, so a caller that keeps its pool pays the start-up once, not once
+// per graph.
+//
 // The pool exposes `try_run_one()` so blocked joins (task_group::wait) and
 // blocked data-flow gets can *help* — execute other ready tasks instead of
 // idling — which is how fork-join runtimes avoid deadlock on nested waits.
@@ -38,7 +44,6 @@ struct worker_snapshot {
   std::uint64_t steals = 0;
   std::uint64_t parks = 0;
   std::size_t deque_depth = 0;
-  std::size_t affinity_depth = 0;
 };
 
 /// Aggregate scheduler counters (relaxed atomics; read when quiescent).
@@ -92,13 +97,6 @@ public:
   /// pushing a retry onto the worker's own LIFO deque would pop it straight
   /// back and starve the producer it is waiting for.
   void enqueue_global(task_node* t);
-
-  /// Pin a task to one worker: only that worker ever executes it (its
-  /// affinity queue is not stealable). This is the substrate for the CnC
-  /// `compute_on` tuner — placing steps that share data on one core to
-  /// avoid inter-core/inter-NUMA traffic (§V of the paper). Falls back to
-  /// enqueue() if the affinity queue is full.
-  void enqueue_affine(unsigned worker, task_node* t);
 
   /// Execute one ready task if any is available. Returns whether a task ran.
   /// Safe to call from worker threads and from external threads.
@@ -156,9 +154,9 @@ public:
     return parked_.load(std::memory_order_acquire);
   }
 
-  /// Estimated tasks queued across the injection queue, the worker deques
-  /// and the affinity queues. Exact only when quiescent; intended for the
-  /// obs sampler's queue-depth gauge.
+  /// Estimated tasks queued across the injection queue and the worker
+  /// deques. Exact only when quiescent; intended for the obs sampler's
+  /// queue-depth gauge.
   std::size_t ready_estimate() const;
 
   /// Estimated depth of the external-submission queue alone.

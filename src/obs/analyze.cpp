@@ -32,7 +32,7 @@ std::string sanitize(std::string s) {
 
 void write_raw_trace(std::ostream& os, const std::vector<event>& events,
                      const tracer& t) {
-  os << "rdp-trace 1\n";
+  os << "rdp-trace 2\n";
   // Emit only the names the events reference: the tracer has no "all
   // names" accessor, and unreferenced names carry no information.
   std::vector<bool> used;
@@ -73,7 +73,7 @@ raw_trace read_raw_trace(std::istream& is) {
   };
   if (!std::getline(is, line)) fail("empty input");
   ++lineno;
-  if (line != "rdp-trace 1") fail("bad header (expected \"rdp-trace 1\")");
+  if (line != "rdp-trace 2") fail("bad header (expected \"rdp-trace 2\")");
   while (std::getline(is, line)) {
     ++lineno;
     if (line.empty() || line[0] == '#') continue;
@@ -319,8 +319,7 @@ private:
           ++m_.unmatched;
         break;
       case event_kind::task_spawn:
-      case event_kind::task_inject:
-      case event_kind::task_affine: {
+      case event_kind::task_inject: {
         if (e.arg1 == 0) break;  // pre-PR-2 trace without task identities
         const std::uint32_t parent = innermost_run(st);
         spawns_.push_back({e.ts_ns, e.arg1, parent});

@@ -63,7 +63,7 @@ struct raw_trace {
   }
 };
 
-/// Write the lossless line format ("rdp-trace 1"): every event with all
+/// Write the lossless line format ("rdp-trace 2"): every event with all
 /// arguments, plus the interned names and thread labels it references.
 void write_raw_trace(std::ostream& os, const std::vector<event>& events,
                      const tracer& t);

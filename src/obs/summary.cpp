@@ -36,7 +36,6 @@ std::vector<phase_summary> summarize(const std::vector<event>& events,
     switch (e.kind) {
       case event_kind::task_spawn: ++p.spawns; break;
       case event_kind::task_inject: ++p.injections; break;
-      case event_kind::task_affine: ++p.affine; break;
       case event_kind::task_overflow: ++p.overflows; break;
       case event_kind::task_steal: ++p.steals; break;
       case event_kind::worker_park: ++p.parks; break;

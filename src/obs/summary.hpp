@@ -2,11 +2,11 @@
 //
 // Folds a collected event stream into one row per phase (phases are marked
 // with tracer::begin_phase, e.g. one per benchmark variant): how many tasks
-// ran and for how long, how work moved (spawns / injections / steals /
-// affinity placements), how often workers parked, and — the paper's central
-// quantities — how many data-flow steps aborted on an unmet get, were
-// re-executed, were requeued by the non-blocking protocol, or were deferred
-// by the pre-scheduling tuner. A fork-join phase shows its cost as parks
+// ran and for how long, how work moved (spawns / injections / steals), how
+// often workers parked, and — the paper's central quantities — how many
+// data-flow steps aborted on an unmet get, were re-executed, were requeued
+// by the non-blocking protocol, or were deferred by the pre-scheduling
+// tuner. A fork-join phase shows its cost as parks
 // and steals; a Native-CnC phase shows it as aborts and re-executions.
 #pragma once
 
@@ -29,7 +29,6 @@ struct phase_summary {
   double busy_ms = 0;          // sum of task_run durations across threads
   std::uint64_t spawns = 0;
   std::uint64_t injections = 0;
-  std::uint64_t affine = 0;
   std::uint64_t overflows = 0;
   std::uint64_t steals = 0;
   std::uint64_t parks = 0;

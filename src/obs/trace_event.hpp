@@ -18,8 +18,6 @@ enum class event_kind : std::uint8_t {
                     //                            arg1 = task identity
   task_inject,      // injection-queue push       arg0 = 1 for low-priority,
                     //                            arg1 = task identity
-  task_affine,      // affinity-queue push        arg0 = target worker,
-                    //                            arg1 = task identity
   task_overflow,    // bounded queue full: retry  arg0 = retry count so far
   task_steal,       // arg0 = victim worker, arg1 = thief worker
   task_run_begin,   // arg0 = task identity (pointer value)
@@ -56,7 +54,8 @@ enum class event_kind : std::uint8_t {
 
 /// Number of event kinds (request_end is last). Used by the raw-trace
 /// reader to reject records from incompatible files. Appending kinds keeps
-/// older trace files readable; reordering would not.
+/// older trace files readable; removing or reordering one renumbers the
+/// kinds after it, so it bumps the raw-trace header version (analyze.cpp).
 inline constexpr unsigned k_event_kind_count =
     static_cast<unsigned>(event_kind::request_end) + 1;
 
@@ -64,7 +63,6 @@ inline constexpr const char* to_string(event_kind k) noexcept {
   switch (k) {
     case event_kind::task_spawn: return "task_spawn";
     case event_kind::task_inject: return "task_inject";
-    case event_kind::task_affine: return "task_affine";
     case event_kind::task_overflow: return "task_overflow";
     case event_kind::task_steal: return "task_steal";
     case event_kind::task_run_begin: return "task_run_begin";

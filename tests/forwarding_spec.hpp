@@ -1,7 +1,7 @@
-// Test-local forwarding decorator over a token-passing recurrence spec:
-// every hook delegates to the wrapped spec, so a test overrides exactly the
-// hook it perturbs (a seeded inconsistency, a blocking kernel) and the rest
-// of the graph stays the real one.
+// Test-local forwarding decorator over a recurrence spec, token- or
+// value-passing: every hook delegates to the wrapped spec, so a test
+// overrides exactly the hook it perturbs (a seeded inconsistency, a blocking
+// or throwing kernel) and the rest of the graph stays the real one.
 #pragma once
 
 #include <cstddef>
@@ -40,7 +40,21 @@ class forwarding_spec : public dp::recurrence {
   void enumerate_base(const dp::tag_sink& emit) const override {
     inner_->enumerate_base(emit);
   }
+  std::uint64_t base_work(const dp::tile3& t, std::uint64_t b) const override {
+    return inner_->base_work(t, b);
+  }
   void run_base(const dp::tile4& t) override { inner_->run_base(t); }
+  bool value_passing() const override { return inner_->value_passing(); }
+  dp::tile_value run_base_value(const dp::tile3& t,
+                                const dp::tile_value* deps) const override {
+    return inner_->run_base_value(t, deps);
+  }
+  void seed_values(dp::value_store& store) override {
+    inner_->seed_values(store);
+  }
+  void gather_values(dp::value_store& store) override {
+    inner_->gather_values(store);
+  }
 
  protected:
   std::unique_ptr<dp::recurrence> inner_;

@@ -290,15 +290,21 @@ TEST(RawTrace, ReaderRejectsMalformedInput) {
     EXPECT_THROW(obs::read_raw_trace(is), std::runtime_error);
   }
   {
-    std::istringstream is("rdp-trace 1\nevent 0 0 250 0 0 0\n");  // bad kind
+    std::istringstream is("rdp-trace 2\nevent 0 0 250 0 0 0\n");  // bad kind
     EXPECT_THROW(obs::read_raw_trace(is), std::runtime_error);
   }
   {
-    std::istringstream is("rdp-trace 1\nbogus record\n");
+    // A version-1 file numbers its event kinds differently: refused even
+    // when every record would parse.
+    std::istringstream is("rdp-trace 1\nevent 0 0 1 0 0 0\n");
     EXPECT_THROW(obs::read_raw_trace(is), std::runtime_error);
   }
   {
-    std::istringstream is("rdp-trace 1\nevent 0 0\n");  // short record
+    std::istringstream is("rdp-trace 2\nbogus record\n");
+    EXPECT_THROW(obs::read_raw_trace(is), std::runtime_error);
+  }
+  {
+    std::istringstream is("rdp-trace 2\nevent 0 0\n");  // short record
     EXPECT_THROW(obs::read_raw_trace(is), std::runtime_error);
   }
 }

@@ -16,6 +16,7 @@
 namespace {
 
 using namespace rdp::cnc;
+using rdp::forkjoin::worker_pool;
 
 // ---------------------------------------------------------------- hello ----
 
@@ -27,7 +28,9 @@ struct hello_ctx : context<hello_ctx> {
   step_collection<hello_ctx, hello_step, int> steps{*this, "hello"};
   tag_collection<int> tags{*this, "ctrl"};
   item_collection<int, double> data{*this, "data"};
-  hello_ctx() : context(2) { tags.prescribe(steps); }
+  explicit hello_ctx(worker_pool& pool) : context(pool) {
+    tags.prescribe(steps);
+  }
 };
 int hello_step::execute(int tag, hello_ctx& ctx) const {
   ctx.data.put(tag, tag * 2.5);
@@ -35,7 +38,8 @@ int hello_step::execute(int tag, hello_ctx& ctx) const {
 }
 
 TEST(Cnc, HelloGraphProducesItem) {
-  hello_ctx ctx;
+  worker_pool pool(2);
+  hello_ctx ctx(pool);
   ctx.tags.put(4);
   ctx.wait();
   double v = 0;
@@ -45,7 +49,8 @@ TEST(Cnc, HelloGraphProducesItem) {
 }
 
 TEST(Cnc, EnvironmentBlockingGetHelpsUntilAvailable) {
-  hello_ctx ctx;
+  worker_pool pool(2);
+  hello_ctx ctx(pool);
   ctx.tags.put(7);
   // No wait(): the environment get itself must drive execution to completion.
   double v = 0;
@@ -55,7 +60,8 @@ TEST(Cnc, EnvironmentBlockingGetHelpsUntilAvailable) {
 }
 
 TEST(Cnc, TryGetDoesNotBlock) {
-  hello_ctx ctx;
+  worker_pool pool(2);
+  hello_ctx ctx(pool);
   double v = 0;
   EXPECT_FALSE(ctx.data.try_get(1, v));
   ctx.tags.put(1);
@@ -78,8 +84,8 @@ struct chain_ctx : context<chain_ctx> {
   step_collection<chain_ctx, chain_step, int> steps;
   tag_collection<int> tags{*this, "ctrl"};
   item_collection<int, std::uint64_t> values{*this, "values"};
-  explicit chain_ctx(schedule_policy policy)
-      : context(2), steps(*this, "chain", chain_step{}, policy) {
+  chain_ctx(worker_pool& pool, schedule_policy policy)
+      : context(pool), steps(*this, "chain", chain_step{}, policy) {
     tags.prescribe(steps);
   }
 };
@@ -99,7 +105,8 @@ void chain_step::depends(int tag, chain_ctx& ctx,
 }
 
 TEST(Cnc, ChainWithRetriesComputesPrefixSums) {
-  chain_ctx ctx(schedule_policy::spawn_immediately);
+  worker_pool pool(2);
+  chain_ctx ctx(pool, schedule_policy::spawn_immediately);
   constexpr int kN = 64;
   for (int i = kN - 1; i >= 0; --i) ctx.tags.put(i);  // worst-case order
   ctx.wait();
@@ -114,7 +121,8 @@ TEST(Cnc, ChainWithRetriesComputesPrefixSums) {
 }
 
 TEST(Cnc, PrescheduleTunerAvoidsAllReexecutions) {
-  chain_ctx ctx(schedule_policy::preschedule);
+  worker_pool pool(2);
+  chain_ctx ctx(pool, schedule_policy::preschedule);
   constexpr int kN = 64;
   for (int i = kN - 1; i >= 0; --i) ctx.tags.put(i);
   ctx.wait();
@@ -131,7 +139,8 @@ TEST(Cnc, PrescheduleTunerAvoidsAllReexecutions) {
 // ---------------------------------------------------------- single assign ----
 
 TEST(Cnc, DuplicatePutFromEnvironmentThrows) {
-  hello_ctx ctx;
+  worker_pool pool(2);
+  hello_ctx ctx(pool);
   ctx.data.put(100, 1.0);
   EXPECT_THROW(ctx.data.put(100, 2.0), dsa_violation);
   double v = 0;
@@ -147,7 +156,7 @@ struct dup_ctx : context<dup_ctx> {
   step_collection<dup_ctx, dup_step, int> steps{*this, "dup"};
   tag_collection<int> tags{*this, "ctrl", /*memoize=*/false};
   item_collection<int, int> data{*this, "data"};
-  dup_ctx() : context(2) { tags.prescribe(steps); }
+  explicit dup_ctx(worker_pool& pool) : context(pool) { tags.prescribe(steps); }
 };
 int dup_step::execute(int, dup_ctx& ctx) const {
   ctx.data.put(0, 1);  // every instance writes the same key
@@ -155,7 +164,8 @@ int dup_step::execute(int, dup_ctx& ctx) const {
 }
 
 TEST(Cnc, DuplicatePutFromStepSurfacesAtWait) {
-  dup_ctx ctx;
+  worker_pool pool(2);
+  dup_ctx ctx(pool);
   ctx.tags.put(1);
   ctx.tags.put(2);  // second instance violates single assignment
   EXPECT_THROW(ctx.wait(), dsa_violation);
@@ -171,7 +181,9 @@ struct stuck_ctx : context<stuck_ctx> {
   step_collection<stuck_ctx, stuck_step, int> steps{*this, "stuck"};
   tag_collection<int> tags{*this, "ctrl"};
   item_collection<int, int> data{*this, "data"};
-  stuck_ctx() : context(2) { tags.prescribe(steps); }
+  explicit stuck_ctx(worker_pool& pool) : context(pool) {
+    tags.prescribe(steps);
+  }
 };
 int stuck_step::execute(int, stuck_ctx& ctx) const {
   int v = 0;
@@ -180,7 +192,8 @@ int stuck_step::execute(int, stuck_ctx& ctx) const {
 }
 
 TEST(Cnc, QuiescedGraphWithParkedStepsReportsDeadlock) {
-  stuck_ctx ctx;
+  worker_pool pool(2);
+  stuck_ctx ctx(pool);
   ctx.tags.put(0);
   EXPECT_THROW(ctx.wait(), unsatisfied_dependency);
   // The suspended instance is reclaimed by the context destructor (checked
@@ -188,7 +201,8 @@ TEST(Cnc, QuiescedGraphWithParkedStepsReportsDeadlock) {
 }
 
 TEST(Cnc, DeadlockReportCountsParkedInstances) {
-  stuck_ctx ctx;
+  worker_pool pool(2);
+  stuck_ctx ctx(pool);
   ctx.tags.put(0);
   ctx.tags.put(1);
   ctx.tags.put(2);
@@ -210,7 +224,9 @@ struct count_ctx : context<count_ctx> {
   std::atomic<int> executions{0};
   step_collection<count_ctx, count_step, int> steps{*this, "count"};
   tag_collection<int> tags{*this, "ctrl"};  // memoising (default)
-  count_ctx() : context(2) { tags.prescribe(steps); }
+  explicit count_ctx(worker_pool& pool) : context(pool) {
+    tags.prescribe(steps);
+  }
 };
 int count_step::execute(int, count_ctx& ctx) const {
   ctx.executions.fetch_add(1, std::memory_order_relaxed);
@@ -218,7 +234,8 @@ int count_step::execute(int, count_ctx& ctx) const {
 }
 
 TEST(Cnc, TagCollectionMemoisesDuplicateTags) {
-  count_ctx ctx;
+  worker_pool pool(2);
+  count_ctx ctx(pool);
   for (int rep = 0; rep < 5; ++rep) ctx.tags.put(3);
   ctx.tags.put(4);
   ctx.wait();
@@ -241,7 +258,7 @@ struct multi_ctx : context<multi_ctx> {
   step_collection<multi_ctx, step_b, int> b{*this, "B"};
   tag_collection<int> tags{*this, "ctrl"};
   item_collection<std::string, int> out{*this, "out"};
-  multi_ctx() : context(2) {
+  explicit multi_ctx(worker_pool& pool) : context(pool) {
     tags.prescribe(a);
     tags.prescribe(b);
   }
@@ -256,7 +273,8 @@ int step_b::execute(int tag, multi_ctx& ctx) const {
 }
 
 TEST(Cnc, OneTagCollectionPrescribesTwoStepCollections) {
-  multi_ctx ctx;
+  worker_pool pool(2);
+  multi_ctx ctx(pool);
   ctx.tags.put(9);
   ctx.wait();
   int va = 0, vb = 0;
@@ -276,7 +294,9 @@ struct throwing_step {
 struct throwing_ctx : context<throwing_ctx> {
   step_collection<throwing_ctx, throwing_step, int> steps{*this, "boom"};
   tag_collection<int> tags{*this, "ctrl"};
-  throwing_ctx() : context(2) { tags.prescribe(steps); }
+  explicit throwing_ctx(worker_pool& pool) : context(pool) {
+    tags.prescribe(steps);
+  }
 };
 int throwing_step::execute(int tag, throwing_ctx&) const {
   if (tag == 13) throw std::runtime_error("unlucky tag");
@@ -284,7 +304,8 @@ int throwing_step::execute(int tag, throwing_ctx&) const {
 }
 
 TEST(Cnc, StepExceptionRethrownByWait) {
-  throwing_ctx ctx;
+  worker_pool pool(2);
+  throwing_ctx ctx(pool);
   for (int i = 0; i < 20; ++i) ctx.tags.put(i);
   try {
     ctx.wait();
@@ -307,8 +328,8 @@ struct diamond_ctx : context<diamond_ctx> {
   step_collection<diamond_ctx, diamond_step, char> steps;
   tag_collection<char> tags{*this, "ctrl"};
   item_collection<char, int> data{*this, "data"};
-  explicit diamond_ctx(schedule_policy p)
-      : context(2), steps(*this, "diamond", diamond_step{}, p) {
+  diamond_ctx(worker_pool& pool, schedule_policy p)
+      : context(pool), steps(*this, "diamond", diamond_step{}, p) {
     tags.prescribe(steps);
   }
 };
@@ -355,7 +376,8 @@ void diamond_step::depends(char tag, diamond_ctx& ctx,
 class CncDiamond : public ::testing::TestWithParam<schedule_policy> {};
 
 TEST_P(CncDiamond, ComputesFanInUnderBothPolicies) {
-  diamond_ctx ctx(GetParam());
+  worker_pool pool(2);
+  diamond_ctx ctx(pool, GetParam());
   // Put sink first to maximise out-of-order pressure.
   ctx.tags.put('d');
   ctx.tags.put('c');
@@ -386,7 +408,9 @@ struct grid_ctx : context<grid_ctx> {
   step_collection<grid_ctx, grid_step, std::uint64_t> steps{*this, "grid"};
   tag_collection<std::uint64_t> tags{*this, "ctrl"};
   item_collection<std::uint64_t, std::uint64_t> cells{*this, "cells"};
-  grid_ctx() : context(4) { tags.prescribe(steps); }
+  explicit grid_ctx(worker_pool& pool) : context(pool) {
+    tags.prescribe(steps);
+  }
 };
 int grid_step::execute(std::uint64_t tag, grid_ctx& ctx) const {
   const std::uint64_t chain = tag / grid_ctx::kLen;
@@ -398,7 +422,8 @@ int grid_step::execute(std::uint64_t tag, grid_ctx& ctx) const {
 }
 
 TEST(Cnc, ManyConcurrentChainsUnderContention) {
-  grid_ctx ctx;
+  worker_pool pool(4);
+  grid_ctx ctx(pool);
   // Interleave chains, positions descending: maximal suspension pressure.
   for (std::uint64_t pos = grid_ctx::kLen; pos-- > 0;)
     for (std::uint64_t c = 0; c < grid_ctx::kChains; ++c)
@@ -426,8 +451,8 @@ struct gc_ctx : context<gc_ctx> {
   tag_collection<int> tags{*this, "ctrl"};
   item_collection<int, int> data{*this, "data"};
   item_collection<int, int> out{*this, "out"};
-  gc_ctx()
-      : context(2),
+  explicit gc_ctx(worker_pool& pool)
+      : context(pool),
         steps(*this, "gc", gc_step{}, schedule_policy::preschedule) {
     tags.prescribe(steps);
   }
@@ -444,7 +469,8 @@ void gc_step::depends(int tag, gc_ctx& ctx, dependency_collector& dc) const {
 }
 
 TEST(Cnc, GetCountCollectsItemAfterLastConsumer) {
-  gc_ctx ctx;
+  worker_pool pool(2);
+  gc_ctx ctx(pool);
   constexpr int kConsumers = 8;
   ctx.data.put(0, 100, /*get_count=*/kConsumers);
   for (int t = 1; t <= kConsumers; ++t) ctx.tags.put(t);
@@ -459,7 +485,8 @@ TEST(Cnc, GetCountCollectsItemAfterLastConsumer) {
 }
 
 TEST(Cnc, GetCountZeroMeansKeepForever) {
-  gc_ctx ctx;
+  worker_pool pool(2);
+  gc_ctx ctx(pool);
   ctx.data.put(0, 5);  // default: no collection
   for (int t = 1; t <= 4; ++t) ctx.tags.put(t);
   ctx.wait();
@@ -471,7 +498,8 @@ TEST(Cnc, TryGetNeverConsumesDeclaredGets) {
   // time a respawned step runs again; that is only safe for get-count
   // accounting because try_get is count-neutral (exec/dataflow.cpp relies
   // on this — a counting poll would double-decrement and free items early).
-  gc_ctx ctx;
+  worker_pool pool(2);
+  gc_ctx ctx(pool);
   ctx.data.put(0, 42, /*get_count=*/2);
   int v = 0;
   for (int poll = 0; poll < 8; ++poll) {
@@ -488,7 +516,8 @@ TEST(Cnc, TryGetNeverConsumesDeclaredGets) {
 }
 
 TEST(Cnc, EnvironmentGetsCountTowardsCollection) {
-  gc_ctx ctx;
+  worker_pool pool(2);
+  gc_ctx ctx(pool);
   ctx.data.put(0, 7, /*get_count=*/2);
   int v = 0;
   ctx.data.get(0, v);  // env consumption #1
@@ -497,42 +526,6 @@ TEST(Cnc, EnvironmentGetsCountTowardsCollection) {
   ctx.data.get(0, v);  // env consumption #2: last one
   EXPECT_FALSE(ctx.data.contains(0));
   ctx.wait();
-}
-
-// --------------------------------------------------- compute_on affinity ----
-// Steps that define compute_on(tag, ctx) are pinned to the returned worker;
-// affinity queues are not stealable, so the placement is exact.
-
-struct affine_ctx;
-struct affine_step {
-  int execute(int tag, affine_ctx& ctx) const;
-  int compute_on(int tag, affine_ctx& ctx) const;
-};
-struct affine_ctx : context<affine_ctx> {
-  static constexpr unsigned kWorkers = 3;
-  std::atomic<int> misplaced{0};
-  std::atomic<int> executed{0};
-  step_collection<affine_ctx, affine_step, int> steps{*this, "affine"};
-  tag_collection<int> tags{*this, "ctrl"};
-  affine_ctx() : context(kWorkers) { tags.prescribe(steps); }
-};
-int affine_step::compute_on(int tag, affine_ctx&) const {
-  return tag % static_cast<int>(affine_ctx::kWorkers);
-}
-int affine_step::execute(int tag, affine_ctx& ctx) const {
-  const int expected = tag % static_cast<int>(affine_ctx::kWorkers);
-  if (rdp::forkjoin::worker_pool::current_worker_index() != expected)
-    ctx.misplaced.fetch_add(1, std::memory_order_relaxed);
-  ctx.executed.fetch_add(1, std::memory_order_relaxed);
-  return 0;
-}
-
-TEST(Cnc, ComputeOnTunerPinsStepsToWorkers) {
-  affine_ctx ctx;
-  for (int t = 0; t < 120; ++t) ctx.tags.put(t);
-  ctx.wait();
-  EXPECT_EQ(ctx.executed.load(), 120);
-  EXPECT_EQ(ctx.misplaced.load(), 0);
 }
 
 // ------------------------------------------------- non-blocking requeues ----
@@ -548,7 +541,9 @@ struct poll_ctx : context<poll_ctx> {
   tag_collection<int> tags{*this, "ctrl", /*memoize=*/false};
   item_collection<int, int> input{*this, "input"};
   item_collection<int, int> output{*this, "output"};
-  poll_ctx() : context(2) { tags.prescribe(steps); }
+  explicit poll_ctx(worker_pool& pool) : context(pool) {
+    tags.prescribe(steps);
+  }
 };
 int poll_step::execute(int tag, poll_ctx& ctx) const {
   int v = 0;
@@ -561,7 +556,8 @@ int poll_step::execute(int tag, poll_ctx& ctx) const {
 }
 
 TEST(Cnc, NonblockingRespawnPollsUntilItemAppears) {
-  poll_ctx ctx;
+  worker_pool pool(2);
+  poll_ctx ctx(pool);
   ctx.tags.put(7);
   // The step must spin through at least one requeue before the item
   // exists; wait for proof, then publish the item.
@@ -590,7 +586,9 @@ struct fanout_ctx : context<fanout_ctx> {
   tag_collection<int> tags{*this, "ctrl"};
   item_collection<int, int> hubs{*this, "hubs"};
   item_collection<int, int> results{*this, "results"};
-  fanout_ctx() : context(4) { tags.prescribe(steps); }
+  explicit fanout_ctx(worker_pool& pool) : context(pool) {
+    tags.prescribe(steps);
+  }
 };
 int fanout_step::execute(int tag, fanout_ctx& ctx) const {
   if (tag < fanout_ctx::kHubs) {  // producer steps
@@ -605,7 +603,8 @@ int fanout_step::execute(int tag, fanout_ctx& ctx) const {
 }
 
 TEST(Cnc, ManyConsumersParkOnFewItems) {
-  fanout_ctx ctx;
+  worker_pool pool(4);
+  fanout_ctx ctx(pool);
   const int total = fanout_ctx::kHubs * (fanout_ctx::kConsumersPerHub + 1);
   // Consumers first (they all park), producers last.
   for (int t = total - 1; t >= 0; --t) ctx.tags.put(t);
@@ -621,7 +620,8 @@ TEST(Cnc, ManyConsumersParkOnFewItems) {
 
 // Items put by the environment before any tag: steps find them immediately.
 TEST(Cnc, EnvironmentSeedsItemsBeforeExecution) {
-  chain_ctx ctx(schedule_policy::spawn_immediately);
+  worker_pool pool(2);
+  chain_ctx ctx(pool, schedule_policy::spawn_immediately);
   ctx.values.put(9, 1000);  // pretend step 9 already ran? No: key 9 is the
                             // dependency of step 10 only.
   ctx.tags.put(10);
@@ -633,7 +633,8 @@ TEST(Cnc, EnvironmentSeedsItemsBeforeExecution) {
 }
 
 TEST(Cnc, ItemCollectionSizeCountsPublishedItems) {
-  hello_ctx ctx;
+  worker_pool pool(2);
+  hello_ctx ctx(pool);
   EXPECT_EQ(ctx.data.size(), 0u);
   ctx.tags.put(1);
   ctx.tags.put(2);
@@ -649,7 +650,8 @@ TEST(Cnc, ItemCollectionSizeCountsPublishedItems) {
 // unsatisfied_dependency naming the collection and the key.
 
 TEST(Cnc, EnvironmentGetOnQuiescentGraphThrows) {
-  hello_ctx ctx;  // no tags put: the graph is trivially quiescent
+  worker_pool pool(2);
+  hello_ctx ctx(pool);  // no tags put: the graph is trivially quiescent
   double v = 0;
   try {
     ctx.data.get(99, v);
@@ -662,7 +664,8 @@ TEST(Cnc, EnvironmentGetOnQuiescentGraphThrows) {
 }
 
 TEST(Cnc, EnvironmentGetAfterGraphFinishedThrowsForMissingKey) {
-  hello_ctx ctx;
+  worker_pool pool(2);
+  hello_ctx ctx(pool);
   ctx.tags.put(1);  // produces item 1, nothing else
   ctx.wait();
   double v = 0;
@@ -682,7 +685,9 @@ struct slow_ctx : context<slow_ctx> {
   step_collection<slow_ctx, slow_step, int> steps{*this, "slow"};
   tag_collection<int> tags{*this, "ctrl"};
   item_collection<int, int> out{*this, "out"};
-  slow_ctx() : context(2) { tags.prescribe(steps); }
+  explicit slow_ctx(worker_pool& pool) : context(pool) {
+    tags.prescribe(steps);
+  }
 };
 int slow_step::execute(int tag, slow_ctx& ctx) const {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -691,7 +696,8 @@ int slow_step::execute(int tag, slow_ctx& ctx) const {
 }
 
 TEST(Cnc, EnvironmentGetStillWaitsForLateProducer) {
-  slow_ctx ctx;
+  worker_pool pool(2);
+  slow_ctx ctx(pool);
   ctx.tags.put(3);
   int v = 0;
   ctx.out.get(3, v);  // drives/waits until the slow step has put
@@ -710,14 +716,15 @@ struct err_ctx : context<err_ctx> {
   step_collection<err_ctx, err_step, int> steps{*this, "dying"};
   tag_collection<int> tags{*this, "ctrl"};
   item_collection<int, int> out{*this, "out"};
-  err_ctx() : context(2) { tags.prescribe(steps); }
+  explicit err_ctx(worker_pool& pool) : context(pool) { tags.prescribe(steps); }
 };
 int err_step::execute(int, err_ctx&) const {
   throw std::runtime_error("producer died");
 }
 
 TEST(Cnc, EnvironmentGetPrefersStepErrorOverDiagnostic) {
-  err_ctx ctx;
+  worker_pool pool(2);
+  err_ctx ctx(pool);
   ctx.tags.put(1);
   int v = 0;
   try {
@@ -742,7 +749,9 @@ struct mixed_ctx : context<mixed_ctx> {
   step_collection<mixed_ctx, mixed_step, int> steps{*this, "mixed"};
   tag_collection<int> tags{*this, "ctrl"};
   item_collection<int, int> data{*this, "data"};
-  mixed_ctx() : context(2) { tags.prescribe(steps); }
+  explicit mixed_ctx(worker_pool& pool) : context(pool) {
+    tags.prescribe(steps);
+  }
 };
 int mixed_step::execute(int tag, mixed_ctx& ctx) const {
   if (tag == 0) throw std::runtime_error("boom");
@@ -752,7 +761,8 @@ int mixed_step::execute(int tag, mixed_ctx& ctx) const {
 }
 
 TEST(Cnc, WaitPrefersStepErrorOverDeadlockDiagnostic) {
-  mixed_ctx ctx;
+  worker_pool pool(2);
+  mixed_ctx ctx(pool);
   ctx.tags.put(0);  // throws "boom" instead of producing item 0
   ctx.tags.put(1);  // parks forever on item 0
   try {
@@ -783,7 +793,9 @@ struct retry_ctx : context<retry_ctx> {
   step_collection<retry_ctx, retry_step, int> steps{*this, "retry"};
   tag_collection<int> tags{*this, "ctrl"};
   item_collection<int, int> data{*this, "data"};
-  retry_ctx() : context(2) { tags.prescribe(steps); }
+  explicit retry_ctx(worker_pool& pool) : context(pool) {
+    tags.prescribe(steps);
+  }
 };
 int retry_step::execute(int tag, retry_ctx& ctx) const {
   if (tag == 0) throw std::runtime_error("boom");
@@ -794,7 +806,8 @@ int retry_step::execute(int tag, retry_ctx& ctx) const {
 
 TEST(Cnc, NonblockingRetryStopsAfterStepError) {
   using namespace std::chrono_literals;
-  retry_ctx ctx;
+  worker_pool pool(2);
+  retry_ctx ctx(pool);
   for (int consumer = 1; consumer <= 4; ++consumer) ctx.tags.put(consumer);
   ctx.tags.put(0);  // throws "boom" instead of producing item 0
   try {
@@ -824,7 +837,9 @@ struct gcstress_ctx : context<gcstress_ctx> {
       *this, "consume", gcstress_step{}, schedule_policy::preschedule};
   tag_collection<int> tags{*this, "ctrl"};
   item_collection<int, int> data{*this, "data"};
-  gcstress_ctx() : context(4) { tags.prescribe(steps); }
+  explicit gcstress_ctx(worker_pool& pool) : context(pool) {
+    tags.prescribe(steps);
+  }
 };
 int gcstress_step::execute(int tag, gcstress_ctx& ctx) const {
   int v = 0;
@@ -839,7 +854,8 @@ void gcstress_step::depends(int tag, gcstress_ctx& ctx,
 }
 
 TEST(Cnc, ConcurrentConsumersReclaimEveryGetCountItem) {
-  gcstress_ctx ctx;
+  worker_pool pool(4);
+  gcstress_ctx ctx(pool);
   // Prescribe every consumer BEFORE any item exists (worst case for the
   // countdowns), then publish the items from the environment while the
   // tuner is already dispatching.

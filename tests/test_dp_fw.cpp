@@ -121,11 +121,13 @@ class FwCncSweep
           std::tuple<std::size_t, std::size_t, cnc_variant>> {};
 
 TEST_P(FwCncSweep, CncEqualsLoop) {
+  forkjoin::worker_pool pool(4);
   const auto [n, base, variant] = GetParam();
   auto oracle = input(n);
   auto c = oracle;
   fw_loop_serial(oracle);
-  const auto info = exec::run_dataflow(*make_fw_spec(c, base), {variant, 4});
+  const auto info =
+      exec::run_dataflow(*make_fw_spec(c, base), {variant, &pool});
   EXPECT_TRUE(oracle == c)
       << "n=" << n << " base=" << base << " variant=" << to_string(variant);
 
@@ -151,11 +153,12 @@ INSTANTIATE_TEST_SUITE_P(
                                          cnc_variant::nonblocking)));
 
 TEST(FwCnc, SingleTileProblem) {
+  forkjoin::worker_pool pool(2);
   auto oracle = input(8);
   auto c = oracle;
   fw_loop_serial(oracle);
   const auto info =
-      exec::run_dataflow(*make_fw_spec(c, 8), {cnc_variant::native, 2});
+      exec::run_dataflow(*make_fw_spec(c, 8), {cnc_variant::native, &pool});
   EXPECT_TRUE(oracle == c);
   EXPECT_EQ(info.stats.items_put, 2u);  // the seed tile + its round-0 update
 }
@@ -163,6 +166,7 @@ TEST(FwCnc, SingleTileProblem) {
 TEST(FwCnc, DisconnectedGraphKeepsUnreachablePairsLarge) {
   // Two halves with no cross edges: the block-diagonal structure must be
   // preserved by every variant.
+  forkjoin::worker_pool pool(4);
   const std::size_t n = 32;
   matrix<double> w(n, n, kInf);
   xoshiro256 rng(5);
@@ -175,7 +179,7 @@ TEST(FwCnc, DisconnectedGraphKeepsUnreachablePairsLarge) {
     }
   }
   auto c = w;
-  exec::run_dataflow(*make_fw_spec(c, 8), {cnc_variant::tuner, 4});
+  exec::run_dataflow(*make_fw_spec(c, 8), {cnc_variant::tuner, &pool});
   for (std::size_t i = 0; i < n / 2; ++i)
     for (std::size_t j = n / 2; j < n; ++j) {
       EXPECT_GE(c(i, j), kInf * 0.5);
@@ -186,31 +190,33 @@ TEST(FwCnc, DisconnectedGraphKeepsUnreachablePairsLarge) {
 TEST(FwCnc, TunerVariantsCollectEveryTileItem) {
   // With get-count GC (tuner/manual), every value-passing tile item is
   // reclaimed by its last consumer: memory drops from O(n^2 T) to O(n^2).
+  forkjoin::worker_pool pool(4);
   auto c = input(64);
   const auto tuner =
-      exec::run_dataflow(*make_fw_spec(c, 8), {cnc_variant::tuner, 4});
+      exec::run_dataflow(*make_fw_spec(c, 8), {cnc_variant::tuner, &pool});
   EXPECT_EQ(tuner.items_live_at_end, 0u);
 
   auto c2 = input(64);
   const auto manual =
-      exec::run_dataflow(*make_fw_spec(c2, 8), {cnc_variant::manual, 4});
+      exec::run_dataflow(*make_fw_spec(c2, 8), {cnc_variant::manual, &pool});
   EXPECT_EQ(manual.items_live_at_end, 0u);
 
   // Native (abort-and-re-execute) cannot use get counts: everything stays.
   auto c3 = input(64);
   const auto native =
-      exec::run_dataflow(*make_fw_spec(c3, 8), {cnc_variant::native, 4});
+      exec::run_dataflow(*make_fw_spec(c3, 8), {cnc_variant::native, &pool});
   const std::uint64_t t = 64 / 8;
   EXPECT_EQ(native.items_live_at_end, t * t * t + t * t);
 }
 
 TEST(FwCnc, AllVariantsAgreeOnLargerProblem) {
+  forkjoin::worker_pool pool(4);
   auto oracle = input(64, 11);
   auto c_native = oracle, c_tuner = oracle, c_manual = oracle;
   fw_loop_serial(oracle);
-  exec::run_dataflow(*make_fw_spec(c_native, 8), {cnc_variant::native, 4});
-  exec::run_dataflow(*make_fw_spec(c_tuner, 8), {cnc_variant::tuner, 4});
-  exec::run_dataflow(*make_fw_spec(c_manual, 8), {cnc_variant::manual, 4});
+  exec::run_dataflow(*make_fw_spec(c_native, 8), {cnc_variant::native, &pool});
+  exec::run_dataflow(*make_fw_spec(c_tuner, 8), {cnc_variant::tuner, &pool});
+  exec::run_dataflow(*make_fw_spec(c_manual, 8), {cnc_variant::manual, &pool});
   EXPECT_TRUE(oracle == c_native);
   EXPECT_TRUE(oracle == c_tuner);
   EXPECT_TRUE(oracle == c_manual);

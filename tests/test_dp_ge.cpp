@@ -111,11 +111,13 @@ class GeCncSweep
           std::tuple<std::size_t, std::size_t, cnc_variant>> {};
 
 TEST_P(GeCncSweep, CncBitIdenticalToLoop) {
+  forkjoin::worker_pool pool(4);
   const auto [n, base, variant] = GetParam();
   auto oracle = input(n);
   auto c = oracle;
   ge_loop_serial(oracle);
-  const auto info = exec::run_dataflow(*make_ge_spec(c, base), {variant, 4});
+  const auto info =
+      exec::run_dataflow(*make_ge_spec(c, base), {variant, &pool});
   EXPECT_TRUE(oracle == c)
       << "n=" << n << " base=" << base << " variant=" << to_string(variant);
 
@@ -144,11 +146,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(GeCnc, SingleTileProblem) {
   // n == base: one A task, no dependencies at all.
+  forkjoin::worker_pool pool(2);
   auto oracle = input(16);
   auto c = oracle;
   ge_loop_serial(oracle);
   const auto info =
-      exec::run_dataflow(*make_ge_spec(c, 16), {cnc_variant::native, 2});
+      exec::run_dataflow(*make_ge_spec(c, 16), {cnc_variant::native, &pool});
   EXPECT_TRUE(oracle == c);
   EXPECT_EQ(info.stats.items_put, 1u);
   EXPECT_EQ(info.stats.gets_failed, 0u);
@@ -158,9 +161,10 @@ TEST(GeCnc, NativeReportsReexecutionPressure) {
   // With several tiles and few workers, the recursive native expansion
   // must produce at least some out-of-order prescriptions. We don't
   // require aborts (scheduling may get lucky), just consistent counters.
+  forkjoin::worker_pool pool(4);
   auto c = input(64);
   const auto info =
-      exec::run_dataflow(*make_ge_spec(c, 8), {cnc_variant::native, 4});
+      exec::run_dataflow(*make_ge_spec(c, 8), {cnc_variant::native, &pool});
   EXPECT_EQ(info.stats.steps_aborted, info.stats.gets_failed);
   EXPECT_GT(info.stats.steps_executed, 0u);
 }
@@ -168,25 +172,28 @@ TEST(GeCnc, NativeReportsReexecutionPressure) {
 TEST(GeCnc, TunerVariantsCollectAllButTheFinalItem) {
   // Get-count GC: every output item is reclaimed by its last consumer;
   // only the final A output (zero consumers) remains.
+  forkjoin::worker_pool pool(4);
   for (cnc_variant v : {cnc_variant::tuner, cnc_variant::manual}) {
     auto c = input(64);
-    const auto info = exec::run_dataflow(*make_ge_spec(c, 8), {v, 4});
+    const auto info = exec::run_dataflow(*make_ge_spec(c, 8), {v, &pool});
     EXPECT_EQ(info.items_live_at_end, 1u) << to_string(v);
   }
   // Abort-and-re-execute variants cannot use get counts: all items stay.
   auto c = input(64);
   const auto native =
-      exec::run_dataflow(*make_ge_spec(c, 8), {cnc_variant::native, 4});
+      exec::run_dataflow(*make_ge_spec(c, 8), {cnc_variant::native, &pool});
   const std::uint64_t t = 64 / 8;
   EXPECT_EQ(native.items_live_at_end, (2 * t * t * t + 3 * t * t + t) / 6);
 }
 
 TEST(GeCnc, NonblockingNeverParksInstances) {
+  forkjoin::worker_pool pool(2);
   auto oracle = input(64);
   auto c = oracle;
   ge_loop_serial(oracle);
   const auto info =
-      exec::run_dataflow(*make_ge_spec(c, 8), {cnc_variant::nonblocking, 2});
+      exec::run_dataflow(*make_ge_spec(c, 8),
+                         {cnc_variant::nonblocking, &pool});
   EXPECT_TRUE(oracle == c);
   // The non-blocking protocol polls and requeues; it never parks an
   // instance on a waiter list. (Whether requeues actually occur depends on
@@ -196,12 +203,13 @@ TEST(GeCnc, NonblockingNeverParksInstances) {
 }
 
 TEST(GeCnc, LargerProblemAllVariantsAgree) {
+  forkjoin::worker_pool pool(4);
   auto oracle = input(128, 7);
   auto c_native = oracle, c_tuner = oracle, c_manual = oracle;
   ge_loop_serial(oracle);
-  exec::run_dataflow(*make_ge_spec(c_native, 16), {cnc_variant::native, 4});
-  exec::run_dataflow(*make_ge_spec(c_tuner, 16), {cnc_variant::tuner, 4});
-  exec::run_dataflow(*make_ge_spec(c_manual, 16), {cnc_variant::manual, 4});
+  exec::run_dataflow(*make_ge_spec(c_native, 16), {cnc_variant::native, &pool});
+  exec::run_dataflow(*make_ge_spec(c_tuner, 16), {cnc_variant::tuner, &pool});
+  exec::run_dataflow(*make_ge_spec(c_manual, 16), {cnc_variant::manual, &pool});
   EXPECT_TRUE(oracle == c_native);
   EXPECT_TRUE(oracle == c_tuner);
   EXPECT_TRUE(oracle == c_manual);

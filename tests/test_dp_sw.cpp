@@ -118,6 +118,7 @@ class SwCncSweep
           std::tuple<std::size_t, std::size_t, cnc_variant>> {};
 
 TEST_P(SwCncSweep, CncEqualsLoop) {
+  forkjoin::worker_pool pool(4);
   const auto [n, base, variant] = GetParam();
   const auto a = make_dna(n, 21), b = make_dna(n, 22);
   auto oracle = zero_table(n);
@@ -125,7 +126,7 @@ TEST_P(SwCncSweep, CncEqualsLoop) {
   sw_loop_serial(oracle, a, b, sw_params{});
   const auto info =
       exec::run_dataflow(*make_sw_spec(s, a, b, sw_params{}, base),
-                         {variant, 4});
+                         {variant, &pool});
   EXPECT_TRUE(oracle == s)
       << "n=" << n << " base=" << base << " variant=" << to_string(variant);
 
@@ -149,48 +150,53 @@ INSTANTIATE_TEST_SUITE_P(
                                          cnc_variant::nonblocking)));
 
 TEST(SwCnc, SingleTileProblem) {
+  forkjoin::worker_pool pool(2);
   const auto a = make_dna(16, 9), b = make_dna(16, 10);
   auto oracle = zero_table(16);
   auto s = zero_table(16);
   sw_loop_serial(oracle, a, b, sw_params{});
   const auto info =
       exec::run_dataflow(*make_sw_spec(s, a, b, sw_params{}, 16),
-                         {cnc_variant::native, 2});
+                         {cnc_variant::native, &pool});
   EXPECT_TRUE(oracle == s);
   EXPECT_EQ(info.stats.items_put, 1u);
 }
 
 TEST(SwCnc, TunerVariantsCollectAllButTheCornerItem) {
+  forkjoin::worker_pool pool(4);
   const auto a = make_dna(128, 51), b = make_dna(128, 52);
   for (cnc_variant v : {cnc_variant::tuner, cnc_variant::manual}) {
     auto s = zero_table(128);
     const auto info =
-        exec::run_dataflow(*make_sw_spec(s, a, b, sw_params{}, 16), {v, 4});
+        exec::run_dataflow(*make_sw_spec(s, a, b, sw_params{}, 16), {v, &pool});
     // Only the bottom-right tile (no consumers) survives collection.
     EXPECT_EQ(info.items_live_at_end, 1u) << to_string(v);
   }
   auto s = zero_table(128);
   const auto native =
       exec::run_dataflow(*make_sw_spec(s, a, b, sw_params{}, 16),
-                         {cnc_variant::native, 4});
+                         {cnc_variant::native, &pool});
   EXPECT_EQ(native.items_live_at_end, 64u);  // 8x8 tiles, all kept
 }
 
 TEST(SwCnc, ScoresMatchLinearSpaceScorer) {
+  forkjoin::worker_pool pool(4);
   const auto a = make_dna(128, 31), b = make_dna(128, 32);
   auto s = zero_table(128);
   exec::run_dataflow(*make_sw_spec(s, a, b, sw_params{}, 16),
-                     {cnc_variant::tuner, 4});
+                     {cnc_variant::tuner, &pool});
   EXPECT_EQ(sw_best_score(s), sw_linear_space_score(a, b, sw_params{}));
 }
 
 TEST(SwCnc, CustomScoringParameters) {
+  forkjoin::worker_pool pool(4);
   const sw_params p{/*match=*/5, /*mismatch=*/-4, /*gap=*/2};
   const auto a = make_dna(64, 41), b = make_dna(64, 42);
   auto oracle = zero_table(64);
   auto s = zero_table(64);
   sw_loop_serial(oracle, a, b, p);
-  exec::run_dataflow(*make_sw_spec(s, a, b, p, 8), {cnc_variant::manual, 4});
+  exec::run_dataflow(*make_sw_spec(s, a, b, p, 8),
+                     {cnc_variant::manual, &pool});
   EXPECT_TRUE(oracle == s);
 }
 

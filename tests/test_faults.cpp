@@ -2,11 +2,14 @@
 // a seeded middle one, and the last) must surface from every executor — as
 // the exception itself, or as a failed server response carrying its message
 // — within a bounded time, and the same pool (or server) must then run a
-// clean instance bit-exact against the serial oracle. Runs under the
+// clean instance bit-exact against the serial oracle. The executor sweep
+// includes value-passing FW, whose data-flow and prepared lowerings throw
+// through run_base_value instead of run_base. Runs under the
 // sanitizer presets (LABELS runtime), so ASan also checks that failed runs
 // free their step instances, items and task nodes.
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -48,27 +51,37 @@ std::string fault_message(std::uint64_t k) {
   return "injected fault at base task " + std::to_string(k);
 }
 
-/// Throws from the k-th run_base call (1-based, counted across threads).
-/// Every executor calls run_base exactly once per base tile, after the
-/// tile's inputs are ready, so k ranges over [1, base-task count].
+/// Throws from the k-th base-kernel call (1-based, counted across threads
+/// and across run_base/run_base_value). Every executor calls one of the two
+/// exactly once per base tile, after the tile's inputs are ready, so k
+/// ranges over [1, base-task count].
 class throwing_spec final : public test::forwarding_spec {
  public:
   throwing_spec(std::unique_ptr<recurrence> inner, std::uint64_t k)
       : forwarding_spec(std::move(inner)), k_(k) {}
 
   void run_base(const tile4& t) override {
-    if (calls_.fetch_add(1, std::memory_order_relaxed) + 1 == k_)
-      throw std::runtime_error(fault_message(k_));
+    count_call();
     inner_->run_base(t);
+  }
+  tile_value run_base_value(const tile3& t,
+                            const tile_value* deps) const override {
+    count_call();
+    return inner_->run_base_value(t, deps);
   }
 
  private:
+  void count_call() const {
+    if (calls_.fetch_add(1, std::memory_order_relaxed) + 1 == k_)
+      throw std::runtime_error(fault_message(k_));
+  }
+
   std::uint64_t k_;
-  std::atomic<std::uint64_t> calls_{0};
+  mutable std::atomic<std::uint64_t> calls_{0};
 };
 
-/// One token-passing benchmark instance: fresh() resets the table and
-/// returns a spec over it; exact() compares the table with the oracle.
+/// One benchmark instance: fresh() resets the table and returns a spec over
+/// it; exact() compares the table with the oracle.
 struct instance {
   std::string name;
   std::function<std::unique_ptr<recurrence>()> fresh;
@@ -113,6 +126,20 @@ std::vector<instance> token_instances() {
                       return make_paren_spec(c, dims, k_base);
                     }),
   };
+}
+
+/// The token instances plus value-passing FW (the executor sweep's set).
+/// FW's weights are whole numbers so every executor's order of additions
+/// gives the serial oracle's distances exactly.
+std::vector<instance> sweep_instances() {
+  std::vector<instance> out = token_instances();
+  matrix<double> graph = make_digraph(k_n, 0.3, 5, 1e9);
+  for (std::size_t i = 0; i < graph.size(); ++i)
+    graph.data()[i] = std::floor(graph.data()[i]);
+  out.push_back(
+      make_instance("FW", std::move(graph),
+                    [](matrix<double>& m) { return make_fw_spec(m, k_base); }));
+  return out;
 }
 
 /// The first, a seeded middle and the last base task of `inst`.
@@ -172,11 +199,7 @@ std::vector<executor> executors() {
                               cnc_variant::manual, cnc_variant::nonblocking}) {
     out.push_back({std::string(to_string(v)) + "_borrowed",
                    [v](recurrence& r, forkjoin::worker_pool& pool) {
-                     exec::run_dataflow(r, {v, 0, &pool});
-                   }});
-    out.push_back({std::string(to_string(v)) + "_owned",
-                   [v](recurrence& r, forkjoin::worker_pool&) {
-                     exec::run_dataflow(r, {v, k_workers});
+                     exec::run_dataflow(r, {v, &pool});
                    }});
   }
   return out;
@@ -188,7 +211,7 @@ TEST_P(FaultSweep, KernelErrorSurfacesAndThePoolStaysUsable) {
   const executor& ex = GetParam();
   forkjoin::worker_pool pool(k_workers);
   xoshiro256 gen(0xFA17);
-  for (const instance& inst : token_instances()) {
+  for (const instance& inst : sweep_instances()) {
     for (const std::uint64_t k : fault_points(inst, gen)) {
       SCOPED_TRACE(inst.name + " k=" + std::to_string(k));
       throwing_spec faulty(inst.fresh(), k);

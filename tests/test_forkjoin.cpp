@@ -262,33 +262,6 @@ TEST(WorkerPool, EnqueueGlobalRunsTasks) {
   EXPECT_EQ(sum.load(), 64);
 }
 
-TEST(WorkerPool, AffinityTasksRunOnTheirWorker) {
-  worker_pool pool(3);
-  std::atomic<int> misplaced{0};
-  std::atomic<int> done{0};
-  constexpr int kN = 90;
-  for (int i = 0; i < kN; ++i) {
-    const unsigned target = static_cast<unsigned>(i) % 3;
-    pool.enqueue_affine(target, make_task(
-        [&misplaced, &done, target] {
-          if (worker_pool::current_worker_index() !=
-              static_cast<int>(target))
-            misplaced.fetch_add(1, std::memory_order_relaxed);
-          done.fetch_add(1, std::memory_order_relaxed);
-        },
-        nullptr));
-  }
-  while (done.load(std::memory_order_acquire) < kN) std::this_thread::yield();
-  EXPECT_EQ(misplaced.load(), 0);
-}
-
-TEST(WorkerPool, AffinityIndexOutOfRangeThrows) {
-  worker_pool pool(2);
-  auto* t = make_task([] {}, nullptr);
-  EXPECT_THROW(pool.enqueue_affine(7, t), rdp::contract_error);
-  t->execute_and_destroy(t);  // avoid the leak after the rejected enqueue
-}
-
 // The "artificial dependency" microcosm (paper §III-B): with a join between
 // two stages, no stage-2 task may start before every stage-1 task finished.
 TEST(TaskGroup, JoinOrdersStagesGlobally) {
@@ -366,110 +339,6 @@ TEST(WorkerPool, FullInjectionQueueBlocksProducerInsteadOfInlining) {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   EXPECT_EQ(inline_runs.load(), 0);
   EXPECT_GT(pool.stats().overflow_retries, 0u);
-}
-
-TEST(WorkerPool, AffinityQueueOverflowStressNeverRunsInline) {
-  // Overflow the 4096-slot affinity queue of a gated worker from an
-  // external producer: the excess must spill to the injection queue (and
-  // so to the other worker), never into the producer's stack frame.
-  worker_pool pool(2);
-
-  std::atomic<bool> gate_entered{false}, release{false};
-  pool.enqueue_affine(0, make_task(
-                             [&] {
-                               gate_entered.store(true,
-                                                  std::memory_order_release);
-                               while (!release.load(std::memory_order_acquire))
-                                 std::this_thread::sleep_for(
-                                     std::chrono::microseconds(50));
-                             },
-                             nullptr));
-  while (!gate_entered.load(std::memory_order_acquire))
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-
-  constexpr int kTasks = 5000;  // > 4096: guaranteed affinity overflow
-  std::atomic<int> completed{0};
-  std::atomic<int> inline_runs{0};
-  std::atomic<bool> producing{true};
-  std::thread producer([&] {
-    const auto producer_tid = std::this_thread::get_id();
-    for (int i = 0; i < kTasks; ++i) {
-      pool.enqueue_affine(0, make_task(
-                                 [&, producer_tid] {
-                                   if (std::this_thread::get_id() ==
-                                           producer_tid &&
-                                       producing.load(
-                                           std::memory_order_acquire))
-                                     inline_runs.fetch_add(1);
-                                   completed.fetch_add(
-                                       1, std::memory_order_acq_rel);
-                                 },
-                                 nullptr));
-    }
-    producing.store(false, std::memory_order_release);
-  });
-  producer.join();  // must terminate: overflow spills to injection
-  EXPECT_EQ(inline_runs.load(), 0);
-
-  release.store(true, std::memory_order_release);
-  while (completed.load(std::memory_order_acquire) < kTasks)
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  EXPECT_EQ(inline_runs.load(), 0);
-  EXPECT_EQ(completed.load(), kTasks);
-}
-
-TEST(WorkerPool, WorkerSideAffinityOverflowFallsBackToOwnDeque) {
-  // Same overflow produced FROM a worker thread: the excess goes to the
-  // producing worker's own deque (unbounded), again never inline.
-  worker_pool pool(2);
-
-  std::atomic<bool> gate_entered{false}, release{false};
-  pool.enqueue_affine(0, make_task(
-                             [&] {
-                               gate_entered.store(true,
-                                                  std::memory_order_release);
-                               while (!release.load(std::memory_order_acquire))
-                                 std::this_thread::sleep_for(
-                                     std::chrono::microseconds(50));
-                             },
-                             nullptr));
-  while (!gate_entered.load(std::memory_order_acquire))
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-
-  constexpr int kTasks = 4200;  // > 4096
-  std::atomic<int> completed{0};
-  std::atomic<int> inline_runs{0};
-  std::atomic<bool> producing{true};
-  std::atomic<bool> produced{false};
-  // The producing task lands on worker 1 (worker 0 is gated).
-  pool.enqueue(make_task(
-      [&] {
-        const auto producer_tid = std::this_thread::get_id();
-        for (int i = 0; i < kTasks; ++i) {
-          pool.enqueue_affine(0, make_task(
-                                     [&, producer_tid] {
-                                       if (std::this_thread::get_id() ==
-                                               producer_tid &&
-                                           producing.load(
-                                               std::memory_order_acquire))
-                                         inline_runs.fetch_add(1);
-                                       completed.fetch_add(
-                                           1, std::memory_order_acq_rel);
-                                     },
-                                     nullptr));
-        }
-        producing.store(false, std::memory_order_release);
-        produced.store(true, std::memory_order_release);
-      },
-      nullptr));
-  while (!produced.load(std::memory_order_acquire))
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  EXPECT_EQ(inline_runs.load(), 0);
-
-  release.store(true, std::memory_order_release);
-  while (completed.load(std::memory_order_acquire) < kTasks)
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  EXPECT_EQ(inline_runs.load(), 0);
 }
 
 }  // namespace

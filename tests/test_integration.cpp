@@ -104,9 +104,10 @@ TEST(SharedPool, ConcurrentBenchmarksFromTwoThreads) {
     ge_ok = (m == ge_oracle);
   });
   std::thread t2([&] {
+    forkjoin::worker_pool pool(2);
     matrix<std::int32_t> s(129, 129, 0);
     exec::run_dataflow(*make_sw_spec(s, a, b, sw_params{}, 16),
-                       {cnc_variant::native, 2});
+                       {cnc_variant::native, &pool});
     sw_ok = (s == sw_oracle);
   });
   t1.join();
@@ -138,7 +139,7 @@ TEST_P(GeVariantSweep, AllSixVariantsAgreeOnRandomInstances) {
   for (cnc_variant v : {cnc_variant::native, cnc_variant::tuner,
                         cnc_variant::manual, cnc_variant::nonblocking}) {
     auto m = in;
-    exec::run_dataflow(*make_ge_spec(m, base), {v, 3});
+    exec::run_dataflow(*make_ge_spec(m, base), {v, &pool});
     EXPECT_TRUE(m == oracle) << to_string(v) << " seed=" << seed;
   }
 
@@ -163,7 +164,8 @@ TEST(Properties, GeLeavesUpperTriangularInputUnchanged) {
   exec::run_serial(*make_ge_spec(m, 16));
   EXPECT_TRUE(m == u);
   auto m2 = u;
-  exec::run_dataflow(*make_ge_spec(m2, 16), {cnc_variant::tuner, 2});
+  forkjoin::worker_pool pool(2);
+  exec::run_dataflow(*make_ge_spec(m2, 16), {cnc_variant::tuner, &pool});
   EXPECT_TRUE(m2 == u);
 }
 
@@ -178,7 +180,8 @@ TEST(Properties, FwIsIdempotent) {
   exec::run_serial(*make_fw_spec(again, 16));
   EXPECT_TRUE(again == w);
   auto cnc_again = w;
-  exec::run_dataflow(*make_fw_spec(cnc_again, 8), {cnc_variant::manual, 2});
+  forkjoin::worker_pool pool(2);
+  exec::run_dataflow(*make_fw_spec(cnc_again, 8), {cnc_variant::manual, &pool});
   EXPECT_TRUE(cnc_again == w);
 }
 
@@ -187,7 +190,8 @@ TEST(Properties, FwCompleteUnitGraph) {
   const std::size_t n = 32;
   matrix<double> w(n, n, 1.0);
   for (std::size_t i = 0; i < n; ++i) w(i, i) = 0.0;
-  exec::run_dataflow(*make_fw_spec(w, 8), {cnc_variant::native, 2});
+  forkjoin::worker_pool pool(2);
+  exec::run_dataflow(*make_fw_spec(w, 8), {cnc_variant::native, &pool});
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j)
       EXPECT_DOUBLE_EQ(w(i, j), i == j ? 0.0 : 1.0);
@@ -226,10 +230,11 @@ TEST(Properties, SwSubstringAlignsPerfectly) {
 TEST(Properties, GeIsDeterministicAcrossRepeatedParallelRuns) {
   const auto in = make_diag_dominant(64, 77);
   auto first = in;
-  exec::run_dataflow(*make_ge_spec(first, 8), {cnc_variant::native, 4});
+  forkjoin::worker_pool pool(4);
+  exec::run_dataflow(*make_ge_spec(first, 8), {cnc_variant::native, &pool});
   for (int rep = 0; rep < 3; ++rep) {
     auto m = in;
-    exec::run_dataflow(*make_ge_spec(m, 8), {cnc_variant::native, 4});
+    exec::run_dataflow(*make_ge_spec(m, 8), {cnc_variant::native, &pool});
     EXPECT_TRUE(m == first) << "rep " << rep;
   }
 }
@@ -241,7 +246,7 @@ TEST(Properties, FwCncAgreesWithForkJoinOnDenseGraph) {
   auto fj = w, df = w;
   forkjoin::worker_pool pool(3);
   exec::run_forkjoin(*make_fw_spec(fj, 16), pool);
-  exec::run_dataflow(*make_fw_spec(df, 16), {cnc_variant::nonblocking, 3});
+  exec::run_dataflow(*make_fw_spec(df, 16), {cnc_variant::nonblocking, &pool});
   EXPECT_TRUE(fj == df);
 }
 

@@ -68,8 +68,9 @@ struct dag_ctx : cnc::context<dag_ctx> {
   cnc::step_collection<dag_ctx, dag_step, std::uint32_t> steps;
   cnc::tag_collection<std::uint32_t> tags{*this, "ctrl"};
   cnc::item_collection<std::uint32_t, std::uint64_t> values{*this, "vals"};
-  dag_ctx(const random_dag& d, cnc::schedule_policy policy)
-      : cnc::context<dag_ctx>(4), dag(d),
+  dag_ctx(forkjoin::worker_pool& pool, const random_dag& d,
+          cnc::schedule_policy policy)
+      : cnc::context<dag_ctx>(pool), dag(d),
         steps(*this, "node", dag_step{}, policy) {
     tags.prescribe(steps);
   }
@@ -108,9 +109,10 @@ class RandomDagSweep : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(RandomDagSweep, CncExecutesRandomDagUnderBothPolicies) {
   const auto dag = make_random_dag(GetParam());
   const auto expected = reference_checksum(dag);
+  forkjoin::worker_pool pool(4);
   for (auto policy : {cnc::schedule_policy::spawn_immediately,
                       cnc::schedule_policy::preschedule}) {
-    dag_ctx ctx(dag, policy);
+    dag_ctx ctx(pool, dag, policy);
     // Adversarial prescription order: sinks first.
     for (std::uint32_t v = static_cast<std::uint32_t>(dag.node_count());
          v-- > 0;)

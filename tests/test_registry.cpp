@@ -177,6 +177,31 @@ TEST(RegistryShape, AdvertisesEveryBackendPerBenchmark) {
   EXPECT_NE(impl_help().find("sim:omp"), std::string::npos);
 }
 
+// Every parallel row runs on the caller's pool when it passes one, so a
+// data-flow row's steps are tasks of that pool: a row that started a pool
+// of its own would leave the caller's counters at zero.
+TEST(RegistryPool, DataflowRowsRunOnTheCallersPool) {
+  constexpr std::size_t n = 64, base = 8;
+  forkjoin::worker_pool pool(3);
+  const auto input = make_diag_dominant(n, 5);
+  auto oracle = input;
+  ge_loop_serial(oracle);
+  std::size_t rows = 0;
+  for (const variant* v : variants_for(benchmark_id::ge)) {
+    if (v->backend != backend_kind::dataflow) continue;
+    auto m = input;
+    const std::uint64_t before = pool.stats().tasks_executed;
+    const run_outcome out = v->run(*v, ge_problem(m), options_for(base, pool));
+    const std::uint64_t ran = pool.stats().tasks_executed - before;
+    EXPECT_EQ(m, oracle) << v->label;
+    // At least one pool task per base tile, and one per executed step.
+    EXPECT_GE(ran, (n / base) * (n / base)) << v->label;
+    EXPECT_GE(ran, out.info.stats.steps_executed) << v->label;
+    ++rows;
+  }
+  EXPECT_EQ(rows, 4u);
+}
+
 // serial + forkjoin + tiled + 4 dataflow modes + rway:r2 + prepared +
 // prepared:batched always apply on a power-of-two sweep point (10 rows);
 // GE/SW/FW add their 4 sim modes; rway:r4 joins whenever n/base is a power

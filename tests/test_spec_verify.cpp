@@ -513,7 +513,7 @@ TEST(SpecVerifyProperty, RandomCellsAgreeAcrossExecutionModels) {
     for (const cnc_variant v :
          {cnc_variant::native, cnc_variant::tuner, cnc_variant::nonblocking}) {
       t = fresh;
-      exec::run_dataflow(spec, {v, 3});
+      exec::run_dataflow(spec, {v, &pool});
       EXPECT_EQ(t, oracle)
           << "trial " << trial << " variant " << to_string(v);
     }

@@ -186,7 +186,9 @@ struct livelock_ctx : rdp::cnc::context<livelock_ctx> {
   rdp::cnc::tag_collection<int> tags{*this, "ctrl"};
   rdp::cnc::item_collection<int, int> data{*this, "data"};
   std::atomic<bool> release{false};
-  livelock_ctx() : context(2) { tags.prescribe(steps); }
+  explicit livelock_ctx(rdp::forkjoin::worker_pool& pool) : context(pool) {
+    tags.prescribe(steps);
+  }
 };
 int livelock_step::execute(int tag, livelock_ctx& ctx) const {
   int v = 0;
@@ -204,7 +206,8 @@ int livelock_step::execute(int tag, livelock_ctx& ctx) const {
 }
 
 TEST(Watchdog, LivelockedCncWaitProducesStallDump) {
-  livelock_ctx ctx;
+  rdp::forkjoin::worker_pool pool(2);
+  livelock_ctx ctx(pool);
   dump_log log;
   std::atomic<int> stalls{0};
 
@@ -237,7 +240,8 @@ TEST(Watchdog, LivelockedCncWaitProducesStallDump) {
 }
 
 TEST(Watchdog, HealthyCncWaitNeverDumps) {
-  livelock_ctx ctx;
+  rdp::forkjoin::worker_pool pool(2);
+  livelock_ctx ctx(pool);
   ctx.release.store(true);  // step produces immediately: no livelock
   std::atomic<int> stalls{0};
   rdp::obs::watchdog::config cfg;

@@ -132,7 +132,7 @@ TEST_P(WavefrontModels, LcsAgreesAcrossAllModels) {
   for (cnc_variant v : {cnc_variant::native, cnc_variant::tuner,
                         cnc_variant::manual, cnc_variant::nonblocking}) {
     t = boundary_table<std::int32_t>(n, n);
-    const auto info = exec::run_dataflow(spec, {v, 4});
+    const auto info = exec::run_dataflow(spec, {v, &pool});
     EXPECT_TRUE(t == loop_table) << to_string(v);
     const std::uint64_t tiles = n / base;
     EXPECT_EQ(info.stats.items_put, tiles * tiles);
@@ -169,6 +169,7 @@ TEST(Wavefront, EditDistanceHandExamples) {
 }
 
 TEST(Wavefront, EditDistanceAllModelsMatchReference) {
+  forkjoin::worker_pool pool(4);
   const std::size_t n = 64;
   const auto a = make_dna(n, 91), b = make_dna(n, 92);
   const auto expected = edit_reference(a, b);
@@ -179,7 +180,7 @@ TEST(Wavefront, EditDistanceAllModelsMatchReference) {
   EXPECT_EQ(t(n, n), expected);
 
   t = boundary_table<std::int32_t>(n, n, index_boundary, index_boundary);
-  const auto info = exec::run_dataflow(spec, {cnc_variant::tuner, 4});
+  const auto info = exec::run_dataflow(spec, {cnc_variant::tuner, &pool});
   EXPECT_EQ(t(n, n), expected);
   EXPECT_EQ(info.stats.gets_failed, 0u);
 }
@@ -187,10 +188,11 @@ TEST(Wavefront, EditDistanceAllModelsMatchReference) {
 // ------------------------ Needleman-Wunsch ---------------------------------
 
 TEST(Wavefront, GlobalAlignmentOfIdenticalSequencesIsPerfect) {
+  forkjoin::worker_pool pool(2);
   const auto a = make_dna(64, 7);
   auto t = boundary_table<std::int32_t>(64, 64, gap_boundary, gap_boundary);
   int_spec<nw_cell> spec(t, nw_cell{a, a}, 16);
-  exec::run_dataflow(spec, {cnc_variant::manual, 2});
+  exec::run_dataflow(spec, {cnc_variant::manual, &pool});
   EXPECT_EQ(t(64, 64), 2 * 64);  // all matches, no gaps
 }
 
@@ -208,6 +210,7 @@ TEST(Wavefront, GlobalVsLocalAlignmentRelationship) {
 
 TEST(Wavefront, SmithWatermanExpressedInTheFramework) {
   // The dedicated SW implementation and a cell-functor spec must agree.
+  forkjoin::worker_pool pool(4);
   const auto a = make_dna(64, 3), b = make_dna(64, 4);
   const sw_params params;
   struct sw_cell_fn {
@@ -222,7 +225,7 @@ TEST(Wavefront, SmithWatermanExpressedInTheFramework) {
   };
   auto t = boundary_table<std::int32_t>(64, 64);
   int_spec<sw_cell_fn> spec(t, sw_cell_fn{a, b, params}, 8);
-  exec::run_dataflow(spec, {cnc_variant::native, 4});
+  exec::run_dataflow(spec, {cnc_variant::native, &pool});
 
   matrix<std::int32_t> dedicated(65, 65, 0);
   sw_loop_serial(dedicated, a, b, params);
