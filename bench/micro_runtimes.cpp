@@ -3,17 +3,26 @@
 // These are the numbers that calibrate the simulator's runtime_costs: task
 // spawn/join cost of the fork-join pool, item put/get and tag-prescription
 // cost of the data-flow runtime, abort/re-execute overhead of blocking
-// gets, and the raw concurrent-container costs underneath.
+// gets, and the raw concurrent-container costs underneath — plus the cost
+// of building a spec's dependence graph (freeze, freeze_batched and the
+// priced data-flow DAG), which the prepared executor pays once per shape.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <cstdint>
+#include <memory>
+#include <string>
 
 #include "cnc/cnc.hpp"
 #include "concurrent/chase_lev_deque.hpp"
 #include "concurrent/mpmc_queue.hpp"
 #include "concurrent/striped_hash_map.hpp"
+#include "dp/dp.hpp"
+#include "exec/dag.hpp"
+#include "exec/prepared_graph.hpp"
 #include "forkjoin/task_group.hpp"
 #include "forkjoin/worker_pool.hpp"
+#include "support/rng.hpp"
 
 namespace {
 
@@ -232,6 +241,42 @@ void BM_CncChain(benchmark::State& state) {
   state.SetLabel(preschedule ? "preschedule" : "blocking-get");
 }
 BENCHMARK(BM_CncChain)->Arg(0)->Arg(1);
+
+// ---------------------------------------------------------- graph build ----
+
+// Graph construction from a spec: range(0) picks the builder (0 freeze,
+// 1 freeze_batched at 4-way chunking, 2 dataflow_dag), range(1) the shape
+// (0 SW 2048/32 — 4096 tiles, 1 GE 1024/64 — 1496 tiles). No kernel runs.
+void BM_FreezeGraph(benchmark::State& state) {
+  const bool sw = state.range(1) == 0;
+  const std::size_t n = sw ? 2048 : 1024, base = sw ? 32 : 64;
+  const std::string a = make_dna(n, 1), b = make_dna(n, 2);
+  const dp::sw_params p;
+  matrix<std::int32_t> s(sw ? n + 1 : 1, sw ? n + 1 : 1, 0);
+  matrix<double> m(sw ? 1 : n, sw ? 1 : n, 1.0);
+  const std::unique_ptr<dp::recurrence> rec =
+      sw ? dp::make_sw_spec(s, a, b, p, base) : dp::make_ge_spec(m, base);
+  for (auto _ : state) {
+    switch (state.range(0)) {
+      case 0:
+        benchmark::DoNotOptimize(exec::prepared_graph::freeze(*rec));
+        break;
+      case 1:
+        benchmark::DoNotOptimize(
+            exec::prepared_graph::freeze_batched(*rec, 4));
+        break;
+      default:
+        benchmark::DoNotOptimize(exec::dataflow_dag(*rec));
+    }
+  }
+  static const char* const builders[] = {"freeze", "freeze_batched",
+                                         "dataflow_dag"};
+  state.SetLabel(std::string(builders[state.range(0)]) +
+                 (sw ? " sw2048/32" : " ge1024/64"));
+}
+BENCHMARK(BM_FreezeGraph)
+    ->ArgsProduct({{0, 1, 2}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

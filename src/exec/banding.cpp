@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_map>
+#include <utility>
 
 #include "support/assertions.hpp"
-#include "support/small_vector.hpp"
 
 namespace rdp::exec {
 
@@ -32,51 +31,18 @@ std::int64_t raw_band_key(dp::structure_kind kind, const dp::tile4& t) {
   return 0;
 }
 
-/// Dependency-key collector: inline storage covers the O(1)-fan-in specs,
-/// wider lists (diagonal_3way) spill to the heap. The per-tile bound check
-/// is a spec-consistency guard, not a capacity limit.
-struct key_list {
-  rdp::small_vector<dp::tile3, dp::typical_dependency_arity> keys;
-  std::size_t limit;
-
-  explicit key_list(std::size_t lim) : limit(lim) {}
-  void operator()(const dp::tile3& k) {
-    RDP_REQUIRE_MSG(keys.size() < limit,
-                    "base task emits more dependency keys than the spec's "
-                    "max_dependencies() declares");
-    keys.push_back(k);
-  }
-};
-
 }  // namespace
 
-band_plan build_band_plan(dp::recurrence& rec) {
+band_plan build_band_plan(const tile_dag& dag, dp::structure_kind kind) {
   band_plan plan;
-  const std::string name = rec.name();
-  const dp::structure_kind kind = rec.structure();
-  const std::size_t max_deps = rec.max_dependencies();
-
-  // Tile set + produced-key index, in enumerate_base() order.
-  std::unordered_map<dp::tile3, std::uint32_t> tile_of;
-  auto emit = [&](const dp::tile4& tag) {
-    const dp::tile3 key{tag.i, tag.j, tag.k};
-    const auto [it, inserted] = tile_of.emplace(
-        key, static_cast<std::uint32_t>(plan.tiles.size()));
-    RDP_REQUIRE_MSG(inserted,
-                    name + ": enumerate_base emitted a tile twice");
-    plan.tiles.push_back(tag);
-  };
-  rec.enumerate_base(dp::tag_sink(emit));
-  RDP_REQUIRE_MSG(!plan.tiles.empty(),
-                  name + ": enumerate_base emitted no base tiles");
-  const auto tile_count = static_cast<std::uint32_t>(plan.tiles.size());
+  const std::uint32_t tile_count = dag.tile_count();
 
   // Dense band numbering: sparse structural keys → observed-key rank. The
   // sort order of the raw keys IS the topological order (validated below).
   std::vector<std::int64_t> raw(tile_count);
   std::vector<std::int64_t> distinct;
   for (std::uint32_t idx = 0; idx < tile_count; ++idx) {
-    raw[idx] = raw_band_key(kind, plan.tiles[idx]);
+    raw[idx] = raw_band_key(kind, dag.tags[idx]);
     distinct.push_back(raw[idx]);
   }
   std::sort(distinct.begin(), distinct.end());
@@ -103,29 +69,19 @@ band_plan build_band_plan(dp::recurrence& rec) {
       plan.members[cursor[plan.tile_band[idx]]++] = idx;
   }
 
-  // Band-level edges from the tile-level depends() walk. Every edge must
+  // Band-level edges from the tile-level dependency slots. Every edge must
   // point strictly forward — that is precisely what makes in-band tiles
   // mutually independent and one counter per band sufficient.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
   for (std::uint32_t idx = 0; idx < tile_count; ++idx) {
-    const dp::tile4& tag = plan.tiles[idx];
-    key_list deps(max_deps);
-    rec.depends({tag.i, tag.j, tag.k}, dp::dep_sink(deps));
-    for (std::size_t d = 0; d < deps.keys.size(); ++d) {
-      const auto it = tile_of.find(deps.keys[d]);
-      if (it == tile_of.end()) {
-        RDP_REQUIRE_MSG(
-            rec.value_passing(),
-            name + ": base tile depends on an item no base task produces — "
-                   "a token graph cannot seed it from the environment");
-        continue;  // environment seed: no band edge
-      }
-      const std::uint32_t from = plan.tile_band[it->second];
+    for (const std::uint32_t slot : dag.deps(idx)) {
+      if (slot >= tile_count) continue;  // environment seed: no band edge
+      const std::uint32_t from = plan.tile_band[slot];
       const std::uint32_t to = plan.tile_band[idx];
       RDP_REQUIRE_MSG(from < to,
-                      name + ": structure_kind banding disagrees with "
-                             "depends() (edge does not point to a later "
-                             "band) — spec cannot be batched");
+                      std::string(dp::to_string(kind)) +
+                          " banding disagrees with depends() (edge does not "
+                          "point to a later band) — spec cannot be batched");
       edges.emplace_back(from, to);
     }
   }
@@ -147,8 +103,6 @@ band_plan build_band_plan(dp::recurrence& rec) {
     for (const auto& [from, to] : edges) plan.succ[cursor[from]++] = to;
   }
 
-  RDP_REQUIRE_MSG(plan.in_degree[0] == 0,
-                  name + ": first band has predecessors (banding bug)");
   return plan;
 }
 

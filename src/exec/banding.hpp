@@ -3,11 +3,12 @@
 // A *band* is a maximal set of base tiles that (a) are mutually independent
 // and (b) become ready together: one pivot round's A, its B∥C band, its D
 // band (abcd specs), or one anti-diagonal (wavefront specs). The band
-// structure is derived once at lowering time from the spec's depends() and
-// structure_kind — the same information every per-tile backend rediscovers
-// on each run — and validated against the actual dependency edges, so a
-// spec whose depends() disagrees with its declared structure is rejected at
-// build instead of deadlocking.
+// structure is derived once at lowering time from the spec's
+// structure_kind and the dependency slots of its tile_dag
+// (exec::derive_tile_dag, the one dependence walk — the same information
+// every per-tile backend rediscovers on each run) and validated against
+// those edges, so a spec whose depends() disagrees with its declared
+// structure is rejected at build instead of deadlocking.
 //
 // prepared_graph::freeze_batched consumes the plan to coarsen its CSR nodes
 // from tiles to band chunks. Chunking (build_chunks) splits each band into
@@ -18,20 +19,19 @@
 #include <cstdint>
 #include <vector>
 
-#include "dp/common.hpp"
 #include "dp/spec/spec.hpp"
+#include "exec/dag.hpp"
 
 namespace rdp::exec {
 
-/// The frozen band structure of one spec instance. Tile indices refer to
-/// `tiles` (enumerate_base() emission order, same as prepared_graph and
+/// The frozen band structure of one spec instance. Tile indices are the
+/// tile_dag's (enumerate_base() emission order, same as prepared_graph and
 /// manual-CnC pre-declaration). Bands are numbered in topological order:
 /// every dependency edge goes from a lower band to a strictly higher one
 /// (validated at build), so tiles within a band are mutually independent.
 struct band_plan {
-  std::vector<dp::tile4> tiles;           // enumerate_base() order
   std::uint32_t band_count = 0;
-  std::vector<std::uint32_t> tile_band;   // band of tiles[idx]
+  std::vector<std::uint32_t> tile_band;   // band of tile idx
   std::vector<std::uint32_t> members;     // tile indices grouped by band
   std::vector<std::uint32_t> band_begin;  // into members, band_count+1
   std::vector<std::uint32_t> succ;        // band-level edges, deduped
@@ -43,10 +43,10 @@ struct band_plan {
   }
 };
 
-/// Derive the band structure from the spec. Dependency keys no enumerated
-/// tile produces must be environment seeds (value-passing specs only) —
-/// the same contract prepared_graph::freeze enforces.
-band_plan build_band_plan(dp::recurrence& rec);
+/// Derive the band structure of a walked spec whose structure_kind is
+/// `kind`. Seed slots add no edge. Throws contract_error when an edge does
+/// not point to a later band.
+band_plan build_band_plan(const tile_dag& dag, dp::structure_kind kind);
 
 /// One fused step: a contiguous run of a band's members.
 struct chunk_ref {

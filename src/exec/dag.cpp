@@ -37,65 +37,40 @@ struct base_nodes {
   }
 };
 
-/// Dense tile -> node id map over the bounding box of a spec's base tags,
-/// laid out in lexicographic (k, i, j) order. Keys outside the box (FW's
-/// k = -1 seeds) or on no tag map to k_no_node.
-class tile_index {
- public:
-  explicit tile_index(const dp::recurrence& rec) {
-    bool first = true;
-    auto grow = [&](const tile4& t) {
-      if (first) lo_ = hi_ = {t.i, t.j, t.k};
-      first = false;
-      lo_ = {std::min(lo_.i, t.i), std::min(lo_.j, t.j), std::min(lo_.k, t.k)};
-      hi_ = {std::max(hi_.i, t.i), std::max(hi_.j, t.j), std::max(hi_.k, t.k)};
-    };
-    rec.enumerate_base(dp::tag_sink(grow));
-    RDP_REQUIRE_MSG(!first, std::string(rec.name()) +
-                                ": enumerate_base emitted no base tiles");
-    ni_ = static_cast<std::size_t>(hi_.i - lo_.i + 1);
-    nj_ = static_cast<std::size_t>(hi_.j - lo_.j + 1);
-    ids_.assign(static_cast<std::size_t>(hi_.k - lo_.k + 1) * ni_ * nj_,
-                k_no_node);
-  }
-
-  node_id& at(const tile3& t) { return ids_[offset(t)]; }
-
-  /// Replace every claimed slot (any value but k_no_node) by number(tile),
-  /// visiting the tiles in (k, i, j) order.
-  template <class F>
-  void number(F&& f) {
-    std::size_t off = 0;
-    for (std::int32_t k = lo_.k; k <= hi_.k; ++k)
-      for (std::int32_t i = lo_.i; i <= hi_.i; ++i)
-        for (std::int32_t j = lo_.j; j <= hi_.j; ++j, ++off)
-          if (ids_[off] != k_no_node) ids_[off] = f(tile3{i, j, k});
-  }
-
-  node_id find(const tile3& t) const {
-    const bool inside = t.i >= lo_.i && t.i <= hi_.i && t.j >= lo_.j &&
-                        t.j <= hi_.j && t.k >= lo_.k && t.k <= hi_.k;
-    return inside ? ids_[offset(t)] : k_no_node;
-  }
-
- private:
-  std::size_t offset(const tile3& t) const {
-    return (static_cast<std::size_t>(t.k - lo_.k) * ni_ +
-            static_cast<std::size_t>(t.i - lo_.i)) *
-               nj_ +
-           static_cast<std::size_t>(t.j - lo_.j);
-  }
-
-  tile3 lo_{}, hi_{};
-  std::size_t ni_ = 0, nj_ = 0;
-  std::vector<node_id> ids_;
-};
-
 std::string key_text(const tile3& t) {
   std::string s = "(";
   s += std::to_string(t.i) + "," + std::to_string(t.j) + "," +
        std::to_string(t.k) + ")";
   return s;
+}
+
+tile3 coord(const tile4& t) { return {t.i, t.j, t.k}; }
+
+/// Refuse a dependency cycle in O(V+E): Kahn's algorithm run backwards over
+/// the dependency lists, peeling tiles no unpeeled tile depends on. A cycle
+/// (a self-loop included) is never peeled, nor is anything it depends on.
+void require_acyclic(const tile_dag& dag, const std::string& name) {
+  const std::uint32_t count = dag.tile_count();
+  std::vector<std::uint32_t> consumers(count, 0);
+  for (const std::uint32_t slot : dag.dep_slots)
+    if (slot < count) ++consumers[slot];
+  std::vector<std::uint32_t> peelable;
+  for (std::uint32_t t = 0; t < count; ++t)
+    if (consumers[t] == 0) peelable.push_back(t);
+  std::uint32_t peeled = 0;
+  while (!peelable.empty()) {
+    const std::uint32_t t = peelable.back();
+    peelable.pop_back();
+    ++peeled;
+    for (const std::uint32_t slot : dag.deps(t))
+      if (slot < count && --consumers[slot] == 0) peelable.push_back(slot);
+  }
+  RDP_REQUIRE_MSG(peeled == count,
+                  name + ": depends() forms a dependency cycle (" +
+                      std::to_string(count - peeled) + " of " +
+                      std::to_string(count) +
+                      " base tiles lie on or before it), so no executor "
+                      "could ever run them");
 }
 
 /// Series-parallel fragment: entry and exit node of a sub-DAG.
@@ -264,38 +239,79 @@ struct ge_rway_fj : fj_builder {
 
 }  // namespace
 
+tile_index::tile_index(const std::vector<tile4>& tags) {
+  RDP_ASSERT(!tags.empty());
+  lo_ = hi_ = coord(tags.front());
+  for (const tile4& t : tags) {
+    lo_ = {std::min(lo_.i, t.i), std::min(lo_.j, t.j), std::min(lo_.k, t.k)};
+    hi_ = {std::max(hi_.i, t.i), std::max(hi_.j, t.j), std::max(hi_.k, t.k)};
+  }
+  ni_ = static_cast<std::size_t>(hi_.i - lo_.i + 1);
+  nj_ = static_cast<std::size_t>(hi_.j - lo_.j + 1);
+  ids_.assign(static_cast<std::size_t>(hi_.k - lo_.k + 1) * ni_ * nj_, npos);
+}
+
+tile_dag derive_tile_dag(const dp::recurrence& rec) {
+  const std::string name = rec.name();
+  tile_dag dag;
+  auto emit = [&](const tile4& tag) { dag.tags.push_back(tag); };
+  rec.enumerate_base(dp::tag_sink(emit));
+  RDP_REQUIRE_MSG(!dag.tags.empty(),
+                  name + ": enumerate_base emitted no base tiles");
+  const std::uint32_t count = dag.tile_count();
+  dag.index = tile_index(dag.tags);
+  for (std::uint32_t t = 0; t < count; ++t) {
+    std::uint32_t& slot = dag.index.at(coord(dag.tags[t]));
+    RDP_REQUIRE_MSG(slot == tile_index::npos,
+                    name + ": enumerate_base emitted tile " +
+                        key_text(coord(dag.tags[t])) + " twice");
+    slot = t;
+  }
+
+  // One depends() walk per tile. A produced key resolves to its tile; an
+  // unproduced one is an environment seed, legal only when values pass
+  // (a token graph signals over the problem table and would deadlock).
+  const std::size_t max_deps = rec.max_dependencies();
+  const bool seeded = rec.value_passing();
+  dag.dep_begin.reserve(count + 1);
+  dag.dep_begin.push_back(0);
+  for (std::uint32_t t = 0; t < count; ++t) {
+    const tile3 c = coord(dag.tags[t]);
+    dep_list deps(max_deps);
+    rec.depends(c, dp::dep_sink(deps));
+    for (const tile3& key : deps.keys) {
+      std::uint32_t slot = dag.index.find(key);
+      if (slot == tile_index::npos) {
+        RDP_REQUIRE_MSG(seeded, name + ": base tile " + key_text(c) +
+                                    " depends on item " + key_text(key) +
+                                    " that no base task produces, and a "
+                                    "token graph cannot seed it from the "
+                                    "environment");
+        slot = dag.seed_slot
+                   .try_emplace(key, count + static_cast<std::uint32_t>(
+                                                 dag.seed_slot.size()))
+                   .first->second;
+      }
+      dag.dep_slots.push_back(slot);
+    }
+    dag.dep_begin.push_back(static_cast<std::uint32_t>(dag.dep_slots.size()));
+  }
+  require_acyclic(dag, name);
+  return dag;
+}
+
 task_graph dataflow_dag(const dp::recurrence& rec, std::size_t b) {
-  tile_index index(rec);
-  auto claim = [&](const tile4& tag) {
-    const tile3 t{tag.i, tag.j, tag.k};
-    node_id& slot = index.at(t);
-    RDP_REQUIRE_MSG(slot == k_no_node, std::string(rec.name()) +
-                                           ": enumerate_base emitted tile " +
-                                           key_text(t) + " twice");
-    slot = 0;  // claimed; numbered below
-  };
-  rec.enumerate_base(dp::tag_sink(claim));
+  const tile_dag dag = derive_tile_dag(rec);
   task_graph g;
   const base_nodes nodes{rec, b};
-  index.number([&](const tile3& t) { return nodes.add(g, t); });
-
-  const bool seeded = rec.value_passing();
-  for (node_id v = 0; v < g.node_count(); ++v) {
-    const tile3 t = g.node(v).coord;
-    auto need = [&](const tile3& key) {
-      const node_id u = index.find(key);
-      if (u != k_no_node) {
-        g.add_edge(u, v);
-        return;
-      }
-      RDP_REQUIRE_MSG(seeded, std::string(rec.name()) + ": base tile " +
-                                  key_text(t) + " depends on item " +
-                                  key_text(key) +
-                                  " that no base task produces, and a token "
-                                  "graph cannot seed it from the environment");
-    };
-    rec.depends(t, dp::dep_sink(need));
-  }
+  std::vector<node_id> node_of(dag.tile_count());
+  dag.index.for_each([&](std::uint32_t t) {
+    node_of[t] = nodes.add(g, coord(dag.tags[t]));
+  });
+  dag.index.for_each([&](std::uint32_t t) {
+    for (const std::uint32_t slot : dag.deps(t))
+      if (slot < dag.tile_count()) g.add_edge(node_of[slot], node_of[t]);
+  });
   return g;
 }
 

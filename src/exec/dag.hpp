@@ -1,12 +1,17 @@
-// Task-DAG lowerings: the two schedules the paper compares, derived from
-// the same dp::recurrence every executor backend runs. These are the DAGs
-// the discrete-event simulator (sim/experiment.hpp) prices and the
-// work/span analysis (trace::analyze_work_span) measures.
+// The one dependence walk over a dp::recurrence, and the task DAGs built
+// from it. The two schedules the paper compares are the DAGs the
+// discrete-event simulator (sim/experiment.hpp) prices and the work/span
+// analysis (trace::analyze_work_span) measures.
 //
-//   dataflow_dag — true dependencies only: one base_task node per
-//                  enumerate_base() tag, one edge per depends() key some
-//                  base task produces. These are the constraints
-//                  run_dataflow and prepared_graph enforce.
+//   derive_tile_dag — enumerate_base() once and depends() once per base
+//                  tile, into a tile_dag. The only place the spec's
+//                  dependence contract is checked, and the source of
+//                  dataflow_dag, prepared_graph's frozen CSR and the band
+//                  plan of freeze_batched (exec/banding.hpp).
+//   dataflow_dag — true dependencies only: the tile_dag renumbered into
+//                  (k, i, j) node order, one edge per dependency on a
+//                  produced key. These are the constraints run_dataflow
+//                  and prepared_graph enforce.
 //   forkjoin_dag — the split() recursion from root() as run_forkjoin
 //                  executes it: a stage with one child is inlined, a stage
 //                  with more gets a zero-work fork node and join node, and
@@ -23,17 +28,117 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
+#include <unordered_map>
+#include <vector>
 
+#include "dp/common.hpp"
 #include "dp/spec/spec.hpp"
+#include "support/assertions.hpp"
+#include "support/small_vector.hpp"
 #include "trace/task_graph.hpp"
 
 namespace rdp::exec {
 
+/// Dependency keys of one base task, in depends() order (the walk's and the
+/// CnC base step's collector). Wide lists (Paren's 2(J-I)) spill to the
+/// heap; the max_dependencies() check is a spec-consistency guard, not a
+/// capacity limit.
+struct dep_list {
+  rdp::small_vector<dp::tile3, dp::typical_dependency_arity> keys;
+  std::size_t limit;
+
+  explicit dep_list(std::size_t lim) : limit(lim) {}
+  void operator()(const dp::tile3& k) {
+    RDP_REQUIRE_MSG(keys.size() < limit,
+                    "base task emits more dependency keys than the spec's "
+                    "max_dependencies() declares");
+    keys.push_back(k);
+  }
+};
+
+/// Dense key -> tile map over the bounding box of a spec's base tags, laid
+/// out in lexicographic (k, i, j) order. Keys outside the box (FW's k = -1
+/// seeds) or on no tag map to npos.
+class tile_index {
+ public:
+  static constexpr std::uint32_t npos = 0xFFFFFFFFu;
+
+  tile_index() = default;
+  /// An index over the bounding box of `tags` (non-empty), every slot npos.
+  explicit tile_index(const std::vector<dp::tile4>& tags);
+
+  std::uint32_t& at(const dp::tile3& t) { return ids_[offset(t)]; }
+
+  std::uint32_t find(const dp::tile3& t) const {
+    const bool inside = t.i >= lo_.i && t.i <= hi_.i && t.j >= lo_.j &&
+                        t.j <= hi_.j && t.k >= lo_.k && t.k <= hi_.k;
+    return inside ? ids_[offset(t)] : npos;
+  }
+
+  /// Visit every indexed tile in (k, i, j) key order.
+  template <class F>
+  void for_each(F&& f) const {
+    for (const std::uint32_t id : ids_)
+      if (id != npos) f(id);
+  }
+
+ private:
+  std::size_t offset(const dp::tile3& t) const {
+    return (static_cast<std::size_t>(t.k - lo_.k) * ni_ +
+            static_cast<std::size_t>(t.i - lo_.i)) *
+               nj_ +
+           static_cast<std::size_t>(t.j - lo_.j);
+  }
+
+  dp::tile3 lo_{}, hi_{};
+  std::size_t ni_ = 0, nj_ = 0;
+  std::vector<std::uint32_t> ids_;
+};
+
+/// The base-tile dependence DAG of one spec instance. A tile's id is its
+/// position in enumerate_base() order (== manual-CnC pre-declaration order)
+/// and also its value slot in a prepared graph's value plane; the seed keys
+/// take the slots after the tiles, numbered by first use.
+struct tile_dag {
+  std::vector<dp::tile4> tags;           // enumerate_base() order
+  std::vector<std::uint32_t> dep_begin;  // into dep_slots, tile_count()+1
+  /// Each tile's dependencies in depends() order: a slot < tile_count() is
+  /// the producing tile, one >= tile_count() an environment seed slot.
+  std::vector<std::uint32_t> dep_slots;
+  /// Keys no base task produces (value-passing specs only) -> seed slot.
+  std::unordered_map<dp::tile3, std::uint32_t> seed_slot;
+  tile_index index;  // produced key -> tile id
+
+  std::uint32_t tile_count() const {
+    return static_cast<std::uint32_t>(tags.size());
+  }
+  /// Tile t's dependency slots, in depends() order.
+  std::span<const std::uint32_t> deps(std::uint32_t t) const {
+    return {dep_slots.data() + dep_begin[t],
+            dep_slots.data() + dep_begin[t + 1]};
+  }
+  /// Value slot of an item key: its producer tile, its seed slot, or
+  /// tile_index::npos for a key the graph never touches.
+  std::uint32_t slot_of(const dp::tile3& key) const {
+    const std::uint32_t tile = index.find(key);
+    if (tile != tile_index::npos) return tile;
+    const auto it = seed_slot.find(key);
+    return it == seed_slot.end() ? tile_index::npos : it->second;
+  }
+};
+
+/// Walk `rec` once into its tile_dag. Throws contract_error when the spec
+/// emits no base tiles or a tile twice, a tile exceeds max_dependencies(),
+/// a token spec depends on a key no base task produces, or depends()
+/// forms a cycle.
+tile_dag derive_tile_dag(const dp::recurrence& rec);
+
 /// Data-flow DAG of rec. Nodes are numbered in lexicographic (k, i, j) tag
 /// order, so pivot rounds come first and ties in the simulator's ready
-/// queue break by round. A depends() key no base task produces is an
-/// environment seed: dropped for value-passing specs, a contract_error for
-/// token specs (the contract prepared_graph::freeze enforces).
+/// queue break by round. Environment seeds get no edge; a malformed spec
+/// throws what derive_tile_dag throws.
 trace::task_graph dataflow_dag(const dp::recurrence& rec, std::size_t b = 0);
 
 /// Fork-join DAG of rec: its split() recursion with fork/join nodes.

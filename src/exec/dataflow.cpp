@@ -25,6 +25,7 @@
 
 #include "cnc/cnc.hpp"
 #include "dp/common.hpp"
+#include "exec/dag.hpp"
 #include "obs/metrics.hpp"
 #include "support/assertions.hpp"
 #include "support/small_vector.hpp"
@@ -102,26 +103,6 @@ struct df_context : cnc::context<df_context<Value>> {
 
   std::uint32_t count_for(const dp::tile3& t) const {
     return collect ? rec.consumer_count(t) : 0;
-  }
-};
-
-/// Dependency keys of one base task. Variable arity: inline storage covers
-/// the O(1)-fan-in specs, wider lists (Parenthesization's 2(J-I)) spill to
-/// the heap instead of overflowing — the bound check against the spec's
-/// declared max_dependencies() stays as a spec-consistency guard
-/// (cross-checked against the real fan-in by dp::verify_spec), no longer a
-/// capacity limit. This used to be a fixed array whose overflow silently
-/// corrupted the step's ready count in Release.
-struct dep_list {
-  rdp::small_vector<dp::tile3, dp::typical_dependency_arity> keys;
-  std::size_t limit;
-
-  explicit dep_list(std::size_t lim) : limit(lim) {}
-  void operator()(const dp::tile3& k) {
-    RDP_REQUIRE_MSG(keys.size() < limit,
-                    "base task emits more dependency keys than the spec's "
-                    "max_dependencies() declares");
-    keys.push_back(k);
   }
 };
 

@@ -1,6 +1,7 @@
 #include "exec/prepared_graph.hpp"
 
 #include <mutex>
+#include <span>
 #include <utility>
 
 #include "concurrent/backoff.hpp"
@@ -31,143 +32,55 @@ prepared_metrics_t& prepared_metrics() {
   return m;
 }
 
-/// Variable-arity dependency-key buffer (same contract as the data-flow
-/// lowering's dep_list: the spec's max_dependencies() bound is enforced as
-/// a consistency check, not trusted — and it is a bound, not a capacity;
-/// wide lists spill past the inline storage).
-struct key_list {
-  rdp::small_vector<dp::tile3, dp::typical_dependency_arity> keys;
-  std::size_t limit;
-
-  explicit key_list(std::size_t lim) : limit(lim) {}
-  void operator()(const dp::tile3& k) {
-    RDP_REQUIRE_MSG(keys.size() < limit,
-                    "base task emits more dependency keys than the spec's "
-                    "max_dependencies() declares");
-    keys.push_back(k);
-  }
-};
-
 }  // namespace
 
 // ---- freeze ----------------------------------------------------------------
 
-void prepared_graph::freeze_tiles(dp::recurrence& rec,
-                                  const std::vector<dp::tile4>& tags) {
-  name_ = rec.name();
-  n_ = rec.size();
-  base_ = rec.base();
-  value_passing_ = rec.value_passing();
-
-  const std::size_t max_deps = rec.max_dependencies();
-  RDP_REQUIRE_MSG(!tags.empty(),
-                  name_ + ": enumerate_base emitted no base tiles");
-
-  tiles_.reserve(tags.size());
-  for (const dp::tile4& tag : tags) {
-    const dp::tile3 key{tag.i, tag.j, tag.k};
-    const auto [it, inserted] =
-        slot_of_.emplace(key, static_cast<std::uint32_t>(tiles_.size()));
-    RDP_REQUIRE_MSG(inserted, name_ + ": enumerate_base emitted tile (" +
-                                  std::to_string(tag.i) + "," +
-                                  std::to_string(tag.j) + "," +
-                                  std::to_string(tag.k) + ") twice");
-    tile_rec tr;
-    tr.tag = tag;
-    tiles_.push_back(tr);
-  }
-  const auto tile_count = static_cast<std::uint32_t>(tiles_.size());
-
-  // Dependency slots: one depends() walk per tile. Keys produced by a tile
-  // resolve to its value slot; unproduced keys must be environment seeds
-  // (value-passing only).
-  for (std::uint32_t idx = 0; idx < tile_count; ++idx) {
-    tile_rec& tr = tiles_[idx];
-    const dp::tile3 coord{tr.tag.i, tr.tag.j, tr.tag.k};
-    key_list deps(max_deps);
-    rec.depends(coord, dp::dep_sink(deps));
-
-    tr.dep_begin = static_cast<std::uint32_t>(dep_slots_.size());
-    for (std::size_t d = 0; d < deps.keys.size(); ++d) {
-      const auto it = slot_of_.find(deps.keys[d]);
-      std::uint32_t slot;
-      if (it != slot_of_.end()) {
-        slot = it->second;
-      } else {
-        RDP_REQUIRE_MSG(
-            value_passing_,
-            name_ + ": base tile depends on item (" +
-                std::to_string(deps.keys[d].i) + "," +
-                std::to_string(deps.keys[d].j) + "," +
-                std::to_string(deps.keys[d].k) +
-                ") that no base task produces — a token graph cannot seed "
-                "it from the environment, so the frozen graph would "
-                "deadlock");
-        slot = tile_count + seed_slots_++;
-        slot_of_.emplace(deps.keys[d], slot);
-      }
-      dep_slots_.push_back(slot);
-    }
-    tr.dep_end = static_cast<std::uint32_t>(dep_slots_.size());
-  }
-}
+prepared_graph::prepared_graph(const dp::recurrence& rec)
+    : name_(rec.name()), n_(rec.size()), base_(rec.base()),
+      value_passing_(rec.value_passing()), dag_(derive_tile_dag(rec)) {}
 
 prepared_graph prepared_graph::freeze(dp::recurrence& rec) {
-  prepared_graph g;
-
   // Node set: enumerate_base() emission order (== the manual-CnC
   // pre-declaration order, so traces line up across backends).
-  std::vector<dp::tile4> tags;
-  auto emit = [&](const dp::tile4& tag) { tags.push_back(tag); };
-  rec.enumerate_base(dp::tag_sink(emit));
-  g.freeze_tiles(rec, tags);
-  const auto tile_count = static_cast<std::uint32_t>(g.tiles_.size());
+  prepared_graph g(rec);
+  const tile_dag& dag = g.dag_;
+  const std::uint32_t tile_count = dag.tile_count();
 
   // Unfused: one schedule node per tile (identity member lists), CSR edges
-  // straight from the recorded dependency slots.
+  // straight from the walked dependency slots. A tile with no in-graph
+  // dependency is a root; the walk refused cycles, so there is one.
   g.members_.resize(tile_count);
   g.nodes_.resize(tile_count);
-  std::vector<std::uint32_t> succ_count(tile_count, 0);
+  std::vector<std::uint32_t> cursor(tile_count, 0);  // successor counts
   for (std::uint32_t idx = 0; idx < tile_count; ++idx) {
     g.members_[idx] = idx;
     node& nd = g.nodes_[idx];
     nd.member_begin = idx;
     nd.member_end = idx + 1;
-    const tile_rec& tr = g.tiles_[idx];
-    for (std::uint32_t d = tr.dep_begin; d < tr.dep_end; ++d) {
-      const std::uint32_t slot = g.dep_slots_[d];
+    for (const std::uint32_t slot : dag.deps(idx)) {
       if (slot < tile_count) {
-        ++succ_count[slot];
+        ++cursor[slot];
         ++nd.initial_pending;
       }
     }
+    if (nd.initial_pending == 0) g.roots_.push_back(idx);
   }
 
-  // CSR successor lists: prefix sums, then a second pass over the recorded
+  // CSR successor lists: prefix sums, then a second pass over the walked
   // dependency slots. Consumers appear in node-index order per producer.
   std::uint32_t edges = 0;
   for (std::uint32_t idx = 0; idx < tile_count; ++idx) {
-    g.nodes_[idx].succ_begin = edges;
-    edges += succ_count[idx];
-    g.nodes_[idx].succ_end = edges;
+    node& nd = g.nodes_[idx];
+    nd.succ_begin = edges;
+    edges += cursor[idx];
+    nd.succ_end = edges;
+    cursor[idx] = nd.succ_begin;  // from here on: the next free entry
   }
   g.successors_.resize(edges);
-  std::vector<std::uint32_t> cursor(tile_count);
   for (std::uint32_t idx = 0; idx < tile_count; ++idx)
-    cursor[idx] = g.nodes_[idx].succ_begin;
-  for (std::uint32_t idx = 0; idx < tile_count; ++idx) {
-    const tile_rec& tr = g.tiles_[idx];
-    for (std::uint32_t d = tr.dep_begin; d < tr.dep_end; ++d) {
-      const std::uint32_t slot = g.dep_slots_[d];
+    for (const std::uint32_t slot : dag.deps(idx))
       if (slot < tile_count) g.successors_[cursor[slot]++] = idx;
-    }
-  }
-
-  for (std::uint32_t idx = 0; idx < tile_count; ++idx)
-    if (g.nodes_[idx].initial_pending == 0) g.roots_.push_back(idx);
-  RDP_REQUIRE_MSG(!g.roots_.empty(),
-                  g.name_ + ": frozen graph has no ready roots (dependency "
-                            "cycle in the spec)");
 
   prepared_metrics().freezes.add();
   return g;
@@ -175,13 +88,10 @@ prepared_graph prepared_graph::freeze(dp::recurrence& rec) {
 
 prepared_graph prepared_graph::freeze_batched(
     dp::recurrence& rec, std::uint32_t chunk_parallelism) {
-  prepared_graph g;
-
-  // The band plan's tile list IS enumerate_base order, so the value plane
-  // and slot_of_ are laid out identically to freeze() — only the schedule
-  // nodes coarsen.
-  band_plan plan = build_band_plan(rec);
-  g.freeze_tiles(rec, plan.tiles);
+  // The same walk as freeze(), so the value plane and the seed/gather
+  // lookups are laid out identically — only the schedule nodes coarsen.
+  prepared_graph g(rec);
+  band_plan plan = build_band_plan(g.dag_, rec.structure());
   const chunk_table chunks = build_chunks(plan, chunk_parallelism);
   const auto node_count = static_cast<std::uint32_t>(chunks.chunks.size());
 
@@ -231,11 +141,9 @@ prepared_graph prepared_graph::freeze_batched(
     }
   }
 
+  // Band edges point strictly forward, so band 0's chunks are roots.
   for (std::uint32_t c = 0; c < node_count; ++c)
     if (g.nodes_[c].initial_pending == 0) g.roots_.push_back(c);
-  RDP_REQUIRE_MSG(!g.roots_.empty(),
-                  g.name_ + ": frozen graph has no ready roots (dependency "
-                            "cycle in the spec)");
 
   prepared_metrics().freezes.add();
   return g;
@@ -264,12 +172,13 @@ struct prepared_execution::seed_store final : dp::value_store {
   explicit seed_store(prepared_execution& e) : ex(e) {}
 
   void put(const dp::tile3& key, dp::tile_value v) override {
-    const auto it = ex.graph_.slot_of_.find(key);
-    if (it == ex.graph_.slot_of_.end()) return;
-    RDP_REQUIRE_MSG(it->second >= ex.graph_.tiles_.size(),
+    const tile_dag& dag = ex.graph_.dag_;
+    const std::uint32_t slot = dag.slot_of(key);
+    if (slot == tile_index::npos) return;
+    RDP_REQUIRE_MSG(slot >= dag.tile_count(),
                     ex.graph_.name_ +
                         ": environment seed collides with a produced item");
-    ex.values_[it->second] = std::move(v);
+    ex.values_[slot] = std::move(v);
   }
   dp::tile_value get(const dp::tile3&) override {
     RDP_REQUIRE_MSG(false, "seed_values must not read items");
@@ -287,11 +196,11 @@ struct prepared_execution::gather_store final : dp::value_store {
     RDP_REQUIRE_MSG(false, "gather_values must not put items");
   }
   dp::tile_value get(const dp::tile3& key) override {
-    const auto it = ex.graph_.slot_of_.find(key);
-    RDP_REQUIRE_MSG(it != ex.graph_.slot_of_.end(),
+    const std::uint32_t slot = ex.graph_.dag_.slot_of(key);
+    RDP_REQUIRE_MSG(slot != tile_index::npos,
                     ex.graph_.name_ + ": gather of an item the frozen graph "
                                       "never materialised");
-    return ex.values_[it->second];
+    return ex.values_[slot];
   }
 };
 
@@ -309,7 +218,7 @@ prepared_execution::prepared_execution(const prepared_graph& graph,
     pending_[i].store(graph_.nodes_[i].initial_pending,
                       std::memory_order_relaxed);
   if (graph_.value_passing_)
-    values_.resize(graph_.tiles_.size() + graph_.seed_slots_);
+    values_.resize(graph_.tile_count() + graph_.seed_slot_count());
   remaining_.store(count, std::memory_order_relaxed);
 }
 
@@ -344,19 +253,20 @@ void prepared_execution::run_node(std::uint32_t idx) noexcept {
     try {
       for (std::uint32_t m = nd.member_begin; m < nd.member_end; ++m) {
         const std::uint32_t tile = graph_.members_[m];
-        const prepared_graph::tile_rec& tr = graph_.tiles_[tile];
+        const tile_dag& dag = graph_.dag_;
+        const dp::tile4& tag = dag.tags[tile];
         if (graph_.value_passing_) {
+          const std::span<const std::uint32_t> slots = dag.deps(tile);
           rdp::small_vector<dp::tile_value, dp::typical_dependency_arity>
               deps;
-          deps.reserve(tr.dep_end - tr.dep_begin);
-          for (std::uint32_t s = tr.dep_begin; s < tr.dep_end; ++s)
-            deps.push_back(values_[graph_.dep_slots_[s]]);
-          const dp::tile3 coord{tr.tag.i, tr.tag.j, tr.tag.k};
+          deps.reserve(slots.size());
+          for (const std::uint32_t slot : slots) deps.push_back(values_[slot]);
+          const dp::tile3 coord{tag.i, tag.j, tag.k};
           dp::tile_value out = rec_.run_base_value(coord, deps.data());
           RDP_ASSERT(out != nullptr);
           values_[tile] = std::move(out);
         } else {
-          rec_.run_base(tr.tag);
+          rec_.run_base(tag);
         }
         executed_.fetch_add(1, std::memory_order_relaxed);
         prepared_metrics().nodes_run.add();

@@ -5,14 +5,16 @@
 // run_dataflow re-expands the recursion into tags, re-hashes every item key
 // and re-parks steps on waiter lists; even the manual-CnC variant rebuilds
 // its collections per run. freeze() does that discovery exactly once —
-// walking enumerate_base() for the node set and depends() for the edges —
-// into an immutable CSR dependence DAG over base tiles:
+// the one dependence walk, exec::derive_tile_dag (exec/dag.hpp), whose
+// tile_dag the graph keeps — into an immutable CSR dependence DAG over
+// base tiles:
 //
 //   nodes        one per base tag, in enumerate_base() emission order
 //   successors_  CSR consumer lists (who to count down when a node retires)
-//   dep_slots_   per-node input value slots in depends() emission order
-//                (value-passing graphs; slot = producer node index, or a
-//                dedicated seed slot for environment-provided items)
+//   dag_         the walk itself: tags, per-tile input value slots in
+//                depends() emission order (slot = producer tile index, or a
+//                dedicated seed slot for environment-provided items) and
+//                the key -> slot lookup of the seed and gather stores
 //
 // Execution then needs no hash lookups, no tag expansion, no parking: one
 // atomic pending counter per node (re-initialised per request from the
@@ -45,11 +47,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dp/common.hpp"
 #include "dp/spec/spec.hpp"
+#include "exec/dag.hpp"
 #include "forkjoin/worker_pool.hpp"
 
 namespace rdp::exec {
@@ -59,10 +61,9 @@ class prepared_execution;
 class prepared_graph {
  public:
   /// Build the frozen graph from a spec: one node per enumerate_base() tag,
-  /// edges from depends(). Dependency keys no node produces must come from
-  /// the environment (seed_values) and are only legal for value-passing
-  /// specs — token graphs signal over the problem table, so an unproduced
-  /// token dependency is a frozen deadlock and throws contract_error.
+  /// edges from depends(). Dependency keys no node produces come from the
+  /// environment (seed_values). A spec derive_tile_dag refuses (an
+  /// unproduced key in a token spec, a cycle, ...) throws contract_error.
   static prepared_graph freeze(dp::recurrence& rec);
 
   /// Band-fused freeze (exec/banding.hpp): schedule nodes are chunks of a
@@ -86,12 +87,14 @@ class prepared_graph {
   /// freeze_batched()).
   std::size_t node_count() const noexcept { return nodes_.size(); }
   /// Base tiles the graph computes (kernel invocations per execution).
-  std::size_t tile_count() const noexcept { return tiles_.size(); }
+  std::size_t tile_count() const noexcept { return dag_.tags.size(); }
   std::size_t edge_count() const noexcept { return successors_.size(); }
   /// Nodes with no in-graph dependencies (ready immediately).
   std::size_t root_count() const noexcept { return roots_.size(); }
   /// Environment-seeded input slots (value-passing specs; 0 otherwise).
-  std::size_t seed_slot_count() const noexcept { return seed_slots_; }
+  std::size_t seed_slot_count() const noexcept {
+    return dag_.seed_slot.size();
+  }
 
   /// Whether `rec` can execute over this graph: same spec structure (name,
   /// problem size, base grain, value-passing-ness). The data plane — the
@@ -105,14 +108,7 @@ class prepared_graph {
  private:
   friend class prepared_execution;
 
-  /// One base tile: its tag and its dependency-slot range. The tile's index
-  /// is also its output slot in the per-request value plane.
-  struct tile_rec {
-    dp::tile4 tag{};
-    std::uint32_t dep_begin = 0, dep_end = 0;  // into dep_slots_
-  };
-
-  /// One schedule node: the contiguous run of tiles_ indices it executes
+  /// One schedule node: the contiguous run of tile indices it executes
   /// (via members_) and its place in the node-level dependence CSR.
   struct node {
     std::uint32_t member_begin = 0, member_end = 0;  // into members_
@@ -120,27 +116,19 @@ class prepared_graph {
     std::uint32_t initial_pending = 0;               // frozen in-degree
   };
 
-  prepared_graph() = default;
-
-  /// Shared by both freezes: fill tiles_/dep_slots_/slot_of_/seed_slots_
-  /// from `tags` (already in enumerate_base order).
-  void freeze_tiles(dp::recurrence& rec, const std::vector<dp::tile4>& tags);
+  /// Shared by both freezes: walk `rec` into dag_ and copy its identity.
+  explicit prepared_graph(const dp::recurrence& rec);
 
   std::string name_;
   std::size_t n_ = 0, base_ = 0;
   bool value_passing_ = false;
-  std::vector<tile_rec> tiles_;
+  /// The walked spec. A tile's index is also its output slot in the
+  /// per-request value plane; seed slots follow the tiles.
+  tile_dag dag_;
   std::vector<std::uint32_t> members_;  // tile indices grouped by node
   std::vector<node> nodes_;
   std::vector<std::uint32_t> successors_;
-  /// Value slot of each dependency, in depends() order: < tiles_.size() for
-  /// an in-graph producer, >= for an environment seed slot.
-  std::vector<std::uint32_t> dep_slots_;
-  std::uint32_t seed_slots_ = 0;
   std::vector<std::uint32_t> roots_;
-  /// Item key → value slot (tile outputs and seeds) — used only by the
-  /// environment-side seed/gather stores, never on the execution hot path.
-  std::unordered_map<dp::tile3, std::uint32_t> slot_of_;
 };
 
 /// One request's execution of a prepared graph: owns the per-request data

@@ -12,6 +12,7 @@
 #include "dp/dp.hpp"
 #include "dp/spec/specs.hpp"
 #include "exec/banding.hpp"
+#include "exec/dag.hpp"
 #include "exec/prepared_graph.hpp"
 #include "forkjoin/worker_pool.hpp"
 #include "support/rng.hpp"
@@ -74,8 +75,9 @@ TEST(BandPlan, SwBandsAreAntidiagonals) {
   matrix<std::int32_t> s(n + 1, n + 1, 0);
   const auto spec = make_sw_spec(s, a, b, p, base);
 
-  const exec::band_plan plan = exec::build_band_plan(*spec);
-  EXPECT_EQ(plan.tiles.size(), tiles * tiles);
+  const exec::tile_dag dag = exec::derive_tile_dag(*spec);
+  const exec::band_plan plan = exec::build_band_plan(dag, spec->structure());
+  EXPECT_EQ(dag.tile_count(), tiles * tiles);
   EXPECT_EQ(plan.band_count, 2 * tiles - 1);
   EXPECT_EQ(plan.in_degree[0], 0u);
   for (std::uint32_t d = 0; d < plan.band_count; ++d) {
@@ -104,8 +106,9 @@ TEST(BandPlan, LcsBandsMatchSwWavefrontShape) {
   matrix<std::int32_t> s(n + 1, n + 1, 0);
   const auto spec = make_lcs_spec(s, a, b, lcs_mode::lcs, base);
 
-  const exec::band_plan plan = exec::build_band_plan(*spec);
-  EXPECT_EQ(plan.tiles.size(), tiles * tiles);
+  const exec::tile_dag dag = exec::derive_tile_dag(*spec);
+  const exec::band_plan plan = exec::build_band_plan(dag, spec->structure());
+  EXPECT_EQ(dag.tile_count(), tiles * tiles);
   EXPECT_EQ(plan.band_count, 2 * tiles - 1);
   for (std::uint32_t d = 0; d < plan.band_count; ++d) {
     const std::uint32_t expect =
@@ -124,8 +127,9 @@ TEST(BandPlan, ParenBandsAreDiagonalsOfShrinkingWidth) {
   const std::vector<double> dims(n + 1, 1.0);
   const auto spec = make_paren_spec(c, dims, base);
 
-  const exec::band_plan plan = exec::build_band_plan(*spec);
-  EXPECT_EQ(plan.tiles.size(), tiles * (tiles + 1) / 2);
+  const exec::tile_dag dag = exec::derive_tile_dag(*spec);
+  const exec::band_plan plan = exec::build_band_plan(dag, spec->structure());
+  EXPECT_EQ(dag.tile_count(), tiles * (tiles + 1) / 2);
   EXPECT_EQ(plan.band_count, tiles);
   EXPECT_EQ(plan.in_degree[0], 0u);
   for (std::uint32_t d = 0; d < plan.band_count; ++d) {
@@ -134,10 +138,12 @@ TEST(BandPlan, ParenBandsAreDiagonalsOfShrinkingWidth) {
     // Band members really sit on diagonal d.
     for (std::uint32_t m = plan.band_begin[d]; m < plan.band_begin[d + 1];
          ++m) {
-      const dp::tile4& t = plan.tiles[plan.members[m]];
+      const dp::tile4& t = dag.tags[plan.members[m]];
       EXPECT_EQ(t.j - t.i, static_cast<std::int32_t>(d));
     }
-    if (d > 0) EXPECT_GT(plan.in_degree[d], 0u) << "band " << d;
+    if (d > 0) {
+      EXPECT_GT(plan.in_degree[d], 0u) << "band " << d;
+    }
   }
   // A diagonal-d tile reads every shorter diagonal 0..d-1: band d's
   // predecessor set is exactly the d earlier bands, so successor lists

@@ -27,6 +27,7 @@
 #include "exec/dag.hpp"
 #include "exec/prepared_graph.hpp"
 #include "forkjoin/worker_pool.hpp"
+#include "server/server.hpp"
 #include "support/math_utils.hpp"
 #include "support/rng.hpp"
 
@@ -216,6 +217,12 @@ TEST(SpecVerifyMutants, DuplicateBaseTagIsCaught) {
   duplicate_tag_mutant mutant(ge16());
   const verify_report r = verify_spec(mutant);
   EXPECT_TRUE(r.has(verify_failure_kind::duplicate_base_tag)) << r.summary();
+  // Every graph built from the spec refuses it too: a duplicate tile would
+  // be one node with two value slots.
+  EXPECT_THROW(exec::dataflow_dag(mutant), contract_error);
+  EXPECT_THROW(exec::prepared_graph::freeze(mutant), contract_error);
+  EXPECT_THROW(exec::prepared_graph::freeze_batched(mutant, 2),
+               contract_error);
 }
 
 /// Adds a dependency on a key nothing produces: a blocking get parks
@@ -238,6 +245,70 @@ TEST(SpecVerifyMutants, UnproducedDependencyKeyIsCaught) {
   // lowering refuses the spec, exactly as the frozen executor does.
   EXPECT_THROW(exec::dataflow_dag(mutant), contract_error);
   EXPECT_THROW(exec::prepared_graph::freeze(mutant), contract_error);
+  EXPECT_THROW(exec::prepared_graph::freeze_batched(mutant, 2),
+               contract_error);
+}
+
+/// Makes round 1's pivot tile (1,1,1) also wait on `back`: itself (a
+/// self-loop) or round 3's pivot (3,3,3), which transitively waits on
+/// (1,1,1) — a cycle across two rounds. Every tile still has its tag and
+/// some tile is still ready at the start, so only a cycle check finds it;
+/// an executor would wait forever.
+struct cycle_mutant : spec_mutant {
+  cycle_mutant(std::unique_ptr<recurrence> inner, tile3 back)
+      : spec_mutant(std::move(inner)), back_(back) {}
+  void depends(const tile3& t, const dep_sink& need) const override {
+    inner_->depends(t, need);
+    if (t == tile3{1, 1, 1}) need(back_);
+  }
+  tile3 back_;
+};
+
+void expect_cycle_refused(cycle_mutant& mutant) {
+  EXPECT_THROW(exec::dataflow_dag(mutant), contract_error);
+  EXPECT_THROW(exec::prepared_graph::freeze(mutant), contract_error);
+  EXPECT_THROW(exec::prepared_graph::freeze_batched(mutant, 2),
+               contract_error);
+  server::server_config cfg;
+  cfg.workers = 1;
+  server::batch_server srv(cfg);
+  EXPECT_THROW(srv.prepare(mutant), contract_error);
+  EXPECT_EQ(srv.graph_count(), 0u);
+}
+
+TEST(SpecVerifyMutants, SelfLoopIsRefusedByEveryGraphBuilder) {
+  cycle_mutant mutant(ge16(), {1, 1, 1});
+  expect_cycle_refused(mutant);
+}
+
+TEST(SpecVerifyMutants, TwoRoundCycleIsRefusedByEveryGraphBuilder) {
+  cycle_mutant mutant(ge16(), {3, 3, 3});
+  expect_cycle_refused(mutant);
+}
+
+/// SW 64/8 whose tile (1,0) also waits on (0,1), on the same anti-diagonal.
+/// The graph is still a DAG — the per-tile executors run it — but the
+/// wavefront banding would put producer and consumer in one band, so the
+/// band-fused freeze must refuse it.
+struct antidiagonal_mutant : spec_mutant {
+  using spec_mutant::spec_mutant;
+  void depends(const tile3& t, const dep_sink& need) const override {
+    inner_->depends(t, need);
+    if (t == tile3{1, 0, 0}) need({0, 1, 0});
+  }
+};
+
+TEST(SpecVerifyMutants, BandDisagreementIsRefusedOnlyByBandFusion) {
+  const std::size_t n = 64, base = 8;
+  const auto a = make_dna(n, 7);
+  const auto b = make_dna(n, 8);
+  const sw_params p;
+  matrix<std::int32_t> s(n + 1, n + 1, 0);
+  antidiagonal_mutant mutant(make_sw_spec(s, a, b, p, base));
+  EXPECT_NO_THROW(exec::dataflow_dag(mutant));
+  EXPECT_NO_THROW(exec::prepared_graph::freeze(mutant));
+  EXPECT_THROW(exec::prepared_graph::freeze_batched(mutant, 2),
+               contract_error);
 }
 
 /// Drops the last stage of the root's split: part of the enumerate_base set
