@@ -216,7 +216,8 @@ struct chain_ctx2 : cnc::context<chain_ctx2> {
 };
 int chain_step2::execute(int tag, chain_ctx2& ctx) const {
   int prev = 0;
-  if (tag > 0) ctx.items.get(tag - 1, prev);
+  // The data-flow executor's park: a miss returns false, no throw.
+  if (tag > 0 && !ctx.items.get_or_park(tag - 1, prev)) return 0;
   ctx.items.put(tag, prev + 1);
   return 0;
 }

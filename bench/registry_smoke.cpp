@@ -12,6 +12,13 @@
 // bench/report_compare) runs --reps timed repetitions with a fresh
 // metrics-registry window, and the result is written as a structured run
 // report. This is the producer half of the CI perf gate.
+//
+// --bench=NAME narrows both passes to one benchmark (ge, sw, fw, lcs,
+// paren), so a large shape can be checked and timed without sweeping the
+// other four.
+#include <algorithm>
+#include <cctype>
+#include <iterator>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -118,9 +125,21 @@ void smoke(benchmark_id bm, const problem_ref& prob, const run_options& opts,
 
 }  // namespace
 
+/// Case-insensitive match of a benchmark name ("" selects every benchmark).
+bool bench_selected(benchmark_id bm, const std::string& name) {
+  if (name.empty()) return true;
+  const std::string_view label = to_string(bm);
+  if (label.size() != name.size()) return false;
+  for (std::size_t i = 0; i < name.size(); ++i)
+    if (std::tolower(static_cast<unsigned char>(label[i])) !=
+        std::tolower(static_cast<unsigned char>(name[i])))
+      return false;
+  return true;
+}
+
 int main(int argc, char** argv) {
   std::int64_t n = 128, base = 8, workers = 4, reps = 3;
-  std::string report_path, measure_impls;
+  std::string report_path, measure_impls, bench;
   cli_parser cli("Variant-registry smoke check: every backend vs serial");
   cli.add_int("n", &n, "problem size (default 128)");
   cli.add_int("base", &base, "base-case size (default 8)");
@@ -134,8 +153,13 @@ int main(int argc, char** argv) {
   cli.add_string("impl", &measure_impls,
                  "comma-separated label substrings selecting which variants "
                  "the --report measurement pass times (default: all; the "
-                 "correctness sweep always covers everything, and serial is "
-                 "always measured as the --normalize anchor)");
+                 "correctness sweep always covers every row of the selected "
+                 "benchmarks, and serial is always measured as the "
+                 "--normalize anchor)");
+  cli.add_string("bench", &bench,
+                 "run only this benchmark (ge, sw, fw, lcs or paren), in "
+                 "both the correctness sweep and the measurement pass "
+                 "(default: all five)");
   try {
     if (!cli.parse(argc, argv)) return 0;
   } catch (const std::exception& e) {
@@ -144,6 +168,15 @@ int main(int argc, char** argv) {
   }
   if (reps < 1) {
     std::cerr << "--reps must be at least 1\n";
+    return 2;
+  }
+  constexpr benchmark_id kBenchmarks[] = {benchmark_id::ge, benchmark_id::sw,
+                                          benchmark_id::fw, benchmark_id::lcs,
+                                          benchmark_id::paren};
+  if (std::none_of(std::begin(kBenchmarks), std::end(kBenchmarks),
+                   [&](benchmark_id bm) { return bench_selected(bm, bench); })) {
+    std::cerr << "--bench must be one of ge, sw, fw, lcs, paren (got '"
+              << bench << "')\n";
     return 2;
   }
   if (!report_path.empty()) {
@@ -174,13 +207,13 @@ int main(int argc, char** argv) {
   obs::run_report* rep = report_path.empty() ? nullptr : &run_rep;
   const int rep_count = static_cast<int>(reps);
 
-  {
+  if (bench_selected(benchmark_id::ge, bench)) {
     auto m = make_diag_dominant(static_cast<std::size_t>(n), 1);
     const auto input = m;
     smoke(benchmark_id::ge, ge_problem(m), opts, m, [&] { m = input; },
           rep_count, rep, measure_impls);
   }
-  {
+  if (bench_selected(benchmark_id::sw, bench)) {
     const auto a = make_dna(static_cast<std::size_t>(n), 7);
     const auto b = make_dna(static_cast<std::size_t>(n), 8);
     const sw_params p;
@@ -189,7 +222,7 @@ int main(int argc, char** argv) {
           [&] { s = matrix<std::int32_t>(n + 1, n + 1, 0); }, rep_count, rep,
           measure_impls);
   }
-  {
+  if (bench_selected(benchmark_id::fw, bench)) {
     auto m = make_digraph(static_cast<std::size_t>(n), 0.3, 5, 1e9);
     for (std::size_t i = 0; i < m.size(); ++i)
       m.data()[i] = static_cast<double>(static_cast<long long>(m.data()[i]));
@@ -197,7 +230,7 @@ int main(int argc, char** argv) {
     smoke(benchmark_id::fw, fw_problem(m), opts, m, [&] { m = input; },
           rep_count, rep, measure_impls);
   }
-  {
+  if (bench_selected(benchmark_id::lcs, bench)) {
     const auto a = make_dna(static_cast<std::size_t>(n), 11);
     const auto b = make_dna(static_cast<std::size_t>(n), 12);
     matrix<std::int32_t> s(n + 1, n + 1, 0);
@@ -205,7 +238,7 @@ int main(int argc, char** argv) {
           [&] { s = matrix<std::int32_t>(n + 1, n + 1, 0); }, rep_count, rep,
           measure_impls);
   }
-  {
+  if (bench_selected(benchmark_id::paren, bench)) {
     // Integer-valued chain dimensions keep every candidate cost exact (the
     // bit-exactness gate does not depend on it — min over a fixed candidate
     // set is evaluation-order-free — but exact inputs make diffs readable).

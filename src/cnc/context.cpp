@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "cnc/step_instance.hpp"
 #include "concurrent/backoff.hpp"
 #include "obs/tracer.hpp"
 #include "support/assertions.hpp"
@@ -28,32 +27,16 @@ cnc_metrics_t& cnc_metrics() {
 
 context_base::context_base(forkjoin::worker_pool& pool) : pool_(pool) {}
 
-context_base::~context_base() {
-  // Reclaim instances that never ran because their dependencies were never
-  // produced (abandoned or deadlocked graphs). Waiter lists never delete.
-  std::scoped_lock lock(suspended_mutex_);
-  for (step_instance_base* inst : suspended_registry_) delete inst;
-  suspended_registry_.clear();
+context_base::~context_base() = default;
+
+void context_base::attach(const item_collection_base* items) {
+  std::scoped_lock lock(collections_mutex_);
+  item_collections_.push_back(items);
 }
 
-void context_base::on_suspend(step_instance_base* inst) {
-  {
-    std::scoped_lock lock(suspended_mutex_);
-    suspended_registry_.insert(inst);
-  }
-  suspended_.fetch_add(1, std::memory_order_acq_rel);
-}
-
-void context_base::on_resume(step_instance_base* inst) {
-  // Order matters for wait()'s quiescence test: make the instance visible
-  // as active *before* it stops being suspended, so (active==0 &&
-  // suspended==0) can never be observed while a resume is in flight.
-  active_.fetch_add(1, std::memory_order_acq_rel);
-  {
-    std::scoped_lock lock(suspended_mutex_);
-    suspended_registry_.erase(inst);
-  }
-  suspended_.fetch_sub(1, std::memory_order_acq_rel);
+void context_base::detach(const item_collection_base* items) {
+  std::scoped_lock lock(collections_mutex_);
+  std::erase(item_collections_, items);
 }
 
 void context_base::record_error(std::exception_ptr e) noexcept {
@@ -81,20 +64,20 @@ void context_base::dump_state(std::string& out) const {
     os << "  worker " << w.index << ": executed=" << w.executed
        << " steals=" << w.steals << " parks=" << w.parks
        << " deque~" << w.deque_depth << "\n";
-  {
-    std::scoped_lock lock(suspended_mutex_);
-    const std::size_t total = suspended_registry_.size();
-    os << "  parked step instances: " << total;
-    if (total > 0) {
-      os << " (showing up to 8)\n";
-      std::size_t shown = 0;
-      for (const step_instance_base* inst : suspended_registry_) {
-        if (shown++ == 8) break;
-        os << "    " << inst->describe() << "\n";
-      }
-    } else {
-      os << "\n";
+  const long parked = suspended_.load(std::memory_order_acquire);
+  os << "  parked step instances: " << parked;
+  if (parked > 0) {
+    constexpr std::size_t kShown = 8;
+    std::vector<std::string> names;
+    {
+      std::scoped_lock lock(collections_mutex_);
+      for (const item_collection_base* items : item_collections_)
+        items->describe_parked(names, kShown);
     }
+    os << " (showing up to " << kShown << ")\n";
+    for (const std::string& name : names) os << "    " << name << "\n";
+  } else {
+    os << "\n";
   }
   out += os.str();
 }

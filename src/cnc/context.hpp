@@ -3,7 +3,7 @@
 // A user context derives from rdp::cnc::context<Derived> (CRTP, mirroring
 // Intel CnC) and declares its step/item/tag collections as members. The base
 // runs on a worker pool the caller owns (shared with fork-join code, other
-// contexts or a batch server), tracks in-flight step instances, and
+// contexts or a batch server), counts in-flight step instances, and
 // implements wait(): help the pool until the graph quiesces, then either
 // return (all steps done) or throw unsatisfied_dependency (steps still
 // parked on items nobody produced).
@@ -14,6 +14,14 @@
 // put() can only happen from an active step or from the environment thread
 // inside wait(), so `active == 0` while the environment is quiescent is a
 // stable property: if suspended > 0 at that point the graph is deadlocked.
+//
+// The context only counts suspended instances; it holds no pointer to them.
+// A parked instance is owned by the waiter list it is parked on (see
+// step_instance.hpp), so parking and resuming touch two atomic counters and
+// one stripe lock of the item collection, and no context-wide lock. Item
+// collections register with their context when they are built, which is
+// how dump_state() finds the parked instances to name, and abandon what is
+// still parked on them when they are destroyed.
 #pragma once
 
 #include <atomic>
@@ -21,7 +29,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_set>
+#include <vector>
 
 #include "cnc/errors.hpp"
 #include "forkjoin/worker_pool.hpp"
@@ -29,8 +37,6 @@
 #include "obs/watchdog.hpp"
 
 namespace rdp::cnc {
-
-class step_instance_base;
 
 namespace detail {
 
@@ -64,6 +70,20 @@ struct context_stats {
   std::uint64_t steps_requeued = 0;  // non-blocking gets: self-requeues
 };
 
+/// What a context needs of its item collections: naming the step instances
+/// parked on their waiter lists, for stall dumps.
+class item_collection_base {
+public:
+  /// Append the distinct descriptions of waiters parked on this collection
+  /// until `names` holds `limit` entries. Takes the stripe locks one at a
+  /// time, so it is safe while steps run.
+  virtual void describe_parked(std::vector<std::string>& names,
+                               std::size_t limit) const = 0;
+
+protected:
+  ~item_collection_base() = default;
+};
+
 class context_base {
 public:
   /// Run on `pool`, which must outlive the context.
@@ -93,9 +113,10 @@ public:
   }
 
   /// Append a human-readable snapshot of the runtime state: context
-  /// counters, per-worker pool state and queue depths, and the keys of up
-  /// to eight suspended (parked) step instances. Safe to call concurrently
-  /// with running steps; used by the watchdog's stall dump.
+  /// counters, per-worker pool state and queue depths, the number of
+  /// suspended (parked) step instances and the keys of up to eight of them,
+  /// read from the item collections' waiter lists. Safe to call
+  /// concurrently with running steps; used by the watchdog's stall dump.
   void dump_state(std::string& out) const;
 
   context_stats stats() const;
@@ -121,8 +142,25 @@ public:
   void on_complete() noexcept {
     active_.fetch_sub(1, std::memory_order_acq_rel);
   }
-  void on_suspend(step_instance_base* inst);
-  void on_resume(step_instance_base* inst);
+  void on_suspend() noexcept {
+    suspended_.fetch_add(1, std::memory_order_acq_rel);
+  }
+  void on_resume() noexcept {
+    // Order matters for wait()'s quiescence test: make the instance visible
+    // as active *before* it stops being suspended, so (active==0 &&
+    // suspended==0) can never be observed while a resume is in flight.
+    active_.fetch_add(1, std::memory_order_acq_rel);
+    suspended_.fetch_sub(1, std::memory_order_acq_rel);
+  }
+  /// A suspended instance is freed without running (abandoned, or its
+  /// preschedule countdown was killed).
+  void on_discard() noexcept {
+    suspended_.fetch_sub(1, std::memory_order_acq_rel);
+  }
+
+  /// Item collections register for dump_state() while they live.
+  void attach(const item_collection_base* items);
+  void detach(const item_collection_base* items);
 
   /// Record a user-step exception; the first one is rethrown by wait().
   void record_error(std::exception_ptr e) noexcept;
@@ -171,11 +209,10 @@ private:
   std::atomic<bool> failed_{false};
   std::optional<obs::watchdog::config> watchdog_cfg_;
 
-  // Suspended instances are owned by the waiter lists; the context keeps a
-  // registry so a deadlocked or abandoned graph can still reclaim them.
-  // Mutable: dump_state() is const and reads it under the lock.
-  mutable std::mutex suspended_mutex_;
-  std::unordered_set<step_instance_base*> suspended_registry_;
+  // Touched when a collection is built or destroyed and by dump_state(),
+  // never on the park/resume path.
+  mutable std::mutex collections_mutex_;
+  std::vector<const item_collection_base*> item_collections_;
 };
 
 /// CRTP convenience mirroring Intel CnC's `CnC::context<Derived>`.

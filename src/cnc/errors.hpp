@@ -26,11 +26,14 @@ public:
 
 namespace detail {
 
-/// Control-flow signal thrown by a blocking get() whose item is not yet
-/// available. Deliberately NOT derived from std::exception so user catch
-/// blocks for ordinary errors do not swallow it. The scheduler wrapper is
-/// the only catcher: it aborts the step instance, which the failed get has
-/// already parked on the item's waiter list.
+/// Control-flow signal thrown by item_collection::get(), the throwing
+/// wrapper for hand-written steps, when its item is not yet available. The
+/// park itself needs no exception: get_or_park() parks the step and returns
+/// false, and the step returns; the data-flow executor takes that path.
+/// Deliberately NOT derived from std::exception so user catch blocks for
+/// ordinary errors do not swallow it. The scheduler wrapper is the only
+/// catcher: it aborts the step instance, which the failed get has already
+/// parked on the item's waiter list.
 struct unmet_dependency_signal {};
 
 }  // namespace detail

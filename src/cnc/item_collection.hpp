@@ -4,13 +4,20 @@
 // *dynamic single assignment* semantics — each key may be put exactly once
 // (a second put throws dsa_violation, mirroring Intel CnC's run-time check).
 //
-// get() is the blocking variant described in §II/§III-C of the paper: if the
-// item is not yet available and the caller is a step instance, the instance
-// is atomically parked on the item's waiter list and aborted; the eventual
-// put() re-triggers every parked instance. Called from the environment
-// (outside any step), get() helps the worker pool until the item appears.
+// get_or_park() is the blocking get described in §II/§III-C of the paper:
+// if the item is not yet available and the caller is a step instance, the
+// instance is atomically parked on the item's waiter list and the call
+// returns false, upon which the step must return at once (an abort); the
+// eventual put() re-triggers every parked instance. get() is the same with
+// a throw for the miss, for hand-written steps. Called from the environment
+// (outside any step), either helps the worker pool until the item appears.
+//
+// The waiter lists own what is parked on them; a collection destroyed with
+// waiters still registered abandons them (waiter::abandon), which frees
+// the step instances of a deadlocked or abandoned graph.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <sstream>
@@ -30,14 +37,25 @@
 namespace rdp::cnc {
 
 template <class Key, class Value, class Hash = std::hash<Key>>
-class item_collection {
+class item_collection final : public item_collection_base {
 public:
   using key_type = Key;
   using value_type = Value;
 
   item_collection(context_base& ctx, std::string name)
       : ctx_(ctx), name_(std::move(name)),
-        trace_name_(obs::tracer::instance().intern(name_)) {}
+        trace_name_(obs::tracer::instance().intern(name_)) {
+    ctx_.attach(this);
+  }
+
+  ~item_collection() {
+    ctx_.detach(this);
+    std::vector<waiter*> orphans;
+    map_.for_each([&](const Key&, const slot& s) {
+      orphans.insert(orphans.end(), s.waiters.begin(), s.waiters.end());
+    });
+    for (waiter* w : orphans) w->abandon();
+  }
 
   item_collection(const item_collection&) = delete;
   item_collection& operator=(const item_collection&) = delete;
@@ -73,13 +91,17 @@ public:
     for (waiter* w : to_wake) w->item_ready();
   }
 
-  /// Blocking get (CnC semantics — see file comment). Successful blocking
-  /// gets count towards the item's get_count (try_get never does).
-  void get(const Key& key, Value& out) const {
+  /// Blocking get (CnC semantics — see file comment). In a step: true and
+  /// a copy when present; otherwise parks the calling step on the item and
+  /// returns false, and the step must return at once without touching the
+  /// instance. In the environment: helps the pool until the item exists
+  /// (always true). Successful gets count towards the item's get_count
+  /// (try_get never does).
+  [[nodiscard]] bool get_or_park(const Key& key, Value& out) const {
     step_instance_base* self = step_instance_base::current();
     if (self == nullptr) {
       environment_get(key, out);
-      return;
+      return true;
     }
     bool found = false;
     bool erase_after = false;
@@ -91,9 +113,8 @@ public:
           erase_after = true;  // last declared consumer: collect the item
         return;
       }
-      // Park-then-abort, atomically w.r.t. put() on the same stripe.
-      self->ctx().on_suspend(self);
-      s.waiters.push_back(self);
+      // Park, atomically w.r.t. put() on the same stripe.
+      self->park_on(s.waiters);
     });
     if (found) {
       if (erase_after) {
@@ -103,13 +124,19 @@ public:
       ctx_.metrics().gets_ok.fetch_add(1, std::memory_order_relaxed);
       detail::cnc_metrics().gets_ok.add();
       RDP_TRACE_EVENT(obs::event_kind::item_get, trace_name_, Hash{}(key), 0);
-      return;
+      return true;
     }
     ctx_.metrics().gets_failed.fetch_add(1, std::memory_order_relaxed);
     detail::cnc_metrics().gets_failed.add();
     RDP_TRACE_EVENT(obs::event_kind::item_get_miss, trace_name_, Hash{}(key),
                     0);
-    throw detail::unmet_dependency_signal{};
+    return false;
+  }
+
+  /// get_or_park() for hand-written steps: a miss parks the step and
+  /// unwinds it with detail::unmet_dependency_signal.
+  void get(const Key& key, Value& out) const {
+    if (!get_or_park(key, out)) throw detail::unmet_dependency_signal{};
   }
 
   /// Non-blocking get: true and a copy when present, false otherwise.
@@ -151,6 +178,18 @@ public:
       }
     });
     return present;
+  }
+
+  void describe_parked(std::vector<std::string>& names,
+                       std::size_t limit) const override {
+    map_.for_each([&](const Key&, const slot& s) {
+      for (const waiter* w : s.waiters) {
+        if (names.size() >= limit) return;
+        std::string name = w->describe();
+        if (std::find(names.begin(), names.end(), name) == names.end())
+          names.push_back(std::move(name));
+      }
+    });
   }
 
 private:

@@ -15,7 +15,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -30,12 +29,13 @@
 namespace rdp::cnc {
 
 /// Collects the declared dependencies of a step instance (preschedule
-/// tuner). require() registers on the item's waiter list immediately using
-/// an increment-then-register protocol, so concurrent puts are safe.
+/// tuner). require() registers the instance's countdown on the item's
+/// waiter list immediately using an increment-then-register protocol, so
+/// concurrent puts are safe.
 class dependency_collector {
 public:
-  dependency_collector(std::atomic<long>& remaining, waiter& w)
-      : remaining_(remaining), waiter_(w) {}
+  explicit dependency_collector(detail::preschedule_countdown& countdown)
+      : countdown_(countdown) {}
 
   dependency_collector(const dependency_collector&) = delete;
   dependency_collector& operator=(const dependency_collector&) = delete;
@@ -45,10 +45,12 @@ public:
   template <class ItemCollection>
   void require(ItemCollection& items,
                const typename ItemCollection::key_type& key) {
-    remaining_.fetch_add(1, std::memory_order_acq_rel);
-    if (items.present_or_register(key, &waiter_)) {
-      // Already available: undo the provisional count.
-      remaining_.fetch_sub(1, std::memory_order_acq_rel);
+    std::atomic<long>& remaining = countdown_.remaining();
+    remaining.fetch_add(1, std::memory_order_acq_rel);
+    if (items.present_or_register(key, &countdown_)) {
+      // Already available: undo the provisional count (the arming guard
+      // keeps it from reaching zero here).
+      remaining.fetch_sub(1, std::memory_order_acq_rel);
     } else {
       ++absent_;
     }
@@ -58,8 +60,7 @@ public:
   long absent() const noexcept { return absent_; }
 
 private:
-  std::atomic<long>& remaining_;
-  waiter& waiter_;
+  detail::preschedule_countdown& countdown_;
   long absent_ = 0;
 };
 
@@ -71,31 +72,6 @@ concept declares_dependencies =
     requires(const Step s, const Tag& t, Ctx& c, dependency_collector& dc) {
       s.depends(t, c, dc);
     };
-
-/// Countdown that fires a parked step instance when every declared
-/// dependency has been produced. Owned by that instance.
-class preschedule_countdown final : public waiter {
-public:
-  explicit preschedule_countdown(step_instance_base& inst) : inst_(inst) {}
-
-  std::atomic<long>& remaining() noexcept { return remaining_; }
-
-  void item_ready() override { release(); }
-
-  /// Called after depends() finished declaring; drops the arming guard.
-  void finish_arming() { release(); }
-
-private:
-  void release() {
-    // The dispatched instance may run and delete itself, and this
-    // countdown with it, before the call returns: touch no member after it.
-    if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1)
-      inst_.dispatch_prescheduled();  // resume accounting + first dispatch
-  }
-
-  std::atomic<long> remaining_{1};  // arming guard
-  step_instance_base& inst_;
-};
 
 /// Concrete dynamic instance binding (step functor, tag, typed context).
 /// `collection_name` must outlive the instance (it points at the owning
@@ -151,19 +127,26 @@ public:
                                                                  tag, name_);
     if (policy_ == schedule_policy::preschedule) {
       if constexpr (detail::declares_dependencies<Step, Tag, Ctx>) {
-        auto* cd = new detail::preschedule_countdown(*inst);
-        inst->own_countdown(std::unique_ptr<waiter>(cd));
+        detail::preschedule_countdown& cd = inst->countdown();
         // The instance starts out parked: it becomes active only when the
         // countdown fires (possibly during depends() below).
-        ctx_.on_suspend(inst);
-        dependency_collector dc(cd->remaining(), *cd);
-        step_.depends(tag, ctx_, dc);
+        ctx_.on_suspend();
+        dependency_collector dc(cd);
+        try {
+          step_.depends(tag, ctx_, dc);
+        } catch (...) {
+          // Never dispatch a step whose declaration failed. The dead
+          // countdown frees the instance when its last registration is
+          // released, by a put or by the collection's destruction.
+          cd.kill();
+          throw;
+        }
         if (dc.absent() > 0) {
           ctx_.metrics().deferrals.fetch_add(1, std::memory_order_relaxed);
           RDP_TRACE_EVENT(obs::event_kind::preschedule_defer, trace_name_,
                           static_cast<std::uint64_t>(dc.absent()), 0);
         }
-        cd->finish_arming();
+        cd.finish_arming();
         return;
       } else {
         RDP_REQUIRE_MSG(false,

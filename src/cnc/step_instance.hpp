@@ -4,18 +4,33 @@
 // collection. Its lifecycle:
 //
 //   prescribed ──schedule──▶ active ──run──▶ done (deleted)
-//                    ▲                 │ unmet get
+//                    ▲                 │ unmet get_or_park
 //                    │                 ▼
 //                 resumed ◀──put── suspended (owned by item waiter list)
+//                                      │ collection destroyed first
+//                                      ▼
+//                                  abandoned (deleted)
 //
-// Re-execution restarts the step body from the top (Intel CnC semantics);
-// gets that previously succeeded simply succeed again from the hash map.
+// A suspended instance belongs to the waiter list it is parked on; nothing
+// else points at it. The put that produces the item resumes it, and an item
+// collection destroyed with it still parked deletes it (waiter::abandon),
+// which is how a deadlocked or abandoned graph is reclaimed. A prescheduled
+// instance is suspended from prescription on, owned jointly by the waiter
+// lists its embedded countdown is registered on: the last registration to
+// be released dispatches it, or frees it if the countdown was killed.
+//
+// An unmet get parks the instance and returns false; the step returns at
+// once and execute_wrapper() learns of the park from a thread-local flag,
+// with no C++ exception on the way. Re-execution restarts the step body
+// from the top (Intel CnC semantics); gets that previously succeeded simply
+// succeed again from the hash map.
 #pragma once
 
+#include <atomic>
 #include <exception>
-#include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "cnc/context.hpp"
 #include "cnc/errors.hpp"
@@ -24,9 +39,53 @@
 
 namespace rdp::cnc {
 
+class step_instance_base;
+
+namespace detail {
+
+/// Gate of a prescheduled instance's first dispatch (preschedule tuner),
+/// embedded in that instance. It counts one per declared dependency absent
+/// at declaration time, plus an arming guard held while depends() runs,
+/// and is registered on the waiter list of every absent item. The last
+/// release dispatches the instance, or frees it when the countdown is dead:
+/// depends() threw, or a collection holding a registration was destroyed
+/// before its item was put.
+class preschedule_countdown final : public waiter {
+public:
+  explicit preschedule_countdown(step_instance_base& owner) noexcept
+      : owner_(owner) {}
+
+  std::atomic<long>& remaining() noexcept { return remaining_; }
+
+  void item_ready() override { release(); }
+  void abandon() noexcept override { kill(); }
+  std::string describe() const override;
+
+  /// Called after depends() finished declaring; drops the arming guard.
+  void finish_arming() { release(); }
+
+  /// The instance must never run: mark the countdown dead and drop one
+  /// count (the arming guard when depends() threw, a registration when it
+  /// is abandoned).
+  void kill() noexcept {
+    dead_.store(true, std::memory_order_relaxed);
+    release();
+  }
+
+private:
+  void release();
+
+  std::atomic<long> remaining_{1};  // arming guard
+  std::atomic<bool> dead_{false};
+  step_instance_base& owner_;
+};
+
+}  // namespace detail
+
 class step_instance_base : public waiter {
 public:
-  explicit step_instance_base(context_base& ctx) : ctx_(ctx) {}
+  explicit step_instance_base(context_base& ctx)
+      : ctx_(ctx), countdown_(*this) {}
 
   /// The step instance currently executing on this thread (nullptr outside
   /// step bodies, e.g. in the environment). Blocking gets consult this to
@@ -48,40 +107,50 @@ public:
     ctx_.schedule_global([this] { this->execute_wrapper(); });
   }
 
-  /// One-line identification for stall dumps ("<collection>(tag)"). Called
-  /// by context_base::dump_state() under the suspended-registry lock, so a
-  /// parked instance cannot be resumed-and-deleted mid-call.
-  virtual std::string describe() const { return "<step instance>"; }
+  /// Fallback stall-dump line; typed instances print "<collection>(tag)".
+  std::string describe() const override { return "<step instance>"; }
+
+  /// Park this instance, the one running on the calling thread, on an
+  /// item's `waiters` (called under that item's stripe lock). From here
+  /// the waiter list owns the instance: the step must return at once and
+  /// not touch it again.
+  void park_on(std::vector<waiter*>& waiters);
 
   /// waiter: an item this instance was parked on became available. The
   /// instance will re-run its body from the top (a re-execution).
   /// on_resume() already moves the instance from "suspended" to "active".
   void item_ready() final {
-    ctx_.on_resume(this);
+    ctx_.on_resume();
     RDP_TRACE_EVENT(obs::event_kind::step_resume, 0,
                     reinterpret_cast<std::uintptr_t>(this), 0);
     enqueue();
   }
 
+  /// waiter: parked on an item that will never be put. Never runs again.
+  void abandon() noexcept final { discard(); }
+
   /// First dispatch of a prescheduled instance whose declared dependencies
   /// all became available. Same accounting as item_ready(), but NOT a
   /// re-execution — the body has never run — so no step_resume event.
   void dispatch_prescheduled() {
-    ctx_.on_resume(this);
+    ctx_.on_resume();
     enqueue();
   }
 
-  /// Take ownership of the countdown gating this instance's first dispatch
-  /// (preschedule tuner). An instance whose inputs never arrive (a failed
-  /// or deadlocked graph) is reclaimed by its context, and its countdown,
-  /// still parked on item waiter lists, must go with it.
-  void own_countdown(std::unique_ptr<waiter> countdown) noexcept {
-    countdown_ = std::move(countdown);
+  /// Free a suspended instance that will never run.
+  void discard() noexcept {
+    ctx_.on_discard();
+    delete this;
   }
 
+  /// The countdown gating this instance's first dispatch (preschedule
+  /// tuner only; unused by native instances).
+  detail::preschedule_countdown& countdown() noexcept { return countdown_; }
+
 protected:
-  /// Runs the user step body once. Throws detail::unmet_dependency_signal
-  /// if a blocking get failed (after parking `this` on the waiter list).
+  /// Runs the user step body once. Returns early after an unmet
+  /// get_or_park (or throws detail::unmet_dependency_signal from get());
+  /// either way park_on() has already handed `this` to a waiter list.
   virtual void run_body() = 0;
 
 private:
@@ -91,7 +160,23 @@ private:
   void execute_wrapper() noexcept;
 
   context_base& ctx_;
-  std::unique_ptr<waiter> countdown_;
+  detail::preschedule_countdown countdown_;
 };
+
+inline std::string detail::preschedule_countdown::describe() const {
+  return owner_.describe();
+}
+
+inline void detail::preschedule_countdown::release() {
+  // The last release hands the instance on, and dispatch may run and delete
+  // it, this countdown with it, before the call returns: touch no member
+  // after it. Every earlier release happens-before the last one (they form
+  // one read-modify-write chain), so a kill() by any of them is seen here.
+  if (remaining_.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  if (dead_.load(std::memory_order_relaxed))
+    owner_.discard();
+  else
+    owner_.dispatch_prescheduled();  // resume accounting + first dispatch
+}
 
 }  // namespace rdp::cnc

@@ -141,8 +141,10 @@ int df_step<Ctx>::execute(const dp::tile4& t, Ctx& ctx) const {
       return 0;
     }
   } else {
+    // A miss parks this instance on the item (native: it re-executes from
+    // the top when the item is put) and the step returns at once.
     for (std::size_t d = 0; d < deps.keys.size(); ++d)
-      ctx.items.get(deps.keys[d], vals[d]);
+      if (!ctx.items.get_or_park(deps.keys[d], vals[d])) return 0;
   }
 
   // Counted here — after the nonblocking readiness check and any blocking

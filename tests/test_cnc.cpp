@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bounded_wait.hpp"
 #include "cnc/cnc.hpp"
@@ -196,8 +197,8 @@ TEST(Cnc, QuiescedGraphWithParkedStepsReportsDeadlock) {
   stuck_ctx ctx(pool);
   ctx.tags.put(0);
   EXPECT_THROW(ctx.wait(), unsatisfied_dependency);
-  // The suspended instance is reclaimed by the context destructor (checked
-  // implicitly by ASAN-less leak hygiene; here we just ensure no crash).
+  // The parked instance is freed when its item collection is destroyed
+  // (Cnc.DestroyedContextReclaimsEveryParkedInstance counts that).
 }
 
 TEST(Cnc, DeadlockReportCountsParkedInstances) {
@@ -387,8 +388,9 @@ TEST_P(CncDiamond, ComputesFanInUnderBothPolicies) {
   int v = 0;
   ctx.data.get('d', v);
   EXPECT_EQ(v, (1 + 10) + (1 + 100));
-  if (GetParam() == schedule_policy::preschedule)
+  if (GetParam() == schedule_policy::preschedule) {
     EXPECT_EQ(ctx.stats().gets_failed, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, CncDiamond,
@@ -870,6 +872,176 @@ TEST(Cnc, ConcurrentConsumersReclaimEveryGetCountItem) {
   EXPECT_EQ(ctx.stats().gets_ok, consumers * items);
   EXPECT_EQ(ctx.stats().gets_failed, 0u);  // prescheduled: no aborts
   EXPECT_EQ(ctx.data.size(), 0u);  // every item reclaimed by its last get
+}
+
+// ------------------------------------------------- throw-free parking ----
+// A hand-written step using get_or_park directly: a miss parks the step and
+// returns false, and the step returns. Native semantics are unchanged — an
+// aborted step re-executes from the top once its item is put.
+
+struct park_ctx;
+struct park_step {
+  int execute(int tag, park_ctx& ctx) const;
+};
+struct park_ctx : context<park_ctx> {
+  step_collection<park_ctx, park_step, int> steps{*this, "park"};
+  tag_collection<int> tags{*this, "ctrl"};
+  item_collection<int, int> values{*this, "values"};
+  explicit park_ctx(worker_pool& pool) : context(pool) {
+    tags.prescribe(steps);
+  }
+};
+int park_step::execute(int tag, park_ctx& ctx) const {
+  int prev = 0;
+  if (tag > 0 && !ctx.values.get_or_park(tag - 1, prev)) return 0;
+  ctx.values.put(tag, prev + 1);
+  return 0;
+}
+
+TEST(Cnc, GetOrParkMissReturnsAndReexecutes) {
+  worker_pool pool(2);
+  park_ctx ctx(pool);
+  constexpr int kN = 32;
+  for (int i = kN - 1; i >= 0; --i) ctx.tags.put(i);  // consumers first
+  ctx.wait();
+  int v = 0;
+  ctx.values.get(kN - 1, v);
+  EXPECT_EQ(v, kN);
+  const auto s = ctx.stats();
+  EXPECT_EQ(s.steps_executed, static_cast<std::uint64_t>(kN));
+  EXPECT_GT(s.steps_aborted, 0u);
+  EXPECT_EQ(s.steps_aborted, s.gets_failed);
+  EXPECT_EQ(ctx.suspended_count(), 0);
+}
+
+// ---------------------------------------------- a depends() that throws ----
+// Tag 0's step prescribes tag 1, whose depends() registers on the absent
+// item 7 and then throws. The error surfaces at wait(), and the step of
+// tag 1 never runs, not even once item 7 is put: its countdown is dead.
+
+struct baddep_ctx;
+struct baddep_step {
+  int execute(int tag, baddep_ctx& ctx) const;
+  void depends(int tag, baddep_ctx& ctx, dependency_collector& dc) const;
+};
+struct baddep_ctx : context<baddep_ctx> {
+  std::atomic<int> consumer_runs{0};
+  step_collection<baddep_ctx, baddep_step, int> steps{
+      *this, "baddep", baddep_step{}, schedule_policy::preschedule};
+  tag_collection<int> tags{*this, "ctrl"};
+  item_collection<int, int> data{*this, "data"};
+  explicit baddep_ctx(worker_pool& pool) : context(pool) {
+    tags.prescribe(steps);
+  }
+};
+int baddep_step::execute(int tag, baddep_ctx& ctx) const {
+  if (tag == 0) {
+    ctx.tags.put(1);  // depends(1) throws through this put
+  } else {
+    ctx.consumer_runs.fetch_add(1, std::memory_order_relaxed);
+  }
+  return 0;
+}
+void baddep_step::depends(int tag, baddep_ctx& ctx,
+                          dependency_collector& dc) const {
+  if (tag == 0) return;
+  dc.require(ctx.data, 7);  // absent: registers the countdown
+  throw std::runtime_error("bad declaration");
+}
+
+TEST(Cnc, ThrowingDependsNeverDispatchesItsStep) {
+  worker_pool pool(2);
+  baddep_ctx ctx(pool);
+  ctx.tags.put(0);
+  try {
+    ctx.wait();
+    FAIL() << "wait must rethrow the depends() error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "bad declaration");
+  }
+  // The dead countdown still holds its registration on item 7; putting the
+  // item releases it, which frees the instance instead of dispatching it.
+  ctx.data.put(7, 70);
+  ctx.wait();  // nothing parked, nothing failed
+  EXPECT_EQ(ctx.consumer_runs.load(), 0);
+  EXPECT_EQ(ctx.suspended_count(), 0);
+  EXPECT_EQ(ctx.active_count(), 0);
+  EXPECT_EQ(ctx.stats().steps_executed, 0u);  // tag 0's step failed too
+}
+
+// ------------------------------------------- reclaiming an abandoned graph ----
+// The waiter lists own what is parked on them: a context destroyed with
+// native instances parked and tuner countdowns partly satisfied must free
+// every instance. The tag type counts its live copies, and each instance
+// holds one, so a leaked instance shows up here as well as under LSan.
+
+std::atomic<int> g_live_tags{0};
+
+struct live_tag {
+  int id;
+  explicit live_tag(int i) : id(i) { g_live_tags.fetch_add(1); }
+  live_tag(const live_tag& other) : id(other.id) { g_live_tags.fetch_add(1); }
+  live_tag& operator=(const live_tag&) = default;
+  ~live_tag() { g_live_tags.fetch_sub(1); }
+  bool operator==(const live_tag& other) const { return id == other.id; }
+};
+struct live_tag_hash {
+  std::size_t operator()(const live_tag& t) const {
+    return std::hash<int>{}(t.id);
+  }
+};
+
+struct orphan_ctx;
+struct orphan_step {
+  int execute(const live_tag& tag, orphan_ctx& ctx) const;
+  void depends(const live_tag& tag, orphan_ctx& ctx,
+               dependency_collector& dc) const;
+};
+struct orphan_ctx : context<orphan_ctx> {
+  step_collection<orphan_ctx, orphan_step, live_tag> native{*this, "native"};
+  step_collection<orphan_ctx, orphan_step, live_tag> tuned{
+      *this, "tuned", orphan_step{}, schedule_policy::preschedule};
+  tag_collection<live_tag, live_tag_hash> native_tags{*this, "native_ctrl",
+                                                      false};
+  tag_collection<live_tag, live_tag_hash> tuned_tags{*this, "tuned_ctrl",
+                                                     false};
+  item_collection<int, int> given{*this, "given"};
+  item_collection<int, int> missing{*this, "missing"};
+  explicit orphan_ctx(worker_pool& pool) : context(pool) {
+    native_tags.prescribe(native);
+    tuned_tags.prescribe(tuned);
+  }
+};
+int orphan_step::execute(const live_tag& tag, orphan_ctx& ctx) const {
+  int a = 0, b = 0;
+  ctx.given.get(tag.id, a);
+  ctx.missing.get(tag.id, b);  // never produced
+  return 0;
+}
+void orphan_step::depends(const live_tag& tag, orphan_ctx& ctx,
+                          dependency_collector& dc) const {
+  dc.require(ctx.given, tag.id);
+  dc.require(ctx.missing, tag.id);
+}
+
+TEST(Cnc, DestroyedContextReclaimsEveryParkedInstance) {
+  constexpr int kTags = 8;
+  worker_pool pool(2);
+  {
+    orphan_ctx ctx(pool);
+    // Half the `given` items exist before the tags, half arrive after, so
+    // some countdowns register on both collections and lose one count.
+    for (int id = 0; id < kTags / 2; ++id) ctx.given.put(id, id);
+    for (int id = 0; id < kTags; ++id) {
+      ctx.native_tags.put(live_tag(id));
+      ctx.tuned_tags.put(live_tag(id));
+    }
+    for (int id = kTags / 2; id < kTags; ++id) ctx.given.put(id, id);
+    EXPECT_THROW(ctx.wait(), unsatisfied_dependency);
+    EXPECT_EQ(ctx.suspended_count(), 2 * kTags);
+    EXPECT_EQ(g_live_tags.load(), 2 * kTags);  // one per parked instance
+  }
+  EXPECT_EQ(g_live_tags.load(), 0);
 }
 
 }  // namespace

@@ -139,8 +139,9 @@ TEST_P(FwCncSweep, CncEqualsLoop) {
     EXPECT_EQ(info.stats.gets_failed, 0u);
     EXPECT_EQ(info.stats.steps_aborted, 0u);
   }
-  if (variant == cnc_variant::manual)
+  if (variant == cnc_variant::manual) {
     EXPECT_EQ(info.stats.steps_prescribed, t * t * t);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

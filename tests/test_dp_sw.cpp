@@ -136,8 +136,9 @@ TEST_P(SwCncSweep, CncEqualsLoop) {
     EXPECT_EQ(info.stats.gets_failed, 0u);
     EXPECT_EQ(info.stats.steps_aborted, 0u);
   }
-  if (variant == cnc_variant::manual)
+  if (variant == cnc_variant::manual) {
     EXPECT_EQ(info.stats.steps_prescribed, t * t);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

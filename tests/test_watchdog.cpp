@@ -180,16 +180,30 @@ struct livelock_ctx;
 struct livelock_step {
   int execute(int tag, livelock_ctx& ctx) const;
 };
+/// Parks on an item of `never`, which no step produces.
+struct stuck_step {
+  int execute(int tag, livelock_ctx& ctx) const;
+};
 struct livelock_ctx : rdp::cnc::context<livelock_ctx> {
   rdp::cnc::step_collection<livelock_ctx, livelock_step, int> steps{
       *this, "poll"};
+  rdp::cnc::step_collection<livelock_ctx, stuck_step, int> stuck_steps{
+      *this, "stuck"};
   rdp::cnc::tag_collection<int> tags{*this, "ctrl"};
+  rdp::cnc::tag_collection<int> stuck_tags{*this, "stuck_ctrl"};
   rdp::cnc::item_collection<int, int> data{*this, "data"};
+  rdp::cnc::item_collection<int, int> never{*this, "never"};
   std::atomic<bool> release{false};
   explicit livelock_ctx(rdp::forkjoin::worker_pool& pool) : context(pool) {
     tags.prescribe(steps);
+    stuck_tags.prescribe(stuck_steps);
   }
 };
+int stuck_step::execute(int tag, livelock_ctx& ctx) const {
+  int v = 0;
+  ctx.never.get(tag, v);
+  return 0;
+}
 int livelock_step::execute(int tag, livelock_ctx& ctx) const {
   int v = 0;
   if (!ctx.data.try_get(tag, v)) {
@@ -237,6 +251,34 @@ TEST(Watchdog, LivelockedCncWaitProducesStallDump) {
   EXPECT_NE(dump.find("context: active="), std::string::npos);
   EXPECT_NE(dump.find("pool: ready~"), std::string::npos);
   EXPECT_NE(dump.find("parked step instances:"), std::string::npos);
+}
+
+// The dump names parked instances, which it reads from the item
+// collections' waiter lists: a step parked on a never-produced key next to
+// the livelock shows up as "<collection>(key)".
+TEST(Watchdog, StallDumpNamesParkedInstance) {
+  rdp::forkjoin::worker_pool pool(2);
+  livelock_ctx ctx(pool);
+  dump_log log;
+  rdp::obs::watchdog::config cfg;
+  cfg.period = 20ms;
+  cfg.stall_periods = 2;
+  cfg.on_stall = [&](const std::string& dump) {
+    log(dump);
+    ctx.release.store(true, std::memory_order_release);
+  };
+  ctx.set_watchdog(cfg);
+
+  ctx.stuck_tags.put(42);
+  ASSERT_TRUE(eventually([&] { return ctx.suspended_count() == 1; }));
+  ctx.tags.put(3);
+  // The released poll step finishes; the parked one never can.
+  EXPECT_THROW(ctx.wait(), rdp::cnc::unsatisfied_dependency);
+
+  const std::string dump = log.joined();
+  EXPECT_NE(dump.find("parked step instances: 1"), std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find("    stuck(42)\n"), std::string::npos) << dump;
 }
 
 TEST(Watchdog, HealthyCncWaitNeverDumps) {
