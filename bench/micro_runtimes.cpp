@@ -12,6 +12,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
+#include <type_traits>
+#include <utility>
 
 #include "cnc/cnc.hpp"
 #include "concurrent/chase_lev_deque.hpp"
@@ -242,6 +245,98 @@ void BM_CncChain(benchmark::State& state) {
   state.SetLabel(preschedule ? "preschedule" : "blocking-get");
 }
 BENCHMARK(BM_CncChain)->Arg(0)->Arg(1);
+
+// --------------------------------------------------------- item stores ----
+
+// The two slot stores of cnc::item_collection over one 16x16x16 box of
+// tile3 keys: range(0) picks the operation, each timed over all 4096 keys —
+// 0 put into a fresh collection; 1 a step's get_or_park hitting every
+// (present) key; 2 park then resume: one step per key parks on its absent
+// item, then the environment puts every item and each step re-executes.
+constexpr int kStoreSide = 16;
+constexpr int kStoreKeys = kStoreSide * kStoreSide * kStoreSide;
+
+dp::tile3 store_key(int k) {
+  return {k % kStoreSide, (k / kStoreSide) % kStoreSide,
+          k / (kStoreSide * kStoreSide)};
+}
+
+using hashed_store = cnc::hashed_slots<dp::tile3, int>;
+using dense_store = cnc::dense_slots<dp::tile3, int, exec::tile_box>;
+
+template <class Store>
+struct store_ctx;
+template <class Store>
+struct store_step {
+  /// Tag -1 gets every key in one step; tag k gets key k.
+  int execute(int tag, store_ctx<Store>& ctx) const {
+    int v = 0;
+    if (tag >= 0) {
+      (void)ctx.items.get_or_park(store_key(tag), v);  // parks on a miss
+      return 0;
+    }
+    for (int k = 0; k < kStoreKeys; ++k)
+      benchmark::DoNotOptimize(ctx.items.get_or_park(store_key(k), v));
+    return 0;
+  }
+};
+template <class Store>
+struct store_ctx : cnc::context<store_ctx<Store>> {
+  cnc::step_collection<store_ctx, store_step<Store>, int> steps{*this, "s"};
+  cnc::tag_collection<int> tags{*this, "t", false};
+  cnc::item_collection<dp::tile3, int, Store> items;
+  template <class... StoreArgs>
+  store_ctx(forkjoin::worker_pool& pool, StoreArgs&&... store_args)
+      : cnc::context<store_ctx>(pool),
+        items(*this, "i", std::forward<StoreArgs>(store_args)...) {
+    this->tags.prescribe(steps);
+  }
+};
+
+template <class Store>
+std::unique_ptr<store_ctx<Store>> make_store_ctx(forkjoin::worker_pool& pool) {
+  if constexpr (std::is_same_v<Store, dense_store>) {
+    exec::tile_box box;
+    box.include(store_key(0));
+    box.include(store_key(kStoreKeys - 1));
+    return std::make_unique<store_ctx<Store>>(pool, box);
+  } else {
+    return std::make_unique<store_ctx<Store>>(pool);
+  }
+}
+
+template <class Store>
+void BM_CncItemStore(benchmark::State& state) {
+  const auto op = state.range(0);
+  forkjoin::worker_pool pool(2);
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto ctx = make_store_ctx<Store>(pool);
+    if (op == 1)
+      for (int k = 0; k < kStoreKeys; ++k) ctx->items.put(store_key(k), k);
+    state.ResumeTiming();
+    if (op == 0) {
+      for (int k = 0; k < kStoreKeys; ++k) ctx->items.put(store_key(k), k);
+    } else if (op == 1) {
+      ctx->tags.put(-1);
+      ctx->wait();
+    } else {
+      for (int k = 0; k < kStoreKeys; ++k) ctx->tags.put(k);
+      while (ctx->suspended_count() < kStoreKeys)
+        if (!pool.try_run_one()) std::this_thread::yield();
+      for (int k = 0; k < kStoreKeys; ++k) ctx->items.put(store_key(k), k);
+      ctx->wait();
+    }
+    state.PauseTiming();
+    ctx.reset();
+    state.ResumeTiming();
+  }
+  static const char* const ops[] = {"put", "get hit", "park+resume"};
+  state.SetLabel(ops[op]);
+  state.SetItemsProcessed(state.iterations() * kStoreKeys);
+}
+BENCHMARK_TEMPLATE(BM_CncItemStore, hashed_store)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK_TEMPLATE(BM_CncItemStore, dense_store)->Arg(0)->Arg(1)->Arg(2);
 
 // ---------------------------------------------------------- graph build ----
 

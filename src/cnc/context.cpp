@@ -29,6 +29,14 @@ context_base::context_base(forkjoin::worker_pool& pool) : pool_(pool) {}
 
 context_base::~context_base() = default;
 
+std::uint64_t context_base::total(
+    std::atomic<std::uint64_t> counters::*field) const {
+  std::uint64_t sum = 0;
+  for (const counter_shard& s : shards_)
+    sum += (s.*field).load(std::memory_order_relaxed);
+  return sum;
+}
+
 void context_base::attach(const item_collection_base* items) {
   std::scoped_lock lock(collections_mutex_);
   item_collections_.push_back(items);
@@ -49,13 +57,13 @@ void context_base::dump_state(std::string& out) const {
   std::ostringstream os;
   os << "  context: active=" << active_.load(std::memory_order_acquire)
      << " suspended=" << suspended_.load(std::memory_order_acquire)
-     << " executed=" << counters_.executed.load(std::memory_order_relaxed)
-     << " aborted=" << counters_.aborted.load(std::memory_order_relaxed)
-     << " requeued=" << counters_.requeued.load(std::memory_order_relaxed)
-     << " items_put=" << counters_.items_put.load(std::memory_order_relaxed)
-     << " gets_ok=" << counters_.gets_ok.load(std::memory_order_relaxed)
+     << " executed=" << total(&counters::executed)
+     << " aborted=" << total(&counters::aborted)
+     << " requeued=" << total(&counters::requeued)
+     << " items_put=" << total(&counters::items_put)
+     << " gets_ok=" << total(&counters::gets_ok)
      << " gets_failed="
-     << counters_.gets_failed.load(std::memory_order_relaxed) << "\n";
+     << total(&counters::gets_failed) << "\n";
   os << "  pool: ready~" << pool_.ready_estimate()
      << " injection~" << pool_.injection_depth()
      << " parked=" << pool_.parked_workers() << "/"
@@ -103,13 +111,13 @@ void context_base::wait() {
     // new item, tag or successful get, which is exactly what this sum
     // stays flat on. (steps_executed would mask that stall.)
     wd.add_progress("items_put", [this] {
-      return counters_.items_put.load(std::memory_order_relaxed);
+      return total(&counters::items_put);
     });
     wd.add_progress("tags_put", [this] {
-      return counters_.tags_put.load(std::memory_order_relaxed);
+      return total(&counters::tags_put);
     });
     wd.add_progress("gets_ok", [this] {
-      return counters_.gets_ok.load(std::memory_order_relaxed);
+      return total(&counters::gets_ok);
     });
     wd.add_gauge("active", [this] {
       return static_cast<std::uint64_t>(
@@ -170,16 +178,16 @@ std::exception_ptr context_base::take_error() noexcept {
 
 context_stats context_base::stats() const {
   context_stats s;
-  s.steps_executed = counters_.executed.load(std::memory_order_relaxed);
-  s.steps_aborted = counters_.aborted.load(std::memory_order_relaxed);
-  s.steps_prescribed = counters_.prescribed.load(std::memory_order_relaxed);
-  s.items_put = counters_.items_put.load(std::memory_order_relaxed);
-  s.gets_ok = counters_.gets_ok.load(std::memory_order_relaxed);
-  s.gets_failed = counters_.gets_failed.load(std::memory_order_relaxed);
-  s.tags_put = counters_.tags_put.load(std::memory_order_relaxed);
+  s.steps_executed = total(&counters::executed);
+  s.steps_aborted = total(&counters::aborted);
+  s.steps_prescribed = total(&counters::prescribed);
+  s.items_put = total(&counters::items_put);
+  s.gets_ok = total(&counters::gets_ok);
+  s.gets_failed = total(&counters::gets_failed);
+  s.tags_put = total(&counters::tags_put);
   s.preschedule_deferrals =
-      counters_.deferrals.load(std::memory_order_relaxed);
-  s.steps_requeued = counters_.requeued.load(std::memory_order_relaxed);
+      total(&counters::deferrals);
+  s.steps_requeued = total(&counters::requeued);
   return s;
 }
 

@@ -18,12 +18,21 @@
 // The context only counts suspended instances; it holds no pointer to them.
 // A parked instance is owned by the waiter list it is parked on (see
 // step_instance.hpp), so parking and resuming touch two atomic counters and
-// one stripe lock of the item collection, and no context-wide lock. Item
+// one slot lock of the item collection, and no context-wide lock. Item
 // collections register with their context when they are built, which is
 // how dump_state() finds the parked instances to name, and abandon what is
 // still parked on them when they are destroyed.
+//
+// Only `active` and `suspended` are exact global atomics, because wait()'s
+// quiescence test needs them. The statistics counters (executed, aborted,
+// items put, gets, ...) are sharded per thread the way obs::counter is: a
+// thread bumps its own cache-line-aligned shard, picked by the metrics
+// layer's round-robin shard token, and stats() sums the shards. So the
+// workers of one graph do not contend on one counter line on every get,
+// put and step.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -75,7 +84,7 @@ struct context_stats {
 class item_collection_base {
 public:
   /// Append the distinct descriptions of waiters parked on this collection
-  /// until `names` holds `limit` entries. Takes the stripe locks one at a
+  /// until `names` holds `limit` entries. Takes the slot locks one at a
   /// time, so it is safe while steps run.
   virtual void describe_parked(std::vector<std::string>& names,
                                std::size_t limit) const = 0;
@@ -133,7 +142,10 @@ public:
     std::atomic<std::uint64_t> deferrals{0};
     std::atomic<std::uint64_t> requeued{0};
   };
-  counters& metrics() noexcept { return counters_; }
+  /// The calling thread's counter shard (bump with relaxed fetch_add).
+  counters& metrics() noexcept {
+    return shards_[obs::metrics_detail::local_shard()];
+  }
 
   /// State transitions of step instances (see file comment).
   void on_schedule() noexcept {
@@ -202,7 +214,11 @@ private:
   forkjoin::worker_pool& pool_;
   std::atomic<long> active_{0};
   std::atomic<long> suspended_{0};
-  counters counters_;
+  struct alignas(64) counter_shard : counters {};
+  std::array<counter_shard, obs::k_metric_shards> shards_{};
+
+  /// Sum of one counter over the shards (relaxed; exact when quiescent).
+  std::uint64_t total(std::atomic<std::uint64_t> counters::*field) const;
 
   std::mutex error_mutex_;
   std::exception_ptr first_error_;

@@ -24,6 +24,15 @@ public:
       : std::runtime_error(what_arg) {}
 };
 
+/// A key outside the key space of a dense item collection (dense_slots):
+/// the program named an item its collection was not sized for. Raised by
+/// the operation that names the key — from a step, wait() rethrows it.
+class key_out_of_range : public std::out_of_range {
+public:
+  explicit key_out_of_range(const std::string& what_arg)
+      : std::out_of_range(what_arg) {}
+};
+
 namespace detail {
 
 /// Control-flow signal thrown by item_collection::get(), the throwing

@@ -31,11 +31,13 @@ namespace rdp::cnc {
 /// Collects the declared dependencies of a step instance (preschedule
 /// tuner). require() registers the instance's countdown on the item's
 /// waiter list immediately using an increment-then-register protocol, so
-/// concurrent puts are safe.
+/// concurrent puts are safe. Each absent item takes one arena-allocated
+/// countdown_registration; a present one reuses the spare for the next key.
 class dependency_collector {
 public:
   explicit dependency_collector(detail::preschedule_countdown& countdown)
       : countdown_(countdown) {}
+  ~dependency_collector() { delete spare_; }
 
   dependency_collector(const dependency_collector&) = delete;
   dependency_collector& operator=(const dependency_collector&) = delete;
@@ -45,13 +47,24 @@ public:
   template <class ItemCollection>
   void require(ItemCollection& items,
                const typename ItemCollection::key_type& key) {
+    if (spare_ == nullptr)
+      spare_ = new detail::countdown_registration(countdown_);
     std::atomic<long>& remaining = countdown_.remaining();
     remaining.fetch_add(1, std::memory_order_acq_rel);
-    if (items.present_or_register(key, &countdown_)) {
+    bool present;
+    try {
+      present = items.present_or_register(key, spare_);
+    } catch (...) {
+      // A key the collection refuses: nothing was registered for it.
+      remaining.fetch_sub(1, std::memory_order_acq_rel);
+      throw;
+    }
+    if (present) {
       // Already available: undo the provisional count (the arming guard
       // keeps it from reaching zero here).
       remaining.fetch_sub(1, std::memory_order_acq_rel);
     } else {
+      spare_ = nullptr;  // the item's waiter list owns it now
       ++absent_;
     }
   }
@@ -61,6 +74,7 @@ public:
 
 private:
   detail::preschedule_countdown& countdown_;
+  detail::countdown_registration* spare_ = nullptr;
   long absent_ = 0;
 };
 

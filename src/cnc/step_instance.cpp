@@ -17,11 +17,11 @@ step_instance_base* step_instance_base::current() noexcept {
   return tl_current_step;
 }
 
-void step_instance_base::park_on(std::vector<waiter*>& waiters) {
+void step_instance_base::park_on(waiter_list& waiters) noexcept {
   RDP_ASSERT(tl_current_step == this && !tl_parked);
-  // Push before counting: a push that throws leaves nothing parked. The
-  // caller holds the stripe lock, so no put can resume us in between.
-  waiters.push_back(this);
+  // The caller holds the slot lock, so no put can resume us before the
+  // suspension is counted.
+  waiters.push(this);
   ctx_.on_suspend();
   tl_parked = true;
 }

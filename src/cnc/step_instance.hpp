@@ -15,26 +15,35 @@
 // else points at it. The put that produces the item resumes it, and an item
 // collection destroyed with it still parked deletes it (waiter::abandon),
 // which is how a deadlocked or abandoned graph is reclaimed. A prescheduled
-// instance is suspended from prescription on, owned jointly by the waiter
-// lists its embedded countdown is registered on: the last registration to
-// be released dispatches it, or frees it if the countdown was killed.
+// instance is suspended from prescription on, owned jointly by the
+// registrations its embedded countdown holds on the waiter lists of its
+// absent items: the last registration to be released dispatches it, or
+// frees it if the countdown was killed.
+//
+// Instances and countdown registrations are allocated from the fork-join
+// task arena (forkjoin/task_arena.hpp) through class-level operator
+// new/delete: a spawn is a freelist pop on the spawning worker and a
+// completion a freelist push (or a lock-free return to the spawning
+// worker's arena), never a global heap round-trip.
 //
 // An unmet get parks the instance and returns false; the step returns at
 // once and execute_wrapper() learns of the park from a thread-local flag,
 // with no C++ exception on the way. Re-execution restarts the step body
 // from the top (Intel CnC semantics); gets that previously succeeded simply
-// succeed again from the hash map.
+// succeed again from the item collection.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <exception>
+#include <new>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "cnc/context.hpp"
 #include "cnc/errors.hpp"
 #include "cnc/waiter.hpp"
+#include "forkjoin/task_arena.hpp"
 #include "obs/tracer.hpp"
 
 namespace rdp::cnc {
@@ -43,23 +52,39 @@ class step_instance_base;
 
 namespace detail {
 
+/// Class-level allocation from the calling thread's task arena. A block
+/// may be freed on any thread (arena_deallocate's return stack).
+struct arena_object {
+  static void* operator new(std::size_t size) {
+    return forkjoin::arena_allocate(size, alignof(std::max_align_t));
+  }
+  static void operator delete(void* p) noexcept {
+    forkjoin::arena_deallocate(p);
+  }
+  // Over-aligned tags (arena_allocate falls back to the heap for them).
+  static void* operator new(std::size_t size, std::align_val_t align) {
+    return forkjoin::arena_allocate(size, static_cast<std::size_t>(align));
+  }
+  static void operator delete(void* p, std::align_val_t) noexcept {
+    forkjoin::arena_deallocate(p);
+  }
+};
+
 /// Gate of a prescheduled instance's first dispatch (preschedule tuner),
 /// embedded in that instance. It counts one per declared dependency absent
-/// at declaration time, plus an arming guard held while depends() runs,
-/// and is registered on the waiter list of every absent item. The last
-/// release dispatches the instance, or frees it when the countdown is dead:
-/// depends() threw, or a collection holding a registration was destroyed
-/// before its item was put.
-class preschedule_countdown final : public waiter {
+/// at declaration time, plus an arming guard held while depends() runs;
+/// each absent item holds one countdown_registration on its waiter list.
+/// The last release dispatches the instance, or frees it when the countdown
+/// is dead: depends() threw, or a collection holding a registration was
+/// destroyed before its item was put.
+class preschedule_countdown {
 public:
   explicit preschedule_countdown(step_instance_base& owner) noexcept
       : owner_(owner) {}
 
   std::atomic<long>& remaining() noexcept { return remaining_; }
 
-  void item_ready() override { release(); }
-  void abandon() noexcept override { kill(); }
-  std::string describe() const override;
+  std::string describe() const;
 
   /// Called after depends() finished declaring; drops the arming guard.
   void finish_arming() { release(); }
@@ -72,17 +97,42 @@ public:
     release();
   }
 
-private:
+  /// Drop one count; the last one hands the instance on.
   void release();
 
+private:
   std::atomic<long> remaining_{1};  // arming guard
   std::atomic<bool> dead_{false};
   step_instance_base& owner_;
 };
 
+/// One absent dependency of a prescheduled instance: the waiter its
+/// countdown parks on that item's list. Fires (or is abandoned) once, then
+/// frees itself before releasing the countdown it counts for.
+class countdown_registration final : public waiter, public arena_object {
+public:
+  explicit countdown_registration(preschedule_countdown& cd) noexcept
+      : countdown_(cd) {}
+
+  void item_ready() override {
+    preschedule_countdown& cd = countdown_;
+    delete this;
+    cd.release();
+  }
+  void abandon() noexcept override {
+    preschedule_countdown& cd = countdown_;
+    delete this;
+    cd.kill();
+  }
+  std::string describe() const override { return countdown_.describe(); }
+
+private:
+  preschedule_countdown& countdown_;
+};
+
 }  // namespace detail
 
-class step_instance_base : public waiter {
+class step_instance_base : public waiter, public detail::arena_object {
 public:
   explicit step_instance_base(context_base& ctx)
       : ctx_(ctx), countdown_(*this) {}
@@ -111,10 +161,10 @@ public:
   std::string describe() const override { return "<step instance>"; }
 
   /// Park this instance, the one running on the calling thread, on an
-  /// item's `waiters` (called under that item's stripe lock). From here
-  /// the waiter list owns the instance: the step must return at once and
-  /// not touch it again.
-  void park_on(std::vector<waiter*>& waiters);
+  /// item's `waiters` (called under that item's slot lock). From here the
+  /// waiter list owns the instance: the step must return at once and not
+  /// touch it again.
+  void park_on(waiter_list& waiters) noexcept;
 
   /// waiter: an item this instance was parked on became available. The
   /// instance will re-run its body from the top (a re-execution).
@@ -137,7 +187,7 @@ public:
     enqueue();
   }
 
-  /// Free a suspended instance that will never run.
+  /// Free a suspended instance that will never run (back to its arena).
   void discard() noexcept {
     ctx_.on_discard();
     delete this;

@@ -12,6 +12,7 @@
 #include <mutex>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "concurrent/spinlock.hpp"
@@ -62,6 +63,19 @@ public:
     return fn(s.table[key]);
   }
 
+  /// The entry for `key` together with its held stripe lock: default-
+  /// constructed first if absent when `create`, else nullptr if absent.
+  /// The pointer is valid while the lock is held; do not call back into
+  /// the map meanwhile.
+  std::pair<std::unique_lock<spinlock>, Value*> lock_entry(const Key& key,
+                                                           bool create) {
+    stripe& s = stripe_for(key);
+    std::unique_lock lock(s.mutex);
+    if (create) return {std::move(lock), &s.table[key]};
+    auto it = s.table.find(key);
+    return {std::move(lock), it == s.table.end() ? nullptr : &it->second};
+  }
+
   /// Run `fn(const Value&)` under the stripe lock if the key exists;
   /// returns whether it existed.
   template <class Fn>
@@ -106,6 +120,13 @@ public:
     for (const auto& s : stripes_) {
       std::scoped_lock lock(s.mutex);
       for (const auto& [k, v] : s.table) fn(k, v);
+    }
+  }
+  template <class Fn>
+  void for_each(Fn&& fn) {
+    for (auto& s : stripes_) {
+      std::scoped_lock lock(s.mutex);
+      for (auto& [k, v] : s.table) fn(k, v);
     }
   }
 

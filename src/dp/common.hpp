@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <ostream>
 
 #include "support/assertions.hpp"
 #include "support/math_utils.hpp"
@@ -20,6 +21,9 @@ struct tile3 {
   std::int32_t k = 0;
 
   friend bool operator==(const tile3&, const tile3&) = default;
+  friend std::ostream& operator<<(std::ostream& os, const tile3& t) {
+    return os << '(' << t.i << ',' << t.j << ',' << t.k << ')';
+  }
 };
 
 /// Recursive-subdivision tag: tile (i, j), pivot block k, block size b —

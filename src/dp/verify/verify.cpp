@@ -7,6 +7,8 @@
 #include <unordered_set>
 #include <utility>
 
+#include "exec/dag.hpp"
+
 namespace rdp::dp {
 
 const char* to_string(verify_failure_kind k) noexcept {
@@ -18,6 +20,8 @@ const char* to_string(verify_failure_kind k) noexcept {
     case verify_failure_kind::unproduced_dependency:
       return "unproduced_dependency";
     case verify_failure_kind::self_dependency: return "self_dependency";
+    case verify_failure_kind::key_outside_item_box:
+      return "key_outside_item_box";
     case verify_failure_kind::consumer_count_mismatch:
       return "consumer_count_mismatch";
     case verify_failure_kind::fan_in_exceeds_declared:
@@ -86,6 +90,9 @@ struct verifier {
   std::unordered_map<tile3, std::size_t> consumers;
   /// Keys already reported as unproduced (dedupe across referencing tasks).
   std::unordered_set<tile3> orphans_reported;
+  /// The data-flow item store's key box (empty until the base set is known).
+  exec::tile_box box;
+  std::unordered_set<tile3> outside_reported;
 
   // ---- split-walk state --------------------------------------------------
   std::unordered_map<tile3, std::size_t> reached;  // base coord -> visits
@@ -108,6 +115,8 @@ struct verifier {
     rep.declared_max_fan_in = rec.max_dependencies();
 
     collect_base_set();
+    // The box bounds the base tags, so only the other keys can leave it.
+    if (rep.base_tasks > 0) box = exec::item_box(rec);
     collect_environment();
     collect_edges();
     check_consumer_counts();
@@ -154,6 +163,7 @@ struct verifier {
         issue(verify_failure_kind::seed_collision, s,
               "environment seeds " + key_string(s) + " more than once");
       produced.insert(s);
+      check_box(s, "environment seed");
     }
     rep.environment_seeds = seeds.size();
     rep.items_produced = produced.size();
@@ -163,7 +173,18 @@ struct verifier {
     for (const tile3& g : store.env_gets) consume(g, "environment gather");
   }
 
+  void check_box(const tile3& key, const char* what) {
+    if (box.empty() || box.contains(key) ||
+        !outside_reported.insert(key).second)
+      return;
+    issue(verify_failure_kind::key_outside_item_box, key,
+          std::string(what) + " " + key_string(key) +
+              " lies outside the data-flow item box " +
+              key_string(box.lo()) + ".." + key_string(box.hi()));
+  }
+
   void consume(const tile3& key, const char* what) {
+    check_box(key, what);
     ++consumers[key];
     if (produced.count(key) == 0 && orphans_reported.insert(key).second)
       issue(verify_failure_kind::unproduced_dependency, key,

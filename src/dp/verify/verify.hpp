@@ -27,6 +27,10 @@
 //     tag once, with the flattened stage order satisfying every depends()
 //     edge and the children of one stage mutually independent (the
 //     property DESIGN.md used to argue in prose, per decomposition);
+//   * every depends() key, seed and gather key lies inside the key box the
+//     data-flow lowering sizes its dense item store for (exec::item_box,
+//     which bounds the base tags), so no run names a key the store has no
+//     slot for;
 //   * the observed dependency fan-in respects the variable-arity contract
 //     both per tile (dependency_bound(t)) and instance-wide
 //     (max_dependencies(), which must also be *tight* — attained by some
@@ -70,6 +74,10 @@ enum class verify_failure_kind : std::uint8_t {
   unproduced_dependency,
   /// A base task lists its own output key as a dependency.
   self_dependency,
+  /// A depends() key, seed or gather key outside exec::item_box()
+  /// — the box the data-flow lowering sizes its dense item store for. The
+  /// store refuses such a key (cnc::key_out_of_range) and the run fails.
+  key_outside_item_box,
   /// consumer_count(key) differs from the number of dependency edges (plus
   /// environment gather gets) referencing the key: get-count GC would free
   /// the item early (under-count) or leak it (over-count).

@@ -239,16 +239,16 @@ struct ge_rway_fj : fj_builder {
 
 }  // namespace
 
-tile_index::tile_index(const std::vector<tile4>& tags) {
-  RDP_ASSERT(!tags.empty());
-  lo_ = hi_ = coord(tags.front());
-  for (const tile4& t : tags) {
-    lo_ = {std::min(lo_.i, t.i), std::min(lo_.j, t.j), std::min(lo_.k, t.k)};
-    hi_ = {std::max(hi_.i, t.i), std::max(hi_.j, t.j), std::max(hi_.k, t.k)};
-  }
-  ni_ = static_cast<std::size_t>(hi_.i - lo_.i + 1);
-  nj_ = static_cast<std::size_t>(hi_.j - lo_.j + 1);
-  ids_.assign(static_cast<std::size_t>(hi_.k - lo_.k + 1) * ni_ * nj_, npos);
+tile_box::tile_box(const dp::recurrence& rec) {
+  auto grow = [&](const tile4& t) { include(coord(t)); };
+  rec.enumerate_base(dp::tag_sink(grow));
+  RDP_REQUIRE_MSG(!empty(), std::string(rec.name()) +
+                                ": enumerate_base emitted no base tiles");
+}
+
+tile_box item_box(const dp::recurrence& rec) {
+  const tile_box box(rec);
+  return rec.value_passing() ? box.widened_below(1) : box;
 }
 
 tile_dag derive_tile_dag(const dp::recurrence& rec) {
@@ -259,7 +259,9 @@ tile_dag derive_tile_dag(const dp::recurrence& rec) {
   RDP_REQUIRE_MSG(!dag.tags.empty(),
                   name + ": enumerate_base emitted no base tiles");
   const std::uint32_t count = dag.tile_count();
-  dag.index = tile_index(dag.tags);
+  tile_box box;
+  for (const tile4& t : dag.tags) box.include(coord(t));
+  dag.index = tile_index(box);
   for (std::uint32_t t = 0; t < count; ++t) {
     std::uint32_t& slot = dag.index.at(coord(dag.tags[t]));
     RDP_REQUIRE_MSG(slot == tile_index::npos,

@@ -27,6 +27,7 @@
 // every other structure labels them D.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -58,6 +59,74 @@ struct dep_list {
   }
 };
 
+/// A box of tile coordinates (inclusive bounds), laid out densely in
+/// lexicographic (k, i, j) order: the geometry of tile_index and the key
+/// space of the data-flow lowering's item store (cnc::dense_slots).
+class tile_box {
+ public:
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+  tile_box() = default;  // empty
+  /// The bounding box of the base tags `rec` enumerates (at least one).
+  explicit tile_box(const dp::recurrence& rec);
+
+  bool empty() const noexcept { return hi_.i < lo_.i; }
+  /// Grow the box to cover t.
+  void include(const dp::tile3& t) noexcept {
+    if (empty()) {
+      lo_ = hi_ = t;
+      return;
+    }
+    lo_ = {std::min(lo_.i, t.i), std::min(lo_.j, t.j), std::min(lo_.k, t.k)};
+    hi_ = {std::max(hi_.i, t.i), std::max(hi_.j, t.j), std::max(hi_.k, t.k)};
+  }
+
+  /// This box with `layers` extra k-layers below it.
+  tile_box widened_below(std::int32_t layers) const {
+    tile_box b = *this;
+    b.lo_.k -= layers;
+    return b;
+  }
+
+  const dp::tile3& lo() const noexcept { return lo_; }
+  const dp::tile3& hi() const noexcept { return hi_; }
+
+  bool contains(const dp::tile3& t) const noexcept {
+    return t.i >= lo_.i && t.i <= hi_.i && t.j >= lo_.j && t.j <= hi_.j &&
+           t.k >= lo_.k && t.k <= hi_.k;
+  }
+  /// Number of coordinates in the box.
+  std::size_t size() const noexcept {
+    if (empty()) return 0;
+    return extent(lo_.k, hi_.k) * extent(lo_.i, hi_.i) *
+           extent(lo_.j, hi_.j);
+  }
+  /// Position of t in (k, i, j) order, or npos outside the box.
+  std::size_t offset(const dp::tile3& t) const noexcept {
+    return contains(t) ? offset_inside(t) : npos;
+  }
+  std::size_t offset_inside(const dp::tile3& t) const noexcept {
+    return (static_cast<std::size_t>(t.k - lo_.k) * extent(lo_.i, hi_.i) +
+            static_cast<std::size_t>(t.i - lo_.i)) *
+               extent(lo_.j, hi_.j) +
+           static_cast<std::size_t>(t.j - lo_.j);
+  }
+
+ private:
+  static std::size_t extent(std::int32_t lo, std::int32_t hi) noexcept {
+    return static_cast<std::size_t>(hi - lo + 1);
+  }
+
+  dp::tile3 lo_{}, hi_{-1, -1, -1};  // default: empty
+};
+
+/// The key box the data-flow lowering sizes its item store for: the
+/// bounding box of enumerate_base(), plus one k-layer below for a
+/// value-passing spec (FW's k = -1 environment seeds). Every base tag,
+/// depends() key and seed key of a consistent spec lies inside it
+/// (dp::verify_spec checks this).
+tile_box item_box(const dp::recurrence& rec);
+
 /// Dense key -> tile map over the bounding box of a spec's base tags, laid
 /// out in lexicographic (k, i, j) order. Keys outside the box (FW's k = -1
 /// seeds) or on no tag map to npos.
@@ -66,15 +135,14 @@ class tile_index {
   static constexpr std::uint32_t npos = 0xFFFFFFFFu;
 
   tile_index() = default;
-  /// An index over the bounding box of `tags` (non-empty), every slot npos.
-  explicit tile_index(const std::vector<dp::tile4>& tags);
+  /// An index over `box`, every slot npos.
+  explicit tile_index(const tile_box& box)
+      : box_(box), ids_(box.size(), npos) {}
 
-  std::uint32_t& at(const dp::tile3& t) { return ids_[offset(t)]; }
+  std::uint32_t& at(const dp::tile3& t) { return ids_[box_.offset_inside(t)]; }
 
   std::uint32_t find(const dp::tile3& t) const {
-    const bool inside = t.i >= lo_.i && t.i <= hi_.i && t.j >= lo_.j &&
-                        t.j <= hi_.j && t.k >= lo_.k && t.k <= hi_.k;
-    return inside ? ids_[offset(t)] : npos;
+    return box_.contains(t) ? ids_[box_.offset_inside(t)] : npos;
   }
 
   /// Visit every indexed tile in (k, i, j) key order.
@@ -85,15 +153,7 @@ class tile_index {
   }
 
  private:
-  std::size_t offset(const dp::tile3& t) const {
-    return (static_cast<std::size_t>(t.k - lo_.k) * ni_ +
-            static_cast<std::size_t>(t.i - lo_.i)) *
-               nj_ +
-           static_cast<std::size_t>(t.j - lo_.j);
-  }
-
-  dp::tile3 lo_{}, hi_{};
-  std::size_t ni_ = 0, nj_ = 0;
+  tile_box box_;
   std::vector<std::uint32_t> ids_;
 };
 

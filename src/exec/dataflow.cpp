@@ -8,6 +8,12 @@
 // context-level. Collection names derive from the spec
 // ("<name>_step/_tags/_items"), which is what the obs/trace labels show.
 //
+// Items live in a dense slot store (cnc::dense_slots) over item_box(rec):
+// the bounding box of the spec's base tags, one k-layer deeper for a
+// value-passing spec's seeds. It is sized once per context from one
+// enumerate_base() walk; a key outside it is refused (key_out_of_range),
+// and no get, put or park allocates.
+//
 // Non-base tags expand into their children in split_plan's flattened order
 // (equal to the retired per-benchmark tag-emission order). Base tags get
 // their dependencies in depends() emission order — blocking gets for the
@@ -19,6 +25,7 @@
 #include "exec/backend.hpp"
 
 #include <cstdint>
+#include <exception>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -82,7 +89,9 @@ struct df_context : cnc::context<df_context<Value>> {
   cnc::step_collection<df_context, df_step<df_context>, dp::tile4> steps;
   // Recursive expansion puts each tag exactly once -> memoisation off.
   cnc::tag_collection<dp::tile4> tags;
-  cnc::item_collection<dp::tile3, Value> items;
+  cnc::item_collection<dp::tile3, Value,
+                       cnc::dense_slots<dp::tile3, Value, tile_box>>
+      items;
 
   /// Per-spec dependency fan-in bound (a spec-consistency guard for the
   /// collectors below, not a buffer capacity — lists of any length work).
@@ -96,7 +105,7 @@ struct df_context : cnc::context<df_context<Value>> {
         steps(*this, std::string(r.name()) + "_step", df_step<df_context>{},
               policy_for(opts.variant)),
         tags(*this, std::string(r.name()) + "_tags", false),
-        items(*this, std::string(r.name()) + "_items"),
+        items(*this, std::string(r.name()) + "_items", item_box(r)),
         max_deps(r.max_dependencies()) {
     tags.prescribe(steps);
   }
@@ -200,13 +209,20 @@ dp::cnc_run_info run_df(dp::recurrence& rec, const dataflow_options& opts) {
     rec.seed_values(store);
   }
 
-  if (opts.variant == dp::cnc_variant::manual) {
-    // Manual pre-scheduling (§III-D): enumerate every base task up front;
-    // the tuner dispatches each one when its inputs exist.
-    auto emit = [&](const dp::tile4& tag) { ctx.tags.put(tag); };
-    rec.enumerate_base(dp::tag_sink(emit));
-  } else {
-    ctx.tags.put(rec.root());
+  try {
+    if (opts.variant == dp::cnc_variant::manual) {
+      // Manual pre-scheduling (§III-D): enumerate every base task up front;
+      // the tuner dispatches each one when its inputs exist.
+      auto emit = [&](const dp::tile4& tag) { ctx.tags.put(tag); };
+      rec.enumerate_base(dp::tag_sink(emit));
+    } else {
+      ctx.tags.put(rec.root());
+    }
+  } catch (...) {
+    // A tag whose declaration failed (a depends() key the item store
+    // refuses): the steps already dispatched still run against ctx, so
+    // drain them; wait() reports the error.
+    ctx.record_error(std::current_exception());
   }
   ctx.wait();
 

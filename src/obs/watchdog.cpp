@@ -1,6 +1,5 @@
 #include "obs/watchdog.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -32,11 +31,20 @@ void watchdog::start(const config& cfg) {
   if (cfg_.period <= std::chrono::milliseconds::zero())
     cfg_.period = std::chrono::milliseconds(100);
   if (cfg_.stall_periods == 0) cfg_.stall_periods = 1;
+  {
+    std::scoped_lock lock(stop_mutex_);
+    stop_requested_ = false;
+  }
   thread_ = std::thread([this] { run(); });
 }
 
 void watchdog::stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
+  {
+    std::scoped_lock lock(stop_mutex_);
+    stop_requested_ = true;
+  }
+  stop_cv_.notify_all();
   if (thread_.joinable()) thread_.join();
 }
 
@@ -58,23 +66,20 @@ std::string watchdog::render_dump(std::uint64_t stuck_ticks,
 }
 
 void watchdog::run() {
-  // Sleep in small slices so stop() returns promptly even for long periods.
-  const auto slice = std::chrono::milliseconds(
-      std::min<std::int64_t>(cfg_.period.count(), 10));
   std::uint64_t last_progress = 0;
   bool have_baseline = false;
   unsigned stuck = 0;
   bool dumped_this_stall = false;
 
-  while (running_.load(std::memory_order_acquire)) {
-    auto remaining = cfg_.period;
-    while (remaining > std::chrono::milliseconds::zero() &&
-           running_.load(std::memory_order_acquire)) {
-      const auto nap = remaining < slice ? remaining : slice;
-      std::this_thread::sleep_for(nap);
-      remaining -= nap;
+  for (;;) {
+    {
+      // Wait out one period, or less when stop() asks: it must not wait
+      // for the period to end.
+      std::unique_lock lock(stop_mutex_);
+      if (stop_cv_.wait_for(lock, cfg_.period,
+                            [this] { return stop_requested_; }))
+        break;
     }
-    if (!running_.load(std::memory_order_acquire)) break;
     ticks_.fetch_add(1, std::memory_order_relaxed);
 
     std::uint64_t sum = 0;

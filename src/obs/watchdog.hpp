@@ -28,8 +28,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -74,6 +76,8 @@ class watchdog {
   void set_busy(std::function<bool()> fn);
 
   void start(const config& cfg);
+  /// Stop and join the thread. Returns at once: the thread waits out its
+  /// period on a condition variable that stop() notifies.
   void stop();
 
   std::uint64_t ticks() const noexcept {
@@ -99,6 +103,9 @@ class watchdog {
   std::vector<std::function<void(std::string&)>> sections_;
   std::function<bool()> busy_;
   std::atomic<bool> running_{false};
+  std::mutex stop_mutex_;
+  std::condition_variable stop_cv_;
+  bool stop_requested_ = false;  // guarded by stop_mutex_
   std::atomic<std::uint64_t> ticks_{0};
   std::atomic<std::uint64_t> stalls_{0};
   std::thread thread_;

@@ -13,6 +13,7 @@
 
 #include "bounded_wait.hpp"
 #include "cnc/cnc.hpp"
+#include "forkjoin/task_arena.hpp"
 
 namespace {
 
@@ -1024,9 +1025,18 @@ void orphan_step::depends(const live_tag& tag, orphan_ctx& ctx,
   dc.require(ctx.missing, tag.id);
 }
 
+/// Task-arena blocks taken and not yet given back, over all threads.
+/// Instances and countdown registrations live in the arena, where LSan
+/// cannot see a leak.
+std::uint64_t arena_outstanding() {
+  const rdp::forkjoin::arena_stats s = rdp::forkjoin::arena_stats_snapshot();
+  return s.freelist_allocs + s.slab_allocs - s.local_frees - s.remote_frees;
+}
+
 TEST(Cnc, DestroyedContextReclaimsEveryParkedInstance) {
   constexpr int kTags = 8;
   worker_pool pool(2);
+  const std::uint64_t arena_before = arena_outstanding();
   {
     orphan_ctx ctx(pool);
     // Half the `given` items exist before the tags, half arrive after, so
@@ -1042,6 +1052,13 @@ TEST(Cnc, DestroyedContextReclaimsEveryParkedInstance) {
     EXPECT_EQ(g_live_tags.load(), 2 * kTags);  // one per parked instance
   }
   EXPECT_EQ(g_live_tags.load(), 0);
+  // A worker may still be returning the task node of its last step.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (arena_outstanding() != arena_before &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(arena_outstanding(), arena_before);
 }
 
 }  // namespace

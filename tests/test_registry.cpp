@@ -6,8 +6,10 @@
 // malformed problem. This is the property the whole spec/executor refactor
 // is built on — one recurrence spec, many lowerings, no numerical drift —
 // and it runs under the sanitizer presets (LABELS runtime).
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -192,6 +194,14 @@ TEST(RegistryPool, DataflowRowsRunOnTheCallersPool) {
     auto m = input;
     const std::uint64_t before = pool.stats().tasks_executed;
     const run_outcome out = v->run(*v, ge_problem(m), options_for(base, pool));
+    // A worker counts a task after it returns, and the run may return
+    // first: wait (bounded) for the pool's counters to settle.
+    const auto settle =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (pool.stats().tasks_executed - before <
+               out.info.stats.steps_executed &&
+           std::chrono::steady_clock::now() < settle)
+      std::this_thread::yield();
     const std::uint64_t ran = pool.stats().tasks_executed - before;
     EXPECT_EQ(m, oracle) << v->label;
     // At least one pool task per base tile, and one per executed step.

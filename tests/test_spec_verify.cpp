@@ -13,6 +13,7 @@
 // data-flow variants (which modes may garbage-collect items, and what must
 // stay live), since verify_spec's consumer-count check is only meaningful
 // if the executors honour the counted semantics.
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -21,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bounded_wait.hpp"
 #include "cell_wavefront.hpp"
 #include "forwarding_spec.hpp"
 #include "dp/dp.hpp"
@@ -247,6 +249,32 @@ TEST(SpecVerifyMutants, UnproducedDependencyKeyIsCaught) {
   EXPECT_THROW(exec::prepared_graph::freeze(mutant), contract_error);
   EXPECT_THROW(exec::prepared_graph::freeze_batched(mutant, 2),
                contract_error);
+}
+
+TEST(SpecVerifyMutants, KeyOutsideTheItemBoxIsCaught) {
+  orphan_dep_mutant mutant(ge16());
+  const verify_report r = verify_spec(mutant);
+  ASSERT_TRUE(r.has(verify_failure_kind::key_outside_item_box))
+      << r.summary();
+  EXPECT_EQ(r.count(verify_failure_kind::key_outside_item_box), 1u);
+}
+
+/// The same orphan key (k = 99, past the last pivot round) run through every
+/// data-flow mode: the dense item store has no slot for it, so the run must
+/// fail with key_out_of_range from the get, the declaration or the poll
+/// that names it — not hang, read out of bounds, or leak what is parked.
+TEST(SpecVerifyMutants, KeyOutsideTheItemBoxFailsEveryDataflowMode) {
+  for (const cnc_variant v : {cnc_variant::native, cnc_variant::tuner,
+                              cnc_variant::manual, cnc_variant::nonblocking}) {
+    SCOPED_TRACE(to_string(v));
+    matrix<double> m(16, 16, 1.0);
+    orphan_dep_mutant mutant(make_ge_spec(m, 4));
+    forkjoin::worker_pool pool(2);
+    test::within(std::chrono::seconds(20), "out-of-box data-flow run", [&] {
+      EXPECT_THROW(exec::run_dataflow(mutant, {v, &pool}),
+                   cnc::key_out_of_range);
+    });
+  }
 }
 
 /// Makes round 1's pivot tile (1,1,1) also wait on `back`: itself (a

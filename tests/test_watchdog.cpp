@@ -281,6 +281,19 @@ TEST(Watchdog, StallDumpNamesParkedInstance) {
   EXPECT_NE(dump.find("    stuck(42)\n"), std::string::npos) << dump;
 }
 
+// 50 waits on an empty graph, each arming a 10 s watchdog: if stop() waited
+// out even one 10 ms slice per wait, they would take over 500 ms.
+TEST(Watchdog, ArmedEmptyCncWaitsReturnPromptly) {
+  rdp::forkjoin::worker_pool pool(2);
+  livelock_ctx ctx(pool);
+  rdp::obs::watchdog::config cfg;
+  cfg.period = 10s;
+  ctx.set_watchdog(cfg);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < 50; ++i) ctx.wait();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 250ms);
+}
+
 TEST(Watchdog, HealthyCncWaitNeverDumps) {
   rdp::forkjoin::worker_pool pool(2);
   livelock_ctx ctx(pool);
