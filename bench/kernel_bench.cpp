@@ -11,10 +11,21 @@
 //  2. Timing: per-kernel-invocation throughput on a D-kind tile (the
 //     steady-state shape: updated region disjoint from the pivot region)
 //     for a sweep of base sizes, written as CSV for the results/ archive.
+//  3. In-place SW sweeps (always; timed unless --check): every base tile
+//     of an SW 2048/32 table, run in place through the spec's run_base in
+//     three visiting orders — the spec's serial recursion (the Z-order
+//     serial and fork-join walk), anti-diagonals (data-flow's wavefront
+//     order) and row-major. A hot tile (part 2) stays in cache; a sweep
+//     writes each tile's rows into a 16 MB table, so it shows what the
+//     visiting order costs the kernel. Each order's table must equal
+//     sw_loop_serial's, or the run exits non-zero.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dp/dp.hpp"
@@ -145,6 +156,97 @@ std::vector<bench_row> run_timings() {
   return rows;
 }
 
+// ------------------------------------------------- in-place SW sweeps ----
+
+struct sweep_row {
+  const char* order;
+  double min_ms;
+  double median_ms;
+};
+
+/// Base tiles of `rec` in the order its serial recursion runs them: the
+/// flattened stages of split() from root().
+void collect_recursion_order(const recurrence& rec, const tile4& t,
+                             std::vector<tile4>& out) {
+  if (rec.is_base(t)) {
+    out.push_back(t);
+    return;
+  }
+  const split_plan plan = rec.split(t);
+  for (std::size_t c = 0; c < plan.child_count; ++c)
+    collect_recursion_order(rec, plan.children[c], out);
+}
+
+/// Sweep an SW n/base table in place in each visiting order and check it
+/// against sw_loop_serial; with `reps` > 0 also time `reps` interleaved
+/// sweeps per order. Returns false on a mismatch.
+bool sw_order_sweeps(std::size_t n, std::size_t base, int reps,
+                     std::vector<sweep_row>& rows) {
+  const auto a = make_dna(n, 5);
+  const auto bs = make_dna(n, 6);
+  const sw_params p;
+  // The oracle runs the scalar reference loop, so the check does not lean
+  // on the blocked kernel it gates.
+  matrix<std::int32_t> oracle(n + 1, n + 1, 0);
+  set_kernel_impl(kernel_impl::scalar);
+  sw_loop_serial(oracle, a, bs, p);
+  set_kernel_impl(kernel_impl::blocked);
+  matrix<std::int32_t> s(n + 1, n + 1, 0);
+  const auto rec = make_sw_spec(s, a, bs, p, base);
+
+  std::vector<tile4> recursive;
+  collect_recursion_order(*rec, rec->root(), recursive);
+  std::vector<tile4> row_major;
+  auto push = [&](const tile4& t) { row_major.push_back(t); };
+  rec->enumerate_base(tag_sink(push));  // (i, j) lexicographic
+  std::vector<tile4> anti_diagonal = row_major;
+  std::stable_sort(anti_diagonal.begin(), anti_diagonal.end(),
+                   [](const tile4& x, const tile4& y) {
+                     return x.i + x.j < y.i + y.j;
+                   });
+  const std::pair<const char*, const std::vector<tile4>*> orders[] = {
+      {"recursive", &recursive},
+      {"anti-diagonal", &anti_diagonal},
+      {"row-major", &row_major},
+  };
+
+  auto same_as_oracle = [&](const char* what) {
+    const bool ok = std::memcmp(s.data(), oracle.data(),
+                                s.size() * sizeof(*s.data())) == 0;
+    std::cout << "SW in-place " << what << " (n=" << n << ", base=" << base
+              << "): " << (ok ? "exact" : "MISMATCH") << "\n";
+    return ok;
+  };
+  bool ok = true;
+  // The capped whole-table path (one tile of side n) against the reference.
+  std::fill(s.data(), s.data() + s.size(), 0);
+  sw_loop_serial(s, a, bs, p);
+  ok &= same_as_oracle("sw_loop_serial blocked");
+  std::vector<std::vector<double>> ms(std::size(orders));
+  for (int rep = 0; rep <= reps; ++rep) {
+    for (std::size_t o = 0; o < std::size(orders); ++o) {
+      // Each sweep rewrites every cell with the same value, so only the
+      // first needs a zeroed table; later ones time the steady state.
+      if (rep == 0) std::fill(s.data(), s.data() + s.size(), 0);
+      stopwatch t;
+      for (const tile4& tile : *orders[o].second) rec->run_base(tile);
+      if (rep == 0)
+        ok &= same_as_oracle(orders[o].first);
+      else
+        ms[o].push_back(t.seconds() * 1e3);
+    }
+  }
+  if (reps > 0) {
+    ok &= same_as_oracle("after the timed sweeps");
+    for (std::size_t o = 0; o < std::size(orders); ++o) {
+      auto& v = ms[o];
+      std::sort(v.begin(), v.end());
+      rows.push_back({orders[o].first, v.front(), v[v.size() / 2]});
+    }
+  }
+  return ok;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -163,8 +265,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  constexpr std::size_t sweep_n = 2048, sweep_base = 32;
+  constexpr int sweep_reps = 15;
   std::cout << "=== kernel_bench: exactness gate ===\n";
-  if (!verify_all()) {
+  std::vector<sweep_row> sweeps;
+  if (!verify_all() ||
+      !sw_order_sweeps(sweep_n, sweep_base, check_only ? 0 : sweep_reps,
+                       sweeps)) {
     std::cerr << "kernel mismatch — blocked kernels are NOT exact\n";
     return 1;
   }
@@ -174,20 +281,37 @@ int main(int argc, char** argv) {
   const auto rows = run_timings();
   table_printer table({"Kernel", "Base", "Scalar(Mc/s)", "Blocked(Mc/s)",
                        "Speedup"});
-  csv_writer csv({"kernel", "base", "impl", "mcells_per_sec"});
+  // One schema for both parts: hot-tile rows leave sweep_ms empty.
+  csv_writer csv(
+      {"kernel", "base", "impl", "order", "mcells_per_sec", "sweep_ms"});
   for (const auto& r : rows) {
     table.add_row({r.kernel, std::to_string(r.base),
                    table_printer::num(r.scalar_mcells),
                    table_printer::num(r.blocked_mcells),
                    table_printer::num(r.blocked_mcells / r.scalar_mcells)});
-    csv.add_row({r.kernel, std::to_string(r.base), "scalar",
-                 table_printer::num(r.scalar_mcells)});
-    csv.add_row({r.kernel, std::to_string(r.base), "blocked",
-                 table_printer::num(r.blocked_mcells)});
+    csv.add_row({r.kernel, std::to_string(r.base), "scalar", "hot-tile",
+                 table_printer::num(r.scalar_mcells), ""});
+    csv.add_row({r.kernel, std::to_string(r.base), "blocked", "hot-tile",
+                 table_printer::num(r.blocked_mcells), ""});
   }
   table.print(std::cout);
   std::cout << "(cell updates per second; GE/FW update b^3 cells per call, "
                "SW b^2)\n";
+
+  std::cout << "\n=== kernel_bench: in-place SW sweep (n=" << sweep_n
+            << ", base=" << sweep_base << ", blocked, " << sweep_reps
+            << " sweeps per order) ===\n";
+  table_printer sweep_table({"Order", "Min(ms)", "Median(ms)", "Mc/s"});
+  const double sweep_cells = static_cast<double>(sweep_n) * sweep_n;
+  for (const auto& r : sweeps) {
+    const double mcells = sweep_cells / r.median_ms / 1e3;
+    sweep_table.add_row({r.order, table_printer::num(r.min_ms),
+                         table_printer::num(r.median_ms),
+                         table_printer::num(mcells)});
+    csv.add_row({"SW", std::to_string(sweep_base), "blocked", r.order,
+                 table_printer::num(mcells), table_printer::num(r.median_ms)});
+  }
+  sweep_table.print(std::cout);
 
   const auto ge_tuned = calibrate_base(tune_target::ge, 512);
   const auto fw_tuned = calibrate_base(tune_target::fw, 512);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -315,7 +316,22 @@ void fw_tile_kernel_blocked(double* x, const double* u, const double* v,
 // (reads only the previous, already-final row — vectorizable) and the
 // serial left-scan row[j] = max(e[j], row[j-1] - gap). Splitting is an
 // identity, so cell values (not just the best score) match the reference.
+//
+// Each output row of a tile lies in its own table row (ld apart), so in a
+// table larger than the cache every row of a tile is a cold line, and the
+// stores to them would miss one after another. The kernel therefore issues
+// write-intent prefetches for the row k_sw_prefetch_rows ahead of the one it
+// computes (on the first row, for every row up to that distance), covering
+// at most the first k_sw_prefetch_cols columns of each row: a tile-sized
+// row is covered whole, while a whole-table call (sw_loop_serial, bsz = n)
+// streams its long rows through the hardware prefetcher, which whole-row
+// requests only slow down. Prefetches never fault and stay inside the
+// tile's own rows. The arithmetic is untouched.
 namespace {
+
+constexpr std::size_t k_sw_prefetch_rows = 8;
+constexpr std::size_t k_sw_prefetch_cols = 64;
+constexpr std::uintptr_t k_cache_line = 64;
 
 RDP_KERNEL_CLONES
 void sw_blocked_impl(std::int32_t* s, std::size_t ld, const char* a,
@@ -323,7 +339,20 @@ void sw_blocked_impl(std::int32_t* s, std::size_t ld, const char* a,
                      std::int32_t gap, std::size_t i0, std::size_t j0,
                      std::size_t bsz, std::int32_t* __restrict e) {
   const char* __restrict bs = b + j0;
-  for (std::size_t i = i0 + 1; i <= i0 + bsz; ++i) {
+  // Bytes of row[0..bsz] (the cell left of the tile, then its bsz outputs)
+  // that a prefetch covers, and the last row that exists to prefetch.
+  const std::uintptr_t pf_bytes =
+      std::min(bsz + 1, k_sw_prefetch_cols) * sizeof(std::int32_t);
+  const std::size_t last = i0 + bsz;
+  for (std::size_t i = i0 + 1; i <= last; ++i) {
+    // Row i + D; on the first row, every row from i up to i + D.
+    for (std::size_t r = (i == i0 + 1 ? i : i + k_sw_prefetch_rows);
+         r <= std::min(i + k_sw_prefetch_rows, last); ++r) {
+      const auto first = reinterpret_cast<std::uintptr_t>(s + r * ld + j0);
+      for (std::uintptr_t line = first & ~(k_cache_line - 1);
+           line < first + pf_bytes; line += k_cache_line)
+        __builtin_prefetch(reinterpret_cast<const void*>(line), 1, 3);
+    }
     const char ai = a[i - 1];
     const std::int32_t* __restrict above = s + (i - 1) * ld + j0;
     std::int32_t* __restrict row = s + i * ld + j0;

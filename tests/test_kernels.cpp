@@ -102,16 +102,31 @@ TEST(BlockedKernels, SwMatchesReferenceOnRandomTiles) {
   matrix<std::int32_t> input(n + 1, n + 1, 0);
   for (std::size_t i = 0; i < input.size(); ++i)
     input.data()[i] = static_cast<std::int32_t>(rng.below(201)) - 100;
-  for (int iter = 0; iter < 300; ++iter) {
-    const std::size_t b = 1 + static_cast<std::size_t>(rng.below(40));
-    const std::size_t i0 = random_offset(rng, n, b);
-    const std::size_t j0 = random_offset(rng, n, b);
+  auto check = [&](std::size_t i0, std::size_t j0, std::size_t b) {
     auto ref = input;
     auto blk = input;
     sw_base_kernel(ref.data(), n + 1, a, bs, p, i0, j0, b);
     sw_base_kernel_blocked(blk.data(), n + 1, a, bs, p, i0, j0, b);
-    ASSERT_TRUE(bit_equal(ref, blk))
+    return bit_equal(ref, blk);
+  };
+  for (int iter = 0; iter < 300; ++iter) {
+    const std::size_t b = 1 + static_cast<std::size_t>(rng.below(40));
+    const std::size_t i0 = random_offset(rng, n, b);
+    const std::size_t j0 = random_offset(rng, n, b);
+    ASSERT_TRUE(check(i0, j0, b))
         << "SW tile i0=" << i0 << " j0=" << j0 << " b=" << b;
+  }
+  // The shapes the kernel's write prefetch treats differently: tiles with
+  // fewer rows than the prefetch distance (8), rows wider than its 64-column
+  // cap, each on the table's last row, last column or both, and the whole
+  // table (b = n, sw_loop_serial's single call).
+  for (std::size_t b : {1, 2, 7, 8, 9, 33, 63, 64, 65, 100, 103}) {
+    const std::size_t edge = n - b;
+    const std::size_t geometries[][2] = {
+        {edge, edge}, {edge, 0}, {0, edge}, {edge / 2, edge}};
+    for (const auto& g : geometries)
+      ASSERT_TRUE(check(g[0], g[1], b))
+          << "SW tile i0=" << g[0] << " j0=" << g[1] << " b=" << b;
   }
 }
 
@@ -162,6 +177,22 @@ TEST(BlockedKernels, SerialRecursionsAgreeAcrossImpls) {
     EXPECT_TRUE(bit_equal(run_sw(kernel_impl::scalar),
                           run_sw(kernel_impl::blocked)))
         << "SW base=" << base;
+  }
+  // Production SW grains on a table larger than one tile: at base 32 the
+  // write prefetch covers each tile row whole, at base 64 (65 cells a row
+  // with the left halo) it takes the 64-column cap.
+  for (std::size_t base : {std::size_t{32}, std::size_t{64}}) {
+    auto run_sw = [base](kernel_impl impl) {
+      set_kernel_impl(impl);
+      const auto a = make_dna(256, 47);
+      const auto b = make_dna(256, 53);
+      matrix<std::int32_t> s(257, 257, 0);
+      exec::run_serial(*make_sw_spec(s, a, b, sw_params{}, base));
+      return s;
+    };
+    EXPECT_TRUE(bit_equal(run_sw(kernel_impl::scalar),
+                          run_sw(kernel_impl::blocked)))
+        << "SW n=256 base=" << base;
   }
 }
 
