@@ -50,18 +50,8 @@ int main(int argc, char** argv) {
   csv_writer csv({"r", "span", "parallelism", "span_ratio", "des_seconds"});
 
   for (std::size_t r : {2ull, 4ull, 8ull, 16ull, 64ull}) {
-    // tiles must be r^L.
-    std::size_t s = t;
-    bool ok = true;
-    while (s > 1) {
-      if (s % r != 0) {
-        ok = false;
-        break;
-      }
-      s /= r;
-    }
-    if (!ok) continue;
-    const auto g = exec::build_ge_forkjoin_rway(*ge, b, r);
+    if (!dp::splits_evenly(t, 1, r)) continue;  // tiles must be r^L
+    const auto g = exec::forkjoin_dag(*ge, b, r);
     const auto ws = trace::analyze_work_span(g);
     const auto des = sim::simulate(g, mach.cores, dur);
     table.add_row({std::to_string(r), table_printer::num(ws.span),

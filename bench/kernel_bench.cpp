@@ -164,17 +164,18 @@ struct sweep_row {
   double median_ms;
 };
 
-/// Base tiles of `rec` in the order its serial recursion runs them: the
-/// flattened stages of split() from root().
+/// Base tiles of `rec` in the order its serial 2-way recursion
+/// (exec::run_serial) runs them: the flattened stages of split(t, 2) from
+/// root().
 void collect_recursion_order(const recurrence& rec, const tile4& t,
                              std::vector<tile4>& out) {
   if (rec.is_base(t)) {
     out.push_back(t);
     return;
   }
-  const split_plan plan = rec.split(t);
-  for (std::size_t c = 0; c < plan.child_count; ++c)
-    collect_recursion_order(rec, plan.children[c], out);
+  const split_plan plan = rec.split(t, 2);
+  for (const tile4& child : plan.children)
+    collect_recursion_order(rec, child, out);
 }
 
 /// Sweep an SW n/base table in place in each visiting order and check it

@@ -5,11 +5,12 @@
 // enumerate_base/split agreement fails fast — with the validator's report,
 // not a hung executor.
 //
-// The grid mixes power-of-two configurations (all backends; full check
-// including the split()-closure) and divisible-but-not-pow2 ones (tiled
-// backend only; graph-side checks, split disabled — the 2-way split rule
-// assumes pow2). The final per-benchmark fan-in summary shows the bound
-// executors reserve dependency buffers from: observed == declared
+// The grid mixes power-of-two configurations (all backends; the
+// split()-closure checked at r = 2 and at the full width r = n/base) and
+// divisible-but-not-pow2 ones (tiled backend only; the split()-closure
+// checked at r = n/base, the level the tiled row runs). The final
+// per-benchmark fan-in summary shows the bound executors reserve
+// dependency buffers from: observed == declared
 // (max_dependencies() must be tight — the validator's
 // arity_bound_not_tight check). There is no fixed capacity any more;
 // wide-fan-in specs (Paren: 2(T-1)) spill past the executors' inline
@@ -42,10 +43,7 @@ struct sweep_stats {
 /// add a table row. Returns the report so the caller can aggregate.
 verify_report verify_one(benchmark_id bm, std::size_t n, std::size_t base,
                          table_printer& table) {
-  verify_options opts;
-  // The 2-way split rule assumes power-of-two n/base; tiled-only
-  // configurations keep the graph-side checks.
-  opts.check_split = is_pow2(n) && is_pow2(base);
+  const verify_options opts;
 
   verify_report rep;
   switch (bm) {
@@ -86,7 +84,7 @@ verify_report verify_one(benchmark_id bm, std::size_t n, std::size_t base,
                  std::to_string(rep.dependency_edges),
                  std::to_string(rep.max_fan_in),
                  std::to_string(rep.declared_max_fan_in),
-                 opts.check_split ? "yes" : "no",
+                 is_pow2(n / base) ? "r=2,T" : "r=T",
                  rep.ok() ? "ok" : "FAIL(" + std::to_string(rep.issues.size())
                                        + ")"});
   return rep;

@@ -81,13 +81,13 @@ int main(int argc, char** argv) {
   {
     auto spec = make_spec();
     stopwatch t;
-    exec::run_tiled(*spec, pool);
+    exec::run_forkjoin(*spec, pool, len / tile);
     check("tiled wavefront:    ", t.millis());
   }
   {
     auto spec = make_spec();
     stopwatch t;
-    exec::run_rway(*spec, 4, &pool);
+    exec::run_forkjoin(*spec, pool, 4);
     check("4-way R-DP:         ", t.millis());
   }
   {

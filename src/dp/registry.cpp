@@ -84,21 +84,11 @@ bool supports_tiled(std::size_t n, std::size_t base) {
   return base > 0 && n % base == 0;
 }
 
-bool supports_rway(std::size_t n, std::size_t base, std::size_t r) {
-  if (base == 0 || n < base) return false;
-  std::size_t s = n;
-  while (s > base) {
-    if (s % r != 0) return false;
-    s /= r;
-  }
-  return s == base;
-}
-
 bool supports_r2(std::size_t n, std::size_t base) {
-  return supports_rway(n, base, 2);
+  return splits_evenly(n, base, 2);
 }
 bool supports_r4(std::size_t n, std::size_t base) {
-  return supports_rway(n, base, 4);
+  return splits_evenly(n, base, 4);
 }
 
 // ---- runners -------------------------------------------------------------
@@ -161,11 +151,12 @@ run_outcome run_forkjoin_v(const variant& self, const problem_ref& p,
   return {};
 }
 
+/// The blocked schedule: one full-width level of the r-way recursion.
 run_outcome run_tiled_v(const variant& self, const problem_ref& p,
                         const run_options& opts) {
   const std::unique_ptr<recurrence> spec = checked_spec(self, p, opts);
   with_pool(opts, [&](forkjoin::worker_pool& pool) {
-    exec::run_tiled(*spec, pool);
+    exec::run_forkjoin(*spec, pool, spec->size() / spec->base());
   });
   return {};
 }
@@ -237,7 +228,7 @@ run_outcome run_rway_v(const variant& self, const problem_ref& p,
   const std::size_t r = self.mode == "r4" ? 4 : 2;
   const std::unique_ptr<recurrence> spec = checked_spec(self, p, opts);
   with_pool(opts, [&](forkjoin::worker_pool& pool) {
-    exec::run_rway(*spec, r, &pool);
+    exec::run_forkjoin(*spec, pool, r);
   });
   return {};
 }

@@ -36,7 +36,8 @@ enum class benchmark_id : std::uint8_t { ge, sw, fw, lcs, paren };
 enum class backend_kind : std::uint8_t {
   serial,    ///< depth-first 2-way recursion on one thread
   forkjoin,  ///< 2-way recursion with task_group stages
-  tiled,     ///< blocked rounds / tile wavefronts with barriers
+  tiled,     ///< blocked rounds / tile wavefronts with barriers: the
+             ///< r-way recursion at r = n/base
   dataflow,  ///< CnC graph (modes: native, tuner, manual, nonblocking)
   rway,      ///< parametric r-way recursion (modes: r2, r4)
   prepared,  ///< frozen dependence DAG (exec::prepared_graph) built once
@@ -112,9 +113,9 @@ struct variant {
                      const run_options& opts);
 };
 
-/// All registered variants: the paper's three benchmarks get 16
-/// backend[:mode] entries each (12 real + 4 sim:* series); the
-/// variable-arity benchmarks (LCS, Paren) get the 12 real entries — the
+/// All 67 registered variants: the paper's three benchmarks get 15
+/// backend[:mode] entries each (11 real + 4 sim:* series); the
+/// variable-arity benchmarks (LCS, Paren) get the 11 real entries — the
 /// simulator's cost model only covers the paper's figures.
 /// Debug builds cross-check every spec with dp::verify_spec on a small
 /// instance the first time this is called (see registry.cpp).

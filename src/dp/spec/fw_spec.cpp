@@ -31,45 +31,6 @@ class fw_spec final : public recurrence {
   std::size_t size() const override { return m_.rows(); }
   std::size_t base() const override { return base_; }
 
-  split_plan split(const tile4& t) const override {
-    const std::int32_t h = t.b / 2;
-    const std::int32_t i2 = 2 * t.i, j2 = 2 * t.j, k2 = 2 * t.k;
-    split_plan plan;
-    switch (classify(t.i, t.j, t.k)) {
-      case task_kind::A:
-        // Forward sweep over the k2 half, then the backward sweep that
-        // re-updates the first three quadrants against the new pivot —
-        // FW's funcA spawns all eight children (§IV-A).
-        plan.stage({{i2, j2, k2, h}});
-        plan.stage({{i2, j2 + 1, k2, h}, {i2 + 1, j2, k2, h}});
-        plan.stage({{i2 + 1, j2 + 1, k2, h}});
-        plan.stage({{i2 + 1, j2 + 1, k2 + 1, h}});
-        plan.stage({{i2 + 1, j2, k2 + 1, h}, {i2, j2 + 1, k2 + 1, h}});
-        plan.stage({{i2, j2, k2 + 1, h}});
-        break;
-      case task_kind::B:
-        plan.stage({{i2, j2, k2, h}, {i2, j2 + 1, k2, h}});
-        plan.stage({{i2 + 1, j2, k2, h}, {i2 + 1, j2 + 1, k2, h}});
-        plan.stage({{i2 + 1, j2, k2 + 1, h}, {i2 + 1, j2 + 1, k2 + 1, h}});
-        plan.stage({{i2, j2, k2 + 1, h}, {i2, j2 + 1, k2 + 1, h}});
-        break;
-      case task_kind::C:
-        plan.stage({{i2, j2, k2, h}, {i2 + 1, j2, k2, h}});
-        plan.stage({{i2, j2 + 1, k2, h}, {i2 + 1, j2 + 1, k2, h}});
-        plan.stage({{i2, j2 + 1, k2 + 1, h}, {i2 + 1, j2 + 1, k2 + 1, h}});
-        plan.stage({{i2, j2, k2 + 1, h}, {i2 + 1, j2, k2 + 1, h}});
-        break;
-      case task_kind::D:
-        for (std::int32_t kk = 0; kk < 2; ++kk)
-          plan.stage({{i2, j2, k2 + kk, h},
-                      {i2, j2 + 1, k2 + kk, h},
-                      {i2 + 1, j2, k2 + kk, h},
-                      {i2 + 1, j2 + 1, k2 + kk, h}});
-        break;
-    }
-    return plan;
-  }
-
   // Round-K tile (I,J) always consumes its own round-(K-1) snapshot (the
   // environment seeds round -1), plus the pivot-round inputs of its kind:
   //   A(K,K,K): nothing more — it is the pivot

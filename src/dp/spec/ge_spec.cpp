@@ -1,6 +1,7 @@
 // Gaussian Elimination recurrence spec (the paper's running example,
-// Listings 2-5). The split stages reproduce Fig. 2 / Listing 3; the
-// dependency function and consumer counts reproduce Listing 5.
+// Listings 2-5). Its split is the abcd_triangular rule (spec/split.cpp),
+// whose r = 2 stages reproduce Fig. 2 / Listing 3; the dependency function
+// and consumer counts reproduce Listing 5.
 #include "dp/spec/specs.hpp"
 
 #include "dp/common.hpp"
@@ -25,46 +26,6 @@ class ge_spec final : public recurrence {
   }
   std::size_t size() const override { return m_.rows(); }
   std::size_t base() const override { return base_; }
-
-  split_plan split(const tile4& t) const override {
-    const std::int32_t h = t.b / 2;
-    split_plan plan;
-    switch (classify(t.i, t.j, t.k)) {
-      case task_kind::A: {
-        // funcA (Listing 3): A; {B ∥ C}; D; A on the lower-right half.
-        const std::int32_t d = 2 * t.i;
-        plan.stage({{d, d, d, h}});
-        plan.stage({{d, d + 1, d, h}, {d + 1, d, d, h}});
-        plan.stage({{d + 1, d + 1, d, h}});
-        plan.stage({{d + 1, d + 1, d + 1, h}});
-        break;
-      }
-      case task_kind::B: {
-        const std::int32_t i2 = 2 * t.i, j2 = 2 * t.j, k2 = 2 * t.k;
-        plan.stage({{i2, j2, k2, h}, {i2, j2 + 1, k2, h}});
-        plan.stage({{i2 + 1, j2, k2, h}, {i2 + 1, j2 + 1, k2, h}});
-        plan.stage({{i2 + 1, j2, k2 + 1, h}, {i2 + 1, j2 + 1, k2 + 1, h}});
-        break;
-      }
-      case task_kind::C: {
-        const std::int32_t i2 = 2 * t.i, j2 = 2 * t.j, k2 = 2 * t.k;
-        plan.stage({{i2, j2, k2, h}, {i2 + 1, j2, k2, h}});
-        plan.stage({{i2, j2 + 1, k2, h}, {i2 + 1, j2 + 1, k2, h}});
-        plan.stage({{i2, j2 + 1, k2 + 1, h}, {i2 + 1, j2 + 1, k2 + 1, h}});
-        break;
-      }
-      case task_kind::D: {
-        const std::int32_t i2 = 2 * t.i, j2 = 2 * t.j, k2 = 2 * t.k;
-        for (std::int32_t kk = 0; kk < 2; ++kk)
-          plan.stage({{i2, j2, k2 + kk, h},
-                      {i2, j2 + 1, k2 + kk, h},
-                      {i2 + 1, j2, k2 + kk, h},
-                      {i2 + 1, j2 + 1, k2 + kk, h}});
-        break;
-      }
-    }
-    return plan;
-  }
 
   // Dependencies of a base task (I,J,K) of each kind, exactly as in
   // Listing 5: write-write on its own previous update (I,J,K-1) — always a

@@ -13,13 +13,14 @@
 // is written once, so boolean signalling over the shared table is
 // race-free (token graph, like GE/SW).
 //
-// The 2-way split is the classic Par-DP decomposition restated as staged
-// regions: a diagonal region (I,I) splits into its two sub-diagonals (in
-// parallel) then the off-diagonal block between them; an off-diagonal
-// region (I,J) splits into its four quadrants in anti-diagonal phases,
-// bottom-left (2I+1,2J) first — every quadrant's external reads lie in
-// regions earlier stages (or ancestors' earlier stages) already ran,
-// which dp::verify_spec checks mechanically.
+// Its split is the diagonal_3way rule (spec/split.cpp); at r = 2 that is
+// the classic Par-DP decomposition restated as staged regions: a diagonal
+// region (I,I) splits into its two sub-diagonals (in parallel) then the
+// off-diagonal block between them; an off-diagonal region (I,J) splits
+// into its four quadrants in anti-diagonal phases, bottom-left (2I+1,2J)
+// first — every quadrant's external reads lie in regions earlier stages
+// (or ancestors' earlier stages) already ran, which dp::verify_spec checks
+// mechanically.
 #include "dp/spec/specs.hpp"
 
 #include <limits>
@@ -49,28 +50,6 @@ class paren_spec final : public recurrence {
   }
   std::size_t size() const override { return c_.rows(); }
   std::size_t base() const override { return base_; }
-
-  split_plan split(const tile4& t) const override {
-    const std::int32_t h = t.b / 2;
-    const std::int32_t i2 = 2 * t.i, j2 = 2 * t.j;
-    split_plan plan;
-    if (t.i == t.j) {
-      // Diagonal region: the two sub-diagonals are independent (their
-      // row/column bands are disjoint); the off-diagonal block between
-      // them reads both.
-      plan.stage({{i2, i2, 0, h}, {i2 + 1, i2 + 1, 0, h}});
-      plan.stage({{i2, i2 + 1, 0, h}});
-    } else {
-      // Off-diagonal region: quadrants in anti-diagonal phases. (2I+1,2J)
-      // feeds both its row neighbour (2I,2J) (column reads) and its
-      // column neighbour (2I+1,2J+1) (row reads); those two are mutually
-      // independent (disjoint row and column bands); (2I,2J+1) reads both.
-      plan.stage({{i2 + 1, j2, 0, h}});
-      plan.stage({{i2, j2, 0, h}, {i2 + 1, j2 + 1, 0, h}});
-      plan.stage({{i2, j2 + 1, 0, h}});
-    }
-    return plan;
-  }
 
   /// Row segment first (left to right), then column segment (top to
   /// bottom) — a fixed order so value-passing consumers (none today)

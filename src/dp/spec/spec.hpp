@@ -7,15 +7,18 @@
 // was hand-written, one recursive and one CnC implementation per
 // benchmark. This layer factors out what those implementations shared:
 //
-//   * the 2-way split rule, expressed as a *staged* child list
-//     (split_plan). The stages are the fork-join joins; their flattened
-//     order equals the data-flow tag emission order, so one plan drives
-//     serial execution, task_group spawn/wait AND recursive CnC tag
-//     expansion. (This equality is a property of the A/B/C/D and wavefront
-//     decompositions — checked mechanically by dp::verify_spec
-//     (dp/verify/verify.hpp), which walks split() from root() and requires
-//     the flattened order to satisfy every depends() edge and each stage's
-//     children to be mutually independent; see DESIGN.md §11.)
+//   * the r-way split rule, expressed as a *staged* child list
+//     (split_plan) and written once per structure_kind, not per spec. The
+//     stages are the fork-join joins; at r = 2 their flattened order
+//     equals the data-flow tag emission order, so one plan drives serial
+//     execution, task_group spawn/wait AND recursive CnC tag expansion;
+//     wider r gives the shallower r-way recursions and, at r = n/base, the
+//     blocked tiled schedule. (This equality is a property of the A/B/C/D,
+//     wavefront and diagonal decompositions — checked mechanically by
+//     dp::verify_spec (dp/verify/verify.hpp), which walks split() from
+//     root() at r = 2 and r = n/base and requires the flattened order to
+//     satisfy every depends() edge and each stage's children to be mutually
+//     independent; see DESIGN.md §11.)
 //   * the true-dependency function of a base tile (the depends() logic
 //     formerly buried in each CnC implementation), emitted in the exact
 //     get order of the retired implementations: write-write predecessor
@@ -30,10 +33,8 @@
 // code remains outside it.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,6 +42,7 @@
 #include "cnc/context.hpp"  // context_stats
 #include "dp/common.hpp"
 #include "support/assertions.hpp"
+#include "support/small_vector.hpp"
 
 namespace rdp::dp {
 
@@ -69,8 +71,8 @@ struct cnc_run_info {
   std::uint64_t items_live_at_end = 0;
 };
 
-/// Dependency/data shape of a recurrence — what the tiled and r-way
-/// backends need to schedule rounds without consulting the split rule.
+/// Dependency/data shape of a recurrence — it selects the split rule
+/// (recurrence::split) every recursive backend walks.
 enum class structure_kind : std::uint8_t {
   /// GE: pivot round K touches only blocks with index > K (the update
   /// guards prune the rest).
@@ -106,33 +108,36 @@ inline constexpr std::size_t typical_dependency_arity = 8;
 
 /// The staged children of one non-base tag. Children within a stage are
 /// independent (fork-join runs them under one task_group); stages run in
-/// order. FW's funcA has the most stages (6) and children (8).
+/// order. The inline capacity covers every 2-way plan (FW's funcA is the
+/// widest: 8 children in 6 stages), so the r = 2 walk never allocates; a
+/// wider plan (an r = 4 abcd plan holds up to 64 children, an r = T one
+/// about T³/3) spills to the heap.
 struct split_plan {
-  static constexpr std::size_t max_children = 8;
-  static constexpr std::size_t max_stages = 6;
+  small_vector<tile4, 8> children;
+  small_vector<std::uint32_t, 6> stage_end;  // prefix sums into children
 
-  std::array<tile4, max_children> children{};
-  std::array<std::uint8_t, max_stages> stage_end{};  // prefix sums
-  std::uint8_t child_count = 0;
-  std::uint8_t stage_count = 0;
-
-  /// Append one stage of independent children. Always-on bounds check:
-  /// split() input comes from spec implementations outside this file, and a
-  /// Release-compiled-out check here is the exact silent-corruption pattern
-  /// the dep_list overflow shipped with (a 9th child would overwrite
-  /// stage_end and scramble every later stage boundary).
-  void stage(std::initializer_list<tile4> ts) {
-    RDP_REQUIRE_MSG(stage_count < max_stages &&
-                        child_count + ts.size() <= max_children,
-                    "split_plan overflow: too many stages or children");
-    for (const tile4& t : ts) children[child_count++] = t;
-    stage_end[stage_count++] = child_count;
-  }
-
+  std::size_t stage_count() const { return stage_end.size(); }
   std::size_t stage_begin(std::size_t s) const {
     return s == 0 ? 0 : stage_end[s - 1];
   }
+
+  /// Append a child to the open stage.
+  void add(const tile4& t) { children.push_back(t); }
+  /// Close the open stage; a stage with no children is dropped.
+  void end_stage() {
+    if (children.size() > stage_begin(stage_count()))
+      stage_end.push_back(static_cast<std::uint32_t>(children.size()));
+  }
 };
+
+/// Whether a problem of side n splits r ways down to base exactly:
+/// n == base * r^L for some L >= 0 (any r when n == base, else r >= 2).
+constexpr bool splits_evenly(std::size_t n, std::size_t base, std::size_t r) {
+  if (base == 0 || n < base) return false;
+  if (r < 2) return n == base;
+  while (n > base && n % r == 0) n /= r;
+  return n == base;
+}
 
 /// Non-owning callback receiving the dependency keys of a base task.
 class dep_sink {
@@ -184,8 +189,8 @@ class value_store {
 /// of base tiles, and the base-case kernel. Specs are cheap views over the
 /// caller's problem data (matrix, sequences); they do not own it.
 ///
-/// Base tasks are the tile4 tags with b <= base() — with power-of-two
-/// problem and base sizes the recursion hits b == base() exactly, so base
+/// Base tasks are the tile4 tags with b <= base() — when size() splits
+/// evenly (splits_evenly) the recursion hits b == base() exactly, so base
 /// tile coordinates are tile indices at granularity base() and
 /// (t.i*t.b, t.j*t.b, t.k*t.b) is the element-space origin of the region.
 class recurrence {
@@ -208,10 +213,13 @@ class recurrence {
     return {0, 0, 0, static_cast<std::int32_t>(size())};
   }
 
-  /// 2-way split of a non-base tag into staged children. The flattened
-  /// child order is also the data-flow tag emission order (see file
-  /// comment).
-  virtual split_plan split(const tile4& t) const = 0;
+  /// r-way split of a non-base tag into staged children: the one split
+  /// rule of each structure_kind (spec/split.cpp), for any r dividing t.b.
+  /// At r = 2 the flattened child order is also the data-flow tag emission
+  /// order (see file comment); at r = n/base one level reaches the base
+  /// tiles, in the blocked round/wavefront/diagonal schedule. Virtual only
+  /// so tests can perturb a plan; no spec overrides it.
+  virtual split_plan split(const tile4& t, std::size_t r) const;
 
   /// Emit the item keys base task t reads, in the exact order the
   /// data-flow base step performs its gets: the write-write predecessor of

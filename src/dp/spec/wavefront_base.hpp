@@ -1,8 +1,9 @@
 // Shared wavefront recurrence: everything a wavefront-structured spec
 // (SW, LCS/edit-distance, any one-off cell-rule DP) has in common — the
-// R00; {R01 ∥ R10}; R11 split, the NW/N/W dependency function with tight
-// per-tile arity, consumer counts and enumeration order. Derived classes
-// supply only name() and the base-case kernel (see DESIGN.md §15).
+// NW/N/W dependency function with tight per-tile arity, consumer counts
+// and enumeration order; its split is the wavefront rule (spec/split.cpp).
+// Derived classes supply only name() and the base-case kernel (see
+// DESIGN.md §15).
 #pragma once
 
 #include <cstddef>
@@ -24,18 +25,6 @@ class wavefront_recurrence : public recurrence {
   }
   std::size_t size() const override { return n_; }
   std::size_t base() const override { return base_; }
-
-  /// R(X): R00; {R01 ∥ R10}; R11 — the joins that serialise anti-diagonals
-  /// and destroy wavefront parallelism (§IV-B).
-  split_plan split(const tile4& t) const override {
-    const std::int32_t h = t.b / 2;
-    const std::int32_t i2 = 2 * t.i, j2 = 2 * t.j;
-    split_plan plan;
-    plan.stage({{i2, j2, 0, h}});
-    plan.stage({{i2, j2 + 1, 0, h}, {i2 + 1, j2, 0, h}});
-    plan.stage({{i2 + 1, j2 + 1, 0, h}});
-    return plan;
-  }
 
   void depends(const tile3& t, const dep_sink& need) const override {
     if (t.i > 0 && t.j > 0) need({t.i - 1, t.j - 1, 0});

@@ -94,7 +94,8 @@ struct verifier {
   exec::tile_box box;
   std::unordered_set<tile3> outside_reported;
 
-  // ---- split-walk state --------------------------------------------------
+  // ---- split-walk state (one walk per branching factor) ------------------
+  std::size_t split_r = 2;
   std::unordered_map<tile3, std::size_t> reached;  // base coord -> visits
   std::unordered_set<tile3> completed;  // done in flattened order (+ seeds)
   bool split_walk_aborted = false;
@@ -121,8 +122,13 @@ struct verifier {
     collect_edges();
     check_consumer_counts();
     if (opts.check_split) {
-      walk_split();
-      check_split_closure();
+      // The one split rule at both ends of the range the registry runs:
+      // the 2-way recursion (when the tile count is a power of two) and
+      // the full-width level of the tiled schedule (r = n/base).
+      const std::size_t n = rec.size(), base = rec.base();
+      if (splits_evenly(n, base, 2)) walk_split(2);
+      if (base > 0 && n / base > 2 && splits_evenly(n, base, n / base))
+        walk_split(n / base);
     }
   }
 
@@ -265,9 +271,18 @@ struct verifier {
     }
   };
 
-  void walk_split() {
+  void walk_split(std::size_t r) {
+    split_r = r;
+    reached.clear();
     completed = seeds;  // the environment's items exist before any tag
+    split_walk_aborted = false;
     walk(rec.root());
+    check_split_closure();
+  }
+
+  /// Names the walk a split issue came from.
+  std::string at_r() const {
+    return " (split at r=" + std::to_string(split_r) + ")";
   }
 
   io_sets walk(const tile4& t) {
@@ -287,19 +302,19 @@ struct verifier {
           issue(verify_failure_kind::stage_order_violation, c,
                 "flattened split order runs base task " + key_string(c) +
                     " before its dependency " + key_string(d) +
-                    " is produced");
+                    " is produced" + at_r());
       }
       completed.insert(c);
       io.produced_keys.insert(c);
       return io;
     }
 
-    const split_plan plan = rec.split(t);
+    const split_plan plan = rec.split(t, split_r);
     if (!plan_well_formed(t, plan)) {
       split_walk_aborted = true;
       return io;
     }
-    for (std::size_t s = 0; s < plan.stage_count; ++s) {
+    for (std::size_t s = 0; s < plan.stage_count(); ++s) {
       const std::size_t begin = plan.stage_begin(s);
       const std::size_t end = plan.stage_end[s];
       if (end - begin == 1) {
@@ -318,31 +333,31 @@ struct verifier {
 
   bool plan_well_formed(const tile4& t, const split_plan& plan) {
     const tile3 c{t.i, t.j, t.k};
-    if (plan.stage_count == 0 || plan.child_count == 0) {
+    if (plan.stage_count() == 0 || plan.children.empty()) {
       issue(verify_failure_kind::malformed_split, c,
             "split of non-base tag " + key_string(c) + " (b=" +
-                std::to_string(t.b) + ") produced no children");
+                std::to_string(t.b) + ") produced no children" + at_r());
       return false;
     }
     std::size_t prev = 0;
-    for (std::size_t s = 0; s < plan.stage_count; ++s) {
-      if (plan.stage_end[s] <= prev) {
+    for (const std::uint32_t end : plan.stage_end) {
+      if (end <= prev) {
         issue(verify_failure_kind::malformed_split, c,
-              "split stage boundaries are not strictly increasing");
+              "split stage boundaries are not strictly increasing" + at_r());
         return false;
       }
-      prev = plan.stage_end[s];
+      prev = end;
     }
-    if (prev != plan.child_count) {
+    if (prev != plan.children.size()) {
       issue(verify_failure_kind::malformed_split, c,
-            "split stage prefix sums do not cover every child");
+            "split stage prefix sums do not cover every child" + at_r());
       return false;
     }
-    for (std::size_t i = 0; i < plan.child_count; ++i) {
-      if (plan.children[i].b <= 0 || plan.children[i].b >= t.b) {
+    for (const tile4& child : plan.children) {
+      if (child.b <= 0 || child.b >= t.b) {
         issue(verify_failure_kind::malformed_split, c,
               "split child is not strictly smaller than its parent "
-              "(recursion would not terminate)");
+              "(recursion would not terminate)" + at_r());
         return false;
       }
     }
@@ -350,31 +365,31 @@ struct verifier {
   }
 
   /// Fork-join runs one stage's children concurrently: no child subtree
-  /// may consume an item a sibling subtree produces.
+  /// may consume an item a sibling subtree produces. One lookup per
+  /// consumed key, so a full-width stage (thousands of children) stays
+  /// linear.
   void check_stage_independence(const tile4& t, std::size_t stage,
                                 const split_plan& plan, std::size_t begin,
                                 const std::vector<io_sets>& kids) {
+    std::unordered_map<tile3, std::size_t> producer;  // key -> child
+    for (std::size_t b = 0; b < kids.size(); ++b)
+      for (const tile3& key : kids[b].produced_keys) producer.emplace(key, b);
     for (std::size_t a = 0; a < kids.size(); ++a) {
-      for (std::size_t b = 0; b < kids.size(); ++b) {
-        if (a == b) continue;
-        const auto& consumed = kids[a].consumed_keys;
-        const auto& produced_sib = kids[b].produced_keys;
-        // Iterate the smaller set.
-        const bool swap = consumed.size() > produced_sib.size();
-        const auto& small = swap ? produced_sib : consumed;
-        const auto& large = swap ? consumed : produced_sib;
-        for (const tile3& key : small) {
-          if (large.count(key) == 0) continue;
-          const tile4& ca = plan.children[begin + a];
-          const tile4& cb = plan.children[begin + b];
-          issue(verify_failure_kind::stage_conflict, key,
-                "stage " + std::to_string(stage) + " of split " +
-                    key_string({t.i, t.j, t.k}) + ": child " +
-                    key_string({ca.i, ca.j, ca.k}) + " consumes " +
-                    key_string(key) + " which sibling " +
-                    key_string({cb.i, cb.j, cb.k}) + " produces");
-          break;  // one witness per child pair keeps the report readable
-        }
+      // One witness per sibling keeps the report readable.
+      std::unordered_set<std::size_t> witnessed;
+      for (const tile3& key : kids[a].consumed_keys) {
+        const auto it = producer.find(key);
+        if (it == producer.end() || it->second == a ||
+            !witnessed.insert(it->second).second)
+          continue;
+        const tile4& ca = plan.children[begin + a];
+        const tile4& cb = plan.children[begin + it->second];
+        issue(verify_failure_kind::stage_conflict, key,
+              "stage " + std::to_string(stage) + " of split " +
+                  key_string({t.i, t.j, t.k}) + ": child " +
+                  key_string({ca.i, ca.j, ca.k}) + " consumes " +
+                  key_string(key) + " which sibling " +
+                  key_string({cb.i, cb.j, cb.k}) + " produces" + at_r());
       }
     }
   }
@@ -387,11 +402,11 @@ struct verifier {
       if (it == reached.end()) {
         issue(verify_failure_kind::split_base_mismatch, c,
               "enumerate_base lists " + key_string(c) +
-                  " but split() from root() never reaches it");
+                  " but split() from root() never reaches it" + at_r());
       } else if (it->second > 1) {
         issue(verify_failure_kind::duplicate_split_emission, c,
               "split() from root() reaches " + key_string(c) + " " +
-                  std::to_string(it->second) + " times");
+                  std::to_string(it->second) + " times" + at_r());
       }
     }
     for (const auto& [c, visits] : reached) {
@@ -399,7 +414,7 @@ struct verifier {
       if (base_multiplicity.count(c) == 0)
         issue(verify_failure_kind::split_base_mismatch, c,
               "split() from root() reaches " + key_string(c) +
-                  " but enumerate_base does not list it");
+                  " but enumerate_base does not list it" + at_r());
     }
   }
 };

@@ -26,7 +26,10 @@
 //   * split() from root() reaches exactly the enumerate_base() set, each
 //     tag once, with the flattened stage order satisfying every depends()
 //     edge and the children of one stage mutually independent (the
-//     property DESIGN.md used to argue in prose, per decomposition);
+//     property DESIGN.md used to argue in prose, per decomposition) —
+//     walked at r = 2 (power-of-two tile counts) and at the full width
+//     r = n/base, so the one split rule is checked against depends() at
+//     both ends of the range the registry runs;
 //   * every depends() key, seed and gather key lies inside the key box the
 //     data-flow lowering sizes its dense item store for (exec::item_box,
 //     which bounds the base tags), so no run names a key the store has no
@@ -165,9 +168,9 @@ struct verify_options {
   /// Cap on recorded issues (statistics always cover the full graph).
   std::size_t max_issues = 64;
   /// Run the split()-closure checks (reachability, flattened order, stage
-  /// independence). The 2-way split rule assumes power-of-two n/base;
-  /// callers verifying a tiled-only configuration (n divisible but not a
-  /// power of two) disable this and keep the graph-side checks.
+  /// independence) at r = 2 when n/base is a power of two and at
+  /// r = n/base whenever it exceeds 2. Disabling them keeps only the
+  /// graph-side checks.
   bool check_split = true;
 };
 

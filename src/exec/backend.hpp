@@ -10,12 +10,13 @@
 //                   base-step gets from depends(), get-count GC from
 //                   consumer_count(), manual pre-declaration from
 //                   enumerate_base(). All four cnc_variant modes.
-//   run_tiled     — the classic blocked round/wavefront schedule (no
-//                   recursion; barrier per phase).
-//   run_rway      — the parametric r-way recursion (r = 2 recovers the
-//                   2-way shape with a stage structure equivalent to
-//                   run_serial/run_forkjoin; r = n/base degenerates to
-//                   run_tiled).
+//
+// run_serial and run_forkjoin walk the spec's one split rule
+// (recurrence::split) at a branching factor r: r = 2 is the classic 2-way
+// recursion, wider r the parametric r-way recursion of §I-A (the rway:r2/r4
+// registry rows), and r = n/base the blocked loop schedule — one level of
+// per-round A; {B ∥ C}; {D}, one barrier per anti-diagonal or per diagonal
+// (the tiled registry row).
 //
 // The same specs also lower to the task DAGs the simulator prices and the
 // work/span analysis measures (exec/dag.hpp: dataflow_dag, forkjoin_dag) —
@@ -34,12 +35,17 @@
 
 namespace rdp::exec {
 
-/// Depth-first serial execution of the recursion.
-void run_serial(dp::recurrence& rec);
+/// Depth-first serial execution of the r-way recursion. Requires r >= 2 to
+/// divide every level's side down to base() (size() == base() * r^L, or a
+/// last level below base()); throws contract_error before running any
+/// kernel otherwise.
+void run_serial(dp::recurrence& rec, std::size_t r = 2);
 
-/// Fork-join execution: stages with one child run inline, stages with more
-/// spawn all children and wait (the artificial barrier of §III-B).
-void run_forkjoin(dp::recurrence& rec, forkjoin::worker_pool& pool);
+/// Fork-join execution of the r-way recursion: stages with one child run
+/// inline, stages with more spawn all children and wait (the artificial
+/// barrier of §III-B). The same precondition as run_serial.
+void run_forkjoin(dp::recurrence& rec, forkjoin::worker_pool& pool,
+                  std::size_t r = 2);
 
 struct dataflow_options {
   dp::cnc_variant variant = dp::cnc_variant::native;
@@ -52,16 +58,5 @@ struct dataflow_options {
 /// Throws contract_error when opts.pool is null.
 dp::cnc_run_info run_dataflow(dp::recurrence& rec,
                               const dataflow_options& opts);
-
-/// Blocked loop schedule: abcd structures run per-pivot rounds of
-/// {A; B band ∥ C band; D sweep} with a barrier per phase; wavefront
-/// structures run 2T-1 anti-diagonal waves with a barrier per wave.
-/// Requires base() to divide size() (no power-of-two constraint).
-void run_tiled(dp::recurrence& rec, forkjoin::worker_pool& pool);
-
-/// Parametric r-way recursion (serial when pool is null). Requires
-/// size() == base() * r^L.
-void run_rway(dp::recurrence& rec, std::size_t r,
-              forkjoin::worker_pool* pool);
 
 }  // namespace rdp::exec

@@ -6,8 +6,6 @@
 #include <vector>
 
 #include "support/assertions.hpp"
-#include "support/math_utils.hpp"
-#include "support/small_vector.hpp"
 
 namespace rdp::exec {
 
@@ -79,28 +77,36 @@ struct fragment {
   node_id exit;
 };
 
-/// Shared machinery for the symbolic fork-join recursions. Sizes are in
-/// tile units (the recursion bottoms out at 1 tile == one base task).
-struct fj_builder {
+/// The split() recursion at branching factor r, symbolically: each stage's
+/// children are lowered first, then joined into one fragment (a fork and a
+/// join node unless the stage has one child), then chained after the
+/// previous stage — the node order of run_forkjoin's spawn/taskwait
+/// structure.
+struct split_fj {
   task_graph g;
   base_nodes nodes;
+  std::size_t r;
 
-  fragment leaf(std::int32_t ti, std::int32_t tj, std::int32_t tk) {
-    const node_id v = nodes.add(g, tile3{ti, tj, tk});
-    return {v, v};
+  fragment lower(const tile4& t) {
+    if (nodes.rec.is_base(t)) {
+      const node_id v = nodes.add(g, coord(t));
+      return {v, v};
+    }
+    const dp::split_plan plan = nodes.rec.split(t, r);
+    fragment acc{k_no_node, k_no_node};
+    small_vector<fragment, 8> parts;
+    for (std::size_t s = 0; s < plan.stage_count(); ++s) {
+      parts.clear();
+      for (std::size_t c = plan.stage_begin(s); c < plan.stage_end[s]; ++c)
+        parts.push_back(lower(plan.children[c]));
+      const fragment stage = fork_join(parts);
+      if (s > 0) g.add_edge(acc.exit, stage.entry);
+      acc = {s == 0 ? stage.entry : acc.entry, stage.exit};
+    }
+    return acc;
   }
 
-  /// Sequential composition: b starts only after a (taskwait in between
-  /// or plain program order).
-  fragment seq(fragment a, fragment b) {
-    g.add_edge(a.exit, b.entry);
-    return {a.entry, b.exit};
-  }
-
-  /// Parallel composition with a spawn fork and a taskwait join.
-  template <class Parts>
-  fragment fork_join(const Parts& parts) {
-    RDP_ASSERT(!parts.empty());
+  fragment fork_join(const small_vector<fragment, 8>& parts) {
     if (parts.size() == 1) return parts[0];
     const node_id f = g.add_node(node_type::fork);
     const node_id j = g.add_node(node_type::join);
@@ -109,131 +115,6 @@ struct fj_builder {
       g.add_edge(p.exit, j);
     }
     return {f, j};
-  }
-};
-
-/// The split() recursion, symbolically: each stage's children are lowered
-/// first, then joined into one fragment, then chained after the previous
-/// stage — the node order of run_forkjoin's spawn/taskwait structure.
-struct split_fj : fj_builder {
-  fragment lower(const tile4& t) {
-    if (nodes.rec.is_base(t)) return leaf(t.i, t.j, t.k);
-    const dp::split_plan plan = nodes.rec.split(t);
-    fragment acc{k_no_node, k_no_node};
-    for (std::size_t s = 0; s < plan.stage_count; ++s) {
-      small_vector<fragment, dp::split_plan::max_children> parts;
-      for (std::size_t c = plan.stage_begin(s); c < plan.stage_end[s]; ++c)
-        parts.push_back(lower(plan.children[c]));
-      const fragment stage = fork_join(parts);
-      acc = s == 0 ? stage : seq(acc, stage);
-    }
-    return acc;
-  }
-};
-
-/// r-way GE fork-join recursion (mirrors exec/rway.cpp's rway_recursion
-/// with triangular guards), symbolically.
-struct ge_rway_fj : fj_builder {
-  std::size_t r;
-
-  fragment seq_stage(fragment acc, std::vector<fragment>&& parts) {
-    if (parts.empty()) return acc;
-    return seq(acc, fork_join(parts));
-  }
-
-  fragment A(std::int32_t d, std::int32_t s) {
-    if (s == 1) return leaf(d, d, d);
-    const auto h = static_cast<std::int32_t>(s / r);
-    const auto ri = static_cast<std::int32_t>(r);
-    fragment acc{k_no_node, k_no_node};
-    bool first = true;
-    auto append = [&](fragment f) {
-      acc = first ? f : seq(acc, f);
-      first = false;
-    };
-    for (std::int32_t kk = 0; kk < ri; ++kk) {
-      const std::int32_t dk = d + kk * h;
-      append(A(dk, h));
-      std::vector<fragment> bc;
-      for (std::int32_t jj = kk + 1; jj < ri; ++jj)
-        bc.push_back(B(dk, d + jj * h, dk, h));
-      for (std::int32_t ii = kk + 1; ii < ri; ++ii)
-        bc.push_back(C(d + ii * h, dk, dk, h));
-      acc = seq_stage(acc, std::move(bc));
-      std::vector<fragment> ds;
-      for (std::int32_t ii = kk + 1; ii < ri; ++ii)
-        for (std::int32_t jj = kk + 1; jj < ri; ++jj)
-          ds.push_back(D(d + ii * h, d + jj * h, dk, h));
-      acc = seq_stage(acc, std::move(ds));
-    }
-    return acc;
-  }
-
-  fragment B(std::int32_t xi, std::int32_t xj, std::int32_t xk,
-             std::int32_t s) {
-    if (s == 1) return leaf(xi, xj, xk);
-    const auto h = static_cast<std::int32_t>(s / r);
-    const auto ri = static_cast<std::int32_t>(r);
-    fragment acc{k_no_node, k_no_node};
-    bool first = true;
-    for (std::int32_t kk = 0; kk < ri; ++kk) {
-      const std::int32_t k0 = xk + kk * h;
-      std::vector<fragment> bs;
-      for (std::int32_t jj = 0; jj < ri; ++jj)
-        bs.push_back(B(k0, xj + jj * h, k0, h));
-      const fragment bstage = fork_join(bs);
-      acc = first ? bstage : seq(acc, bstage);
-      first = false;
-      std::vector<fragment> ds;
-      for (std::int32_t ii = kk + 1; ii < ri; ++ii)
-        for (std::int32_t jj = 0; jj < ri; ++jj)
-          ds.push_back(D(xi + ii * h, xj + jj * h, k0, h));
-      acc = seq_stage(acc, std::move(ds));
-    }
-    return acc;
-  }
-
-  fragment C(std::int32_t xi, std::int32_t xj, std::int32_t xk,
-             std::int32_t s) {
-    if (s == 1) return leaf(xi, xj, xk);
-    const auto h = static_cast<std::int32_t>(s / r);
-    const auto ri = static_cast<std::int32_t>(r);
-    fragment acc{k_no_node, k_no_node};
-    bool first = true;
-    for (std::int32_t kk = 0; kk < ri; ++kk) {
-      const std::int32_t k0 = xk + kk * h;
-      std::vector<fragment> cs;
-      for (std::int32_t ii = 0; ii < ri; ++ii)
-        cs.push_back(C(xi + ii * h, k0, k0, h));
-      const fragment cstage = fork_join(cs);
-      acc = first ? cstage : seq(acc, cstage);
-      first = false;
-      std::vector<fragment> ds;
-      for (std::int32_t jj = kk + 1; jj < ri; ++jj)
-        for (std::int32_t ii = 0; ii < ri; ++ii)
-          ds.push_back(D(xi + ii * h, xj + jj * h, k0, h));
-      acc = seq_stage(acc, std::move(ds));
-    }
-    return acc;
-  }
-
-  fragment D(std::int32_t xi, std::int32_t xj, std::int32_t xk,
-             std::int32_t s) {
-    if (s == 1) return leaf(xi, xj, xk);
-    const auto h = static_cast<std::int32_t>(s / r);
-    const auto ri = static_cast<std::int32_t>(r);
-    fragment acc{k_no_node, k_no_node};
-    bool first = true;
-    for (std::int32_t kk = 0; kk < ri; ++kk) {
-      std::vector<fragment> ds;
-      for (std::int32_t ii = 0; ii < ri; ++ii)
-        for (std::int32_t jj = 0; jj < ri; ++jj)
-          ds.push_back(D(xi + ii * h, xj + jj * h, xk + kk * h, h));
-      const fragment dstage = fork_join(ds);
-      acc = first ? dstage : seq(acc, dstage);
-      first = false;
-    }
-    return acc;
   }
 };
 
@@ -317,27 +198,12 @@ task_graph dataflow_dag(const dp::recurrence& rec, std::size_t b) {
   return g;
 }
 
-task_graph forkjoin_dag(const dp::recurrence& rec, std::size_t b) {
-  RDP_REQUIRE_MSG(is_pow2(rec.size() / rec.base()),
-                  "fork-join DAG needs a power-of-two tile count");
-  split_fj fj{{{}, {rec, b}}};
+task_graph forkjoin_dag(const dp::recurrence& rec, std::size_t b,
+                        std::size_t r) {
+  RDP_REQUIRE_MSG(dp::splits_evenly(rec.size(), rec.base(), r),
+                  "fork-join DAG needs a tile count of r^L");
+  split_fj fj{{}, {rec, b}, r};
   fj.lower(rec.root());
-  return std::move(fj.g);
-}
-
-task_graph build_ge_forkjoin_rway(const dp::recurrence& ge, std::size_t b,
-                                  std::size_t r) {
-  RDP_REQUIRE_MSG(ge.structure() == dp::structure_kind::abcd_triangular,
-                  "the r-way DAG is GE's recursion");
-  RDP_REQUIRE_MSG(r >= 2, "r-way recursion needs r >= 2");
-  const std::size_t tiles = ge.size() / ge.base();
-  std::size_t s = tiles;
-  while (s > 1) {
-    RDP_REQUIRE_MSG(s % r == 0, "tiles must be r^L");
-    s /= r;
-  }
-  ge_rway_fj fj{{{}, {ge, b}}, r};
-  fj.A(0, static_cast<std::int32_t>(tiles));
   return std::move(fj.g);
 }
 

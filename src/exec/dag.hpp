@@ -13,9 +13,11 @@
 //                  produced key. These are the constraints run_dataflow
 //                  and prepared_graph enforce.
 //   forkjoin_dag — the split() recursion from root() as run_forkjoin
-//                  executes it: a stage with one child is inlined, a stage
-//                  with more gets a zero-work fork node and join node, and
-//                  successive stages run in sequence. Every join edge that
+//                  executes it at branching factor r (2 by default; the
+//                  r-way ablation prices wider r): a stage with one child
+//                  is inlined, a stage with more gets a zero-work fork
+//                  node and join node, and successive stages run in
+//                  sequence. Every join edge that
 //                  is not also a data dependency is an artificial
 //                  dependency in the paper's sense.
 //
@@ -201,14 +203,10 @@ tile_dag derive_tile_dag(const dp::recurrence& rec);
 /// throws what derive_tile_dag throws.
 trace::task_graph dataflow_dag(const dp::recurrence& rec, std::size_t b = 0);
 
-/// Fork-join DAG of rec: its split() recursion with fork/join nodes.
-/// Requires a power-of-two tile count (the 2-way split halves it).
-trace::task_graph forkjoin_dag(const dp::recurrence& rec, std::size_t b = 0);
-
-/// GE's parametric r-way fork-join recursion (exec/rway.cpp's stage
-/// structure, not split()) over the tiles of `ge`, priced at tile side b.
-/// The tile count must be r^L. Used by the r-way ablation.
-trace::task_graph build_ge_forkjoin_rway(const dp::recurrence& ge,
-                                         std::size_t b, std::size_t r);
+/// Fork-join DAG of rec: its r-way split() recursion with fork/join nodes.
+/// Requires a tile count of r^L (r = 2: a power of two; r = n/base: the
+/// tiled schedule's one level).
+trace::task_graph forkjoin_dag(const dp::recurrence& rec, std::size_t b = 0,
+                               std::size_t r = 2);
 
 }  // namespace rdp::exec

@@ -14,8 +14,9 @@
 // enumerate_base() walk; a key outside it is refused (key_out_of_range),
 // and no get, put or park allocates.
 //
-// Non-base tags expand into their children in split_plan's flattened order
-// (equal to the retired per-benchmark tag-emission order). Base tags get
+// Non-base tags expand into their 2-way children (split(t, 2)) in
+// split_plan's flattened order (equal to the retired per-benchmark
+// tag-emission order). Base tags get
 // their dependencies in depends() emission order — blocking gets for the
 // native/tuner/manual variants, try_get polling with short-circuit plus
 // respawn for the nonblocking variant — then run the base kernel (token
@@ -120,9 +121,8 @@ int df_step<Ctx>::execute(const dp::tile4& t, Ctx& ctx) const {
   using Value = typename Ctx::value_type;
   if (!ctx.rec.is_base(t)) {
     df_metrics().expand_steps.add();
-    const dp::split_plan plan = ctx.rec.split(t);
-    for (std::size_t c = 0; c < plan.child_count; ++c)
-      ctx.tags.put(plan.children[c]);
+    const dp::split_plan plan = ctx.rec.split(t, 2);
+    for (const dp::tile4& child : plan.children) ctx.tags.put(child);
     return 0;
   }
 

@@ -5,12 +5,14 @@
 // (Parenthesization-class, fan-in growing with problem size) use the same
 // code path instead of overflowing a fixed array or being rejected at
 // graph build. Deliberately tiny: exactly the surface the executors need,
-// no insert/erase, non-copyable.
+// no insert/erase, non-copyable but movable (a spec's split() returns its
+// plan by value).
 #pragma once
 
 #include <cstddef>
 #include <memory>
 #include <new>
+#include <type_traits>
 #include <utility>
 
 namespace rdp {
@@ -23,6 +25,19 @@ class small_vector {
   small_vector() noexcept = default;
   small_vector(const small_vector&) = delete;
   small_vector& operator=(const small_vector&) = delete;
+
+  /// Steals a heap buffer; moves inline elements one by one.
+  small_vector(small_vector&& other) noexcept(
+      std::is_nothrow_move_constructible_v<T>) {
+    if (!other.is_inline()) {
+      data_ = std::exchange(other.data_, other.inline_ptr());
+      size_ = std::exchange(other.size_, 0);
+      capacity_ = std::exchange(other.capacity_, N);
+      return;
+    }
+    for (T& v : other) push_back(std::move(v));
+    other.clear();
+  }
 
   ~small_vector() {
     clear();
@@ -81,6 +96,10 @@ class small_vector {
   }
 
  private:
+  T* inline_ptr() noexcept {
+    return reinterpret_cast<T*>(static_cast<void*>(inline_));
+  }
+
   void grow(std::size_t want) {
     const std::size_t cap = want > 2 * capacity_ ? want : 2 * capacity_;
     T* fresh = std::allocator<T>().allocate(cap);
@@ -94,7 +113,7 @@ class small_vector {
   }
 
   alignas(T) unsigned char inline_[N * sizeof(T)];
-  T* data_ = reinterpret_cast<T*>(static_cast<void*>(inline_));
+  T* data_ = inline_ptr();
   std::size_t size_ = 0;
   std::size_t capacity_ = N;
 };

@@ -1,7 +1,8 @@
 // Test-local forwarding decorator over a recurrence spec, token- or
 // value-passing: every hook delegates to the wrapped spec, so a test
 // overrides exactly the hook it perturbs (a seeded inconsistency, a blocking
-// or throwing kernel) and the rest of the graph stays the real one.
+// or throwing kernel) and the rest of the graph stays the real one. split()
+// is the shared rule of the forwarded structure(), as for every spec.
 #pragma once
 
 #include <cstddef>
@@ -22,9 +23,6 @@ class forwarding_spec : public dp::recurrence {
   dp::structure_kind structure() const override { return inner_->structure(); }
   std::size_t size() const override { return inner_->size(); }
   std::size_t base() const override { return inner_->base(); }
-  dp::split_plan split(const dp::tile4& t) const override {
-    return inner_->split(t);
-  }
   void depends(const dp::tile3& t, const dp::dep_sink& need) const override {
     inner_->depends(t, need);
   }

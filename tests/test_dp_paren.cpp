@@ -70,12 +70,12 @@ TEST(DpParen, AllRecursiveBackendsMatchLoop) {
     }
     {
       matrix<double> c(n, n, 0.0);
-      exec::run_tiled(*make_paren_spec(c, dims, base), pool);
+      exec::run_forkjoin(*make_paren_spec(c, dims, base), pool, n / base);
       EXPECT_EQ(c, expect) << "tiled base=" << base;
     }
     for (const std::size_t r : {2u, 4u}) {
       matrix<double> c(n, n, 0.0);
-      exec::run_rway(*make_paren_spec(c, dims, base), r, &pool);
+      exec::run_forkjoin(*make_paren_spec(c, dims, base), pool, r);
       EXPECT_EQ(c, expect) << "rway r=" << r << " base=" << base;
     }
   }
@@ -86,7 +86,8 @@ TEST(DpParen, AllRecursiveBackendsMatchLoop) {
     matrix<double> loop(odd_n, odd_n, 0.0);
     paren_loop_serial(loop, odd_dims);
     matrix<double> c(odd_n, odd_n, 0.0);
-    exec::run_tiled(*make_paren_spec(c, odd_dims, base), pool);
+    exec::run_forkjoin(*make_paren_spec(c, odd_dims, base), pool,
+                       odd_n / base);
     EXPECT_EQ(c, loop);
   }
 }

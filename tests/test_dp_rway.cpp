@@ -31,7 +31,7 @@ TEST_P(RwaySweep, GeSerialBitIdenticalToLoop) {
   auto oracle = ge_input(n);
   auto c = oracle;
   ge_loop_serial(oracle);
-  exec::run_rway(*make_ge_spec(c, base), r, nullptr);
+  exec::run_serial(*make_ge_spec(c, base), r);
   EXPECT_TRUE(oracle == c) << "n=" << n << " base=" << base << " r=" << r;
 }
 
@@ -41,7 +41,7 @@ TEST_P(RwaySweep, GeForkJoinBitIdenticalToLoop) {
   auto c = oracle;
   ge_loop_serial(oracle);
   forkjoin::worker_pool pool(4);
-  exec::run_rway(*make_ge_spec(c, base), r, &pool);
+  exec::run_forkjoin(*make_ge_spec(c, base), pool, r);
   EXPECT_TRUE(oracle == c) << "n=" << n << " base=" << base << " r=" << r;
 }
 
@@ -50,7 +50,7 @@ TEST_P(RwaySweep, FwSerialEqualsLoop) {
   auto oracle = fw_input(n);
   auto c = oracle;
   fw_loop_serial(oracle);
-  exec::run_rway(*make_fw_spec(c, base), r, nullptr);
+  exec::run_serial(*make_fw_spec(c, base), r);
   EXPECT_TRUE(oracle == c) << "n=" << n << " base=" << base << " r=" << r;
 }
 
@@ -60,7 +60,7 @@ TEST_P(RwaySweep, FwForkJoinEqualsLoop) {
   auto c = oracle;
   fw_loop_serial(oracle);
   forkjoin::worker_pool pool(4);
-  exec::run_rway(*make_fw_spec(c, base), r, &pool);
+  exec::run_forkjoin(*make_fw_spec(c, base), pool, r);
   EXPECT_TRUE(oracle == c) << "n=" << n << " base=" << base << " r=" << r;
 }
 
@@ -82,7 +82,7 @@ TEST_P(RwaySweep, SwSerialEqualsLoop) {
   matrix<std::int32_t> oracle(n + 1, n + 1, 0);
   matrix<std::int32_t> s(n + 1, n + 1, 0);
   sw_loop_serial(oracle, a, b, sw_params{});
-  exec::run_rway(*make_sw_spec(s, a, b, sw_params{}, base), r, nullptr);
+  exec::run_serial(*make_sw_spec(s, a, b, sw_params{}, base), r);
   EXPECT_TRUE(oracle == s) << "n=" << n << " base=" << base << " r=" << r;
 }
 
@@ -93,7 +93,7 @@ TEST_P(RwaySweep, SwForkJoinEqualsLoop) {
   matrix<std::int32_t> s(n + 1, n + 1, 0);
   sw_loop_serial(oracle, a, b, sw_params{});
   forkjoin::worker_pool pool(4);
-  exec::run_rway(*make_sw_spec(s, a, b, sw_params{}, base), r, &pool);
+  exec::run_forkjoin(*make_sw_spec(s, a, b, sw_params{}, base), pool, r);
   EXPECT_TRUE(oracle == s) << "n=" << n << " base=" << base << " r=" << r;
 }
 
@@ -102,17 +102,17 @@ TEST(Rway, MatchesTwoWayRecursionExactly) {
   auto a = ge_input(128);
   auto b = a;
   exec::run_serial(*make_ge_spec(a, 16));
-  exec::run_rway(*make_ge_spec(b, 16), 2, nullptr);
+  exec::run_serial(*make_ge_spec(b, 16), 2);
   EXPECT_TRUE(a == b);
 }
 
 TEST(Rway, RejectsNonConformingSizes) {
   matrix<double> c(64, 64, 1.0);
   // 64 != 8*3^L
-  EXPECT_THROW(exec::run_rway(*make_ge_spec(c, 8), 3, nullptr),
+  EXPECT_THROW(exec::run_serial(*make_ge_spec(c, 8), 3),
                contract_error);
   // r < 2
-  EXPECT_THROW(exec::run_rway(*make_ge_spec(c, 8), 1, nullptr),
+  EXPECT_THROW(exec::run_serial(*make_ge_spec(c, 8), 1),
                contract_error);
   // 48 != 8*2^L: the rway:r2 registry row checks its own supports().
   const variant* r2 = find_variant(benchmark_id::fw, "rway:r2");
@@ -126,10 +126,10 @@ TEST(Rway, DifferentWaysGiveIdenticalGeResults) {
   // 64 = 4*2^4 = 4*4^2 = 64*...: r=2 vs r=4 vs r=8 on the same input.
   auto base_case = ge_input(64);
   auto r2 = base_case, r4 = base_case, r8 = base_case;
-  exec::run_rway(*make_ge_spec(r2, 4), 2, nullptr);
-  exec::run_rway(*make_ge_spec(r4, 4), 4, nullptr);
+  exec::run_serial(*make_ge_spec(r2, 4), 2);
+  exec::run_serial(*make_ge_spec(r4, 4), 4);
   // 64 = 8 * 8^1: one 8-way level
-  exec::run_rway(*make_ge_spec(r8, 8), 8, nullptr);
+  exec::run_serial(*make_ge_spec(r8, 8), 8);
   EXPECT_TRUE(r2 == r4);
   EXPECT_TRUE(r2 == r8);
 }

@@ -23,7 +23,7 @@ TEST_P(TiledSweep, GeBlockedBitIdenticalToLoop) {
   auto c = oracle;
   ge_loop_serial(oracle);
   forkjoin::worker_pool pool(4);
-  exec::run_tiled(*make_ge_spec(c, base), pool);
+  exec::run_forkjoin(*make_ge_spec(c, base), pool, n / base);
   EXPECT_TRUE(oracle == c) << "n=" << n << " base=" << base;
 }
 
@@ -35,7 +35,7 @@ TEST_P(TiledSweep, FwBlockedEqualsLoop) {
   auto c = oracle;
   fw_loop_serial(oracle);
   forkjoin::worker_pool pool(4);
-  exec::run_tiled(*make_fw_spec(c, base), pool);
+  exec::run_forkjoin(*make_fw_spec(c, base), pool, n / base);
   EXPECT_TRUE(oracle == c) << "n=" << n << " base=" << base;
 }
 
@@ -46,7 +46,8 @@ TEST_P(TiledSweep, SwTiledWavefrontEqualsLoop) {
   matrix<std::int32_t> s(n + 1, n + 1, 0);
   sw_loop_serial(oracle, a, b, sw_params{});
   forkjoin::worker_pool pool(4);
-  exec::run_tiled(*make_sw_spec(s, a, b, sw_params{}, base), pool);
+  exec::run_forkjoin(*make_sw_spec(s, a, b, sw_params{}, base), pool,
+                    n / base);
   EXPECT_TRUE(oracle == s) << "n=" << n << " base=" << base;
 }
 
@@ -81,9 +82,9 @@ TEST(Tiled, MatchesRwayAtFullWidth) {
   auto in = make_diag_dominant(64, 9);
   auto blocked = in, rway = in;
   forkjoin::worker_pool pool(3);
-  exec::run_tiled(*make_ge_spec(blocked, 8), pool);
+  exec::run_forkjoin(*make_ge_spec(blocked, 8), pool, 64 / 8);
   // 64 = 8 * 8^1: one full-width level
-  exec::run_rway(*make_ge_spec(rway, 8), 8, nullptr);
+  exec::run_serial(*make_ge_spec(rway, 8), 8);
   EXPECT_TRUE(blocked == rway);
 }
 

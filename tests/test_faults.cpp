@@ -42,7 +42,8 @@ using namespace rdp;
 using namespace rdp::dp;
 using namespace std::chrono_literals;
 
-// n/base = 16 tiles per side: a power of 4, so rway:r4 runs it too.
+// n/base = 16 tiles per side: a power of 4, so rway:r4 runs it too, and
+// its r = 4 plans outgrow split_plan's inline capacity (heap-spilled).
 constexpr std::size_t k_n = 128, k_base = 8;
 constexpr unsigned k_workers = 4;
 constexpr auto k_limit = 20s;
@@ -179,13 +180,13 @@ std::vector<executor> executors() {
          exec::run_forkjoin(r, pool);
        }},
       {"tiled", [](recurrence& r, forkjoin::worker_pool& pool) {
-         exec::run_tiled(r, pool);
+         exec::run_forkjoin(r, pool, r.size() / r.base());
        }},
       {"rway_r2", [](recurrence& r, forkjoin::worker_pool& pool) {
-         exec::run_rway(r, 2, &pool);
+         exec::run_forkjoin(r, pool, 2);
        }},
       {"rway_r4", [](recurrence& r, forkjoin::worker_pool& pool) {
-         exec::run_rway(r, 4, &pool);
+         exec::run_forkjoin(r, pool, 4);
        }},
       {"prepared", [](recurrence& r, forkjoin::worker_pool& pool) {
          exec::prepared_graph::freeze(r).execute(r, pool);
@@ -230,6 +231,16 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<executor>& p) {
       return p.param.name;
     });
+
+// The rway_r4 entry above throws from inside heap-spilled plans: every
+// instance's root plan at r = 4 is wider than the inline capacity.
+TEST(FaultSweepShape, RwayR4PlansSpillToTheHeap) {
+  for (const instance& inst : sweep_instances()) {
+    const std::unique_ptr<recurrence> rec = inst.fresh();
+    const split_plan plan = rec->split(rec->root(), 4);
+    EXPECT_FALSE(plan.children.is_inline()) << inst.name;
+  }
+}
 
 class ServerFaultSweep : public ::testing::TestWithParam<server::exec_mode> {};
 

@@ -131,7 +131,7 @@ std::size_t check_lcs(std::size_t n, std::size_t base,
   // LCS has no separate loop routine: a single tile (base = n) is the
   // row-by-row loop through the spec's own kernel.
   matrix<std::int32_t> oracle(n + 1, n + 1, 0);
-  exec::run_tiled(*make_lcs_spec(oracle, a, b, lcs_mode::lcs, n), pool);
+  exec::run_forkjoin(*make_lcs_spec(oracle, a, b, lcs_mode::lcs, n), pool);
   matrix<std::int32_t> s(n + 1, n + 1, 0);
   return check_point(benchmark_id::lcs, lcs_problem(s, a, b),
                      options_for(base, pool), s, oracle,

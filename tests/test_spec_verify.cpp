@@ -109,6 +109,17 @@ TEST(SpecVerify, NonPow2TiledConfigVerifiesWithSplitDisabled) {
   EXPECT_GT(r.dependency_edges, 0u);
 }
 
+TEST(SpecVerify, NonPow2TiledConfigVerifiesAtFullWidth) {
+  // The same configuration with the split checks on: the walk at
+  // r = n/base = 12 (the tiled row's one level) must be consistent.
+  const verify_report r = verify_ge(96, 8);
+  EXPECT_TRUE(r.ok()) << r.summary();
+  matrix<double> c(96, 96, 0.0);
+  const std::vector<double> dims(97, 1.0);
+  const verify_report paren = verify_spec(*make_paren_spec(c, dims, 8));
+  EXPECT_TRUE(paren.ok()) << paren.summary();
+}
+
 TEST(SpecVerify, ReportStatisticsMatchKnownGeGraph) {
   // GE at n=16, base=4 has T=4 tile rounds: 30 base tasks, fan-in 4 (the D
   // kind: write-write predecessor + A + B + C), one final item kept.
@@ -343,18 +354,17 @@ TEST(SpecVerifyMutants, BandDisagreementIsRefusedOnlyByBandFusion) {
 /// becomes unreachable from root().
 struct dropped_stage_mutant : spec_mutant {
   using spec_mutant::spec_mutant;
-  split_plan split(const tile4& t) const override {
-    split_plan plan = inner_->split(t);
-    if (static_cast<std::size_t>(t.b) == size() && plan.stage_count > 1) {
-      split_plan clipped;
-      clipped.children = plan.children;
-      clipped.stage_count = static_cast<std::uint8_t>(plan.stage_count - 1);
-      for (std::size_t s = 0; s < clipped.stage_count; ++s)
-        clipped.stage_end[s] = plan.stage_end[s];
-      clipped.child_count = plan.stage_end[clipped.stage_count - 1];
-      return clipped;
-    }
-    return plan;
+  split_plan split(const tile4& t, std::size_t r) const override {
+    split_plan plan = inner_->split(t, r);
+    if (static_cast<std::size_t>(t.b) != size() || plan.stage_count() < 2)
+      return plan;
+    split_plan clipped;
+    for (std::size_t c = 0; c < plan.stage_begin(plan.stage_count() - 1);
+         ++c)
+      clipped.add(plan.children[c]);
+    for (std::size_t s = 0; s + 1 < plan.stage_count(); ++s)
+      clipped.stage_end.push_back(plan.stage_end[s]);
+    return clipped;
   }
 };
 
@@ -368,27 +378,23 @@ TEST(SpecVerifyMutants, DroppedSplitStageIsCaught) {
 /// runs dependents before their producers.
 struct swapped_stage_mutant : spec_mutant {
   using spec_mutant::spec_mutant;
-  split_plan split(const tile4& t) const override {
-    split_plan plan = inner_->split(t);
-    if (static_cast<std::size_t>(t.b) != size() || plan.stage_count < 2)
+  split_plan split(const tile4& t, std::size_t r) const override {
+    split_plan plan = inner_->split(t, r);
+    if (static_cast<std::size_t>(t.b) != size() || plan.stage_count() < 2)
       return plan;
-    split_plan swapped;
-    const std::size_t s0_end = plan.stage_end[0];
-    const std::size_t s1_end = plan.stage_end[1];
     // Stage 1's children first, then stage 0's, then the rest unchanged.
-    std::vector<tile4> order;
-    for (std::size_t c = s0_end; c < s1_end; ++c)
-      order.push_back(plan.children[c]);
-    const std::size_t new_s0_end = order.size();
-    for (std::size_t c = 0; c < s0_end; ++c) order.push_back(plan.children[c]);
-    for (std::size_t c = s1_end; c < plan.child_count; ++c)
-      order.push_back(plan.children[c]);
-    for (std::size_t i = 0; i < order.size(); ++i)
-      swapped.children[i] = order[i];
-    swapped.child_count = plan.child_count;
-    swapped.stage_count = plan.stage_count;
-    swapped.stage_end = plan.stage_end;
-    swapped.stage_end[0] = static_cast<std::uint8_t>(new_s0_end);
+    split_plan swapped;
+    for (std::size_t c = plan.stage_begin(1); c < plan.stage_end[1]; ++c)
+      swapped.add(plan.children[c]);
+    swapped.end_stage();
+    for (std::size_t c = 0; c < plan.stage_end[0]; ++c)
+      swapped.add(plan.children[c]);
+    swapped.end_stage();
+    for (std::size_t s = 2; s < plan.stage_count(); ++s) {
+      for (std::size_t c = plan.stage_begin(s); c < plan.stage_end[s]; ++c)
+        swapped.add(plan.children[c]);
+      swapped.end_stage();
+    }
     return swapped;
   }
 };
@@ -397,6 +403,62 @@ TEST(SpecVerifyMutants, SwappedSplitStagesAreCaught) {
   swapped_stage_mutant mutant(ge16());
   const verify_report r = verify_spec(mutant);
   EXPECT_TRUE(r.has(verify_failure_kind::stage_order_violation))
+      << r.summary();
+}
+
+/// Merges the first two stages of the root split: GE's B and C tiles now
+/// run beside the pivot A tile they read.
+struct merged_stage_mutant : spec_mutant {
+  using spec_mutant::spec_mutant;
+  split_plan split(const tile4& t, std::size_t r) const override {
+    split_plan plan = inner_->split(t, r);
+    if (static_cast<std::size_t>(t.b) != size() || plan.stage_count() < 2)
+      return plan;
+    split_plan merged;
+    for (const tile4& child : plan.children) merged.add(child);
+    for (std::size_t s = 1; s < plan.stage_count(); ++s)
+      merged.stage_end.push_back(plan.stage_end[s]);
+    return merged;
+  }
+};
+
+TEST(SpecVerifyMutants, MergedSplitStagesAreCaught) {
+  merged_stage_mutant mutant(ge16());
+  const verify_report r = verify_spec(mutant);
+  EXPECT_TRUE(r.has(verify_failure_kind::stage_conflict)) << r.summary();
+}
+
+/// Swaps stages only in wider plans: the 2-way recursion stays correct, so
+/// only the full-width walk (r = n/base, the tiled row's level) sees it.
+struct wide_swapped_stage_mutant : swapped_stage_mutant {
+  using swapped_stage_mutant::swapped_stage_mutant;
+  split_plan split(const tile4& t, std::size_t r) const override {
+    return r == 2 ? inner_->split(t, r) : swapped_stage_mutant::split(t, r);
+  }
+};
+
+TEST(SpecVerifyMutants, FullWidthSplitIsVerifiedToo) {
+  wide_swapped_stage_mutant mutant(ge16());
+  const verify_report r = verify_spec(mutant);
+  EXPECT_TRUE(r.has(verify_failure_kind::stage_order_violation))
+      << r.summary();
+  EXPECT_NE(r.summary().find("r=4"), std::string::npos) << r.summary();
+}
+
+/// GE declaring FW's structure: the split rule then follows abcd_full and
+/// its backward sweep reaches tiles left of the pivot that GE's
+/// enumerate_base/depends() never describe.
+struct wrong_structure_mutant : spec_mutant {
+  using spec_mutant::spec_mutant;
+  structure_kind structure() const override {
+    return structure_kind::abcd_full;
+  }
+};
+
+TEST(SpecVerifyMutants, StructureDisagreeingWithDependsIsCaught) {
+  wrong_structure_mutant mutant(ge16());
+  const verify_report r = verify_spec(mutant);
+  EXPECT_TRUE(r.has(verify_failure_kind::split_base_mismatch))
       << r.summary();
 }
 

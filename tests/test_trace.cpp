@@ -217,8 +217,9 @@ struct rway_row {
   dag_shape shape;
 };
 
-// The r-way GE builder moved next to the lowerings unchanged: its shapes
-// are frozen too.
+// The r-way GE DAGs, frozen from the hand-built r-way builder before it
+// was deleted: forkjoin_dag(rec, b, r) walks the spec's one split rule and
+// must reproduce them node for node.
 const rway_row k_rway_golden[] = {
     {4, 16, 2, {52, 66, 30, 85344ull, 33120ull, 0xbe925501186b6cb7ull}},
     {4, 16, 4, {40, 59, 30, 85344ull, 23008ull, 0xa0b62b51bdde6fe0ull}},
@@ -232,8 +233,7 @@ const rway_row k_rway_golden[] = {
 TEST(DerivedDags, RwayBuilderMatchesFrozenShapes) {
   for (const rway_row& row : k_rway_golden) {
     const auto ge = dp::make_tile_scale_spec(benchmark_id::ge, row.tiles);
-    EXPECT_EQ(shape_of(exec::build_ge_forkjoin_rway(*ge, row.b, row.r)),
-              row.shape)
+    EXPECT_EQ(shape_of(forkjoin_dag(*ge, row.b, row.r)), row.shape)
         << "tiles=" << row.tiles << " b=" << row.b << " r=" << row.r;
   }
 }
@@ -471,52 +471,91 @@ TEST(DotExport, RefusesHugeGraph) {
   EXPECT_THROW(g.write_dot(os, "big"), contract_error);
 }
 
-// ----------------------- r-way fork-join builder ---------------------------
+// ----------------------------------------- r-way fork-join DAGs ----------
 
-task_graph rway(std::size_t t, std::size_t b, std::size_t r) {
-  return exec::build_ge_forkjoin_rway(
-      *dp::make_tile_scale_spec(benchmark_id::ge, t), b, r);
+task_graph rway(benchmark_id bm, std::size_t t, std::size_t b, std::size_t r) {
+  return forkjoin_dag(*dp::make_tile_scale_spec(bm, t), b, r);
+}
+
+/// The benchmarks the r-way DAGs are checked for, each with the largest
+/// tile count the sweep builds (FW's T³ base tasks cap it lower).
+struct rway_case {
+  benchmark_id bm;
+  std::size_t max_tiles;
+};
+constexpr rway_case k_rway_cases[] = {{benchmark_id::ge, 64},
+                                      {benchmark_id::sw, 64},
+                                      {benchmark_id::fw, 16}};
+
+/// The branching factors r with t == r^L, ascending (t itself last).
+std::vector<std::size_t> ways(std::size_t t) {
+  std::vector<std::size_t> out;
+  for (std::size_t r = 2; r <= t; ++r)
+    if (dp::splits_evenly(t, 1, r)) out.push_back(r);
+  return out;
 }
 
 TEST(RwayBuilder, CoversTheSameBaseTasksAsTwoWay) {
-  for (std::size_t t : {4ull, 16ull, 64ull}) {
-    const auto g = rway(t, 16, 4);
-    g.validate();
-    EXPECT_EQ(g.base_task_count(), ge_task_count(t)) << "t=" << t;
-    // Work conservation across branching factors.
-    EXPECT_DOUBLE_EQ(analyze_work_span(g).total_work,
-                     analyze_work_span(df(benchmark_id::ge, t, 16)).total_work);
+  for (const rway_case c : k_rway_cases) {
+    for (std::size_t t : {4ull, 16ull, 64ull}) {
+      if (t > c.max_tiles) continue;
+      const task_graph d = df(c.bm, t, 16);
+      for (const std::size_t r : ways(t)) {
+        SCOPED_TRACE(std::string(dp::to_string(c.bm)) + " t=" +
+                     std::to_string(t) + " r=" + std::to_string(r));
+        const auto g = rway(c.bm, t, 16, r);
+        g.validate();
+        EXPECT_EQ(base_nodes(g), base_nodes(d));
+        // Work conservation across branching factors.
+        EXPECT_DOUBLE_EQ(analyze_work_span(g).total_work,
+                         analyze_work_span(d).total_work);
+      }
+    }
   }
 }
 
 TEST(RwayBuilder, TwoWayMatchesDedicatedBuilderSpan) {
-  for (std::size_t t : {8ull, 32ull}) {
-    const auto r2 = analyze_work_span(rway(t, 32, 2));
-    const auto classic = analyze_work_span(fj(benchmark_id::ge, t, 32));
-    EXPECT_DOUBLE_EQ(r2.span, classic.span) << "t=" << t;
-    EXPECT_DOUBLE_EQ(r2.total_work, classic.total_work);
+  // r = 2 is the default fork-join DAG, node for node.
+  for (const rway_case c : k_rway_cases) {
+    for (std::size_t t : {8ull, 16ull}) {
+      EXPECT_EQ(shape_of(rway(c.bm, t, 32, 2)), shape_of(fj(c.bm, t, 32)))
+          << dp::to_string(c.bm) << " t=" << t;
+    }
   }
 }
 
 TEST(RwayBuilder, SpanDecreasesMonotonicallyInR) {
-  const std::size_t t = 64;
-  double prev = 1e300;
-  for (std::size_t r : {2ull, 4ull, 8ull, 64ull}) {
-    const double span = span_of(rway(t, 16, r));
-    EXPECT_LT(span, prev) << "r=" << r;
-    prev = span;
+  for (const rway_case c : k_rway_cases) {
+    const std::size_t t = c.max_tiles;
+    double prev = 1e300;
+    for (const std::size_t r : ways(t)) {
+      const double span = span_of(rway(c.bm, t, 16, r));
+      EXPECT_LE(span, prev) << dp::to_string(c.bm) << " r=" << r;
+      if (c.bm == benchmark_id::ge) {
+        EXPECT_LT(span, prev) << "r=" << r;
+      }
+      prev = span;
+    }
   }
-  // Full-width recursion (r == tiles) reaches the data-flow span exactly.
-  EXPECT_DOUBLE_EQ(prev, span_of(df(benchmark_id::ge, t, 16)));
+}
+
+TEST(RwayBuilder, FullWidthReachesTheDataflowSpan) {
+  // r == tiles is the blocked schedule: one barrier per pivot phase (GE)
+  // or per anti-diagonal (SW), which is exactly the data-flow critical
+  // path.
+  for (const benchmark_id bm : {benchmark_id::ge, benchmark_id::sw}) {
+    for (std::size_t t : {4ull, 16ull, 64ull}) {
+      EXPECT_DOUBLE_EQ(span_of(rway(bm, t, 16, t)), span_of(df(bm, t, 16)))
+          << dp::to_string(bm) << " t=" << t;
+    }
+  }
 }
 
 TEST(RwayBuilder, RejectsNonConformingTileCounts) {
-  EXPECT_THROW(rway(24, 16, 4), contract_error);
-  EXPECT_THROW(rway(16, 16, 1), contract_error);
-  // r-way is GE's recursion: other specs are refused.
-  EXPECT_THROW(exec::build_ge_forkjoin_rway(
-                   *dp::make_tile_scale_spec(benchmark_id::fw, 16), 16, 4),
-               contract_error);
+  EXPECT_THROW(rway(benchmark_id::ge, 24, 16, 4), contract_error);
+  EXPECT_THROW(rway(benchmark_id::ge, 16, 16, 1), contract_error);
+  EXPECT_THROW(rway(benchmark_id::sw, 12, 16, 2), contract_error);
+  EXPECT_THROW(rway(benchmark_id::fw, 8, 16, 4), contract_error);
 }
 
 // Single-tile edge cases: every derivation must produce exactly one task.
