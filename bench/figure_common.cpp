@@ -41,20 +41,12 @@ dp::benchmark_id to_benchmark_id(sim::benchmark bm) {
   return dp::benchmark_id::ge;
 }
 
-/// The simulated series, derived from the registry's sim:* rows so the
-/// figure sweeps and the equivalence/verification gates can never disagree
-/// about which variants exist or what they are called. The sweep prices
-/// DAGs at figure scale (n up to 16K), so it calls the simulator directly
-/// on the benchmark's tile-scale spec instead of through variant::run — the
-/// registry runner also fills the table with the serial reference for the
-/// bit-exactness gate, which at these sizes would dwarf the simulation
-/// itself.
-std::vector<const dp::variant*> sim_series(dp::benchmark_id bm) {
-  std::vector<const dp::variant*> out;
-  for (const dp::variant* v : dp::variants_for(bm))
-    if (v->backend == dp::backend_kind::sim) out.push_back(v);
-  return out;
-}
+/// The simulated series, in the paper's series order (not the enum's). The
+/// sweep prices DAGs at figure scale (n up to 16K), so it simulates the
+/// benchmark's tile-scale spec; no table is allocated.
+constexpr sim::exec_variant kSimSeries[] = {
+    sim::exec_variant::cnc_native, sim::exec_variant::cnc_tuner,
+    sim::exec_variant::cnc_manual, sim::exec_variant::omp_tasking};
 
 /// Base-size range of one panel, mirroring the paper's per-panel x-axes.
 std::vector<std::size_t> panel_bases(std::size_t n, std::size_t min_base,
@@ -208,7 +200,7 @@ std::vector<const dp::variant*> resolve_impls(dp::benchmark_id bm,
 /// variant's backend, label the phase from the registry (spec name + the
 /// paper's series names). Each phase starts one pool, lends it to the row
 /// and runs the row as a root task on it, so the trace shows worker-local
-/// spawns and steals; rows that use no pool (serial, sim:*) ignore it.
+/// spawns and steals; the serial row uses no pool and ignores it.
 ///
 /// With `report` != nullptr each variant also becomes one report_entry:
 /// the metrics registry is reset before the phase and snapshotted after,
@@ -552,12 +544,10 @@ int run_figure_bench(int argc, const char* const* argv,
     }
   }
 
-  const std::vector<const dp::variant*> series =
-      sim_series(to_benchmark_id(opts.bm));
   std::string series_names;
-  for (const dp::variant* v : series) {
+  for (const sim::exec_variant v : kSimSeries) {
     if (!series_names.empty()) series_names += ", ";
-    series_names += sim::to_string(dp::sim_mode_to_exec(v->mode));
+    series_names += sim::to_string(v);
   }
   std::cout << "=== " << opts.figure_name << " ===\n"
             << "machine: " << opts.machine.name << " (" << opts.machine.cores
@@ -578,8 +568,8 @@ int run_figure_bench(int argc, const char* const* argv,
     const auto bases = panel_bases(n, opts.min_base, full);
     std::cout << (n / 1024) << "K Matrix\n";
     std::vector<std::string> header = {"Base Size"};
-    for (const dp::variant* v : series)
-      header.push_back(sim::to_string(dp::sim_mode_to_exec(v->mode)));
+    for (const sim::exec_variant v : kSimSeries)
+      header.push_back(sim::to_string(v));
     if (opts.with_estimated) header.push_back("Estimated");
     table_printer table(header);
 
@@ -587,8 +577,7 @@ int run_figure_bench(int argc, const char* const* argv,
       std::vector<std::string> row = {std::to_string(base)};
       const auto tiles =
           dp::make_tile_scale_spec(to_benchmark_id(opts.bm), n / base);
-      for (const dp::variant* sv : series) {
-        const sim::exec_variant v = dp::sim_mode_to_exec(sv->mode);
+      for (const sim::exec_variant v : kSimSeries) {
         const auto r = sim::simulate_variant(*tiles, v, base, opts.machine);
         row.push_back(table_printer::num(r.seconds));
         csv.add_row({opts.figure_name, opts.machine.name,

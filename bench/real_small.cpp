@@ -1,11 +1,12 @@
 // E-R1: real-execution sanity at laptop scale.
 //
 // Runs every benchmark through every variant the runtime registry knows
-// (serial R-DP, fork-join, tiled, the six data-flow modes, r-way — see
-// rdp::dp::registry()), validates each against the serial-loop oracle, and
-// reports wall-clock. On a single-core box the absolute times mostly
-// measure runtime overhead (which is exactly what calibrates the
-// simulator); the figure-level comparisons live in the fig*/xover benches.
+// (serial R-DP, fork-join, tiled, the four data-flow modes, r-way,
+// prepared — see rdp::dp::registry()), validates each against the
+// serial-loop oracle, and reports wall-clock. On a single-core box the
+// absolute times mostly measure runtime overhead (which is exactly what
+// calibrates the simulator); the figure-level comparisons live in the
+// fig*/xover benches.
 // Registry entries whose preconditions fail for the chosen (n, base) are
 // skipped and reported as such.
 #include <iostream>

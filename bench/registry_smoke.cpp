@@ -8,7 +8,7 @@
 // rway:r4 runs.
 //
 // With --report=FILE the same registry sweep is also *measured*: every
-// non-simulated variant (serial included — it is the --normalize anchor of
+// variant (serial included — it is the --normalize anchor of
 // bench/report_compare) runs --reps timed repetitions with a fresh
 // metrics-registry window, and the result is written as a structured run
 // report. This is the producer half of the CI perf gate.
@@ -89,10 +89,8 @@ void smoke(benchmark_id bm, const problem_ref& prob, const run_options& opts,
 
   if (rep == nullptr) return;
   // Measurement pass, after correctness: timed repetitions per variant with
-  // a metrics window per entry. Simulated rows are skipped (their wall time
-  // is the serial reference fill, not an execution model).
+  // a metrics window per entry.
   for (const variant* v : variants_for(bm)) {
-    if (v->backend == backend_kind::sim) continue;
     if (!v->supports(n, opts.base)) continue;
     // Serial always rides along: it is report_compare's --normalize anchor.
     if (v->label != "serial" && !label_selected(v->label, measure_impls))
@@ -145,7 +143,7 @@ int main(int argc, char** argv) {
   cli.add_int("base", &base, "base-case size (default 8)");
   cli.add_int("workers", &workers, "worker threads (default 4)");
   cli.add_string("report", &report_path,
-                 "also measure every non-simulated variant and write a "
+                 "also measure every variant and write a "
                  "structured run report (JSON) here — the input of "
                  "bench/report_compare and the CI perf gate");
   cli.add_int("reps", &reps,

@@ -84,11 +84,13 @@ int main(int argc, char** argv) {
     exec::run_forkjoin(*spec, pool, len / tile);
     check("tiled wavefront:    ", t.millis());
   }
-  {
+  if (dp::splits_evenly(len, tile, 4)) {
     auto spec = make_spec();
     stopwatch t;
     exec::run_forkjoin(*spec, pool, 4);
     check("4-way R-DP:         ", t.millis());
+  } else {
+    std::cout << "4-way R-DP:         skipped (n/base is not a power of 4)\n";
   }
   {
     auto spec = make_spec();

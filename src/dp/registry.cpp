@@ -5,7 +5,6 @@
 #include "exec/backend.hpp"
 #include "exec/prepared_graph.hpp"
 #include "forkjoin/worker_pool.hpp"
-#include "sim/experiment.hpp"
 #include "support/assertions.hpp"
 #include "support/math_utils.hpp"
 
@@ -30,18 +29,8 @@ const char* to_string(backend_kind b) noexcept {
     case backend_kind::dataflow: return "dataflow";
     case backend_kind::rway: return "rway";
     case backend_kind::prepared: return "prepared";
-    case backend_kind::sim: return "sim";
   }
   return "?";
-}
-
-sim::exec_variant sim_mode_to_exec(std::string_view mode) {
-  if (mode == "cnc") return sim::exec_variant::cnc_native;
-  if (mode == "tuner") return sim::exec_variant::cnc_tuner;
-  if (mode == "manual") return sim::exec_variant::cnc_manual;
-  if (mode == "omp") return sim::exec_variant::omp_tasking;
-  RDP_REQUIRE_MSG(false, "unknown sim mode");
-  return sim::exec_variant::cnc_native;
 }
 
 problem_ref ge_problem(matrix<double>& m) {
@@ -181,27 +170,6 @@ run_outcome run_dataflow_v(const variant& self, const problem_ref& p,
   return out;
 }
 
-/// sim:* rows join the registry so the simulated fig4–fig9 series pass
-/// through the same equivalence and verification gates as real backends:
-/// the serial reference fills the table (simulation never changes outputs,
-/// so the bit-exactness check holds trivially and meaningfully — a sim row
-/// that corrupted the table would fail it), then the DES prices the
-/// requested variant's schedule on the chosen machine profile.
-run_outcome run_sim_v(const variant& self, const problem_ref& p,
-                      const run_options& opts) {
-  run_outcome out = run_serial_v(self, p, opts);
-  const sim::machine_profile machine =
-      opts.sim_machine != nullptr ? *opts.sim_machine : sim::epyc64();
-  const sim::variant_result r =
-      sim::simulate_variant(*make_problem_spec(p, opts.base),
-                            sim_mode_to_exec(self.mode), opts.base, machine);
-  out.simulated = true;
-  out.sim_seconds = r.seconds;
-  out.sim_utilization = r.utilization;
-  out.sim_base_tasks = r.base_tasks;
-  return out;
-}
-
 /// prepared rows exercise exec::prepared_graph through the same equivalence
 /// gates as every other backend: freeze the dependence DAG once, then run it
 /// over the request's data plane. The batch server reuses one frozen graph
@@ -283,8 +251,6 @@ std::vector<variant> build_registry() {
   for (const benchmark_id bm :
        {benchmark_id::ge, benchmark_id::sw, benchmark_id::fw,
         benchmark_id::lcs, benchmark_id::paren}) {
-    const bool has_sim = bm == benchmark_id::ge || bm == benchmark_id::sw ||
-                         bm == benchmark_id::fw;
     rows.push_back({bm, backend_kind::serial, "", "serial",  //
                     &supports_pow2, &run_serial_v});
     rows.push_back({bm, backend_kind::forkjoin, "", "forkjoin",
@@ -307,17 +273,6 @@ std::vector<variant> build_registry() {
                     &supports_tiled, &run_prepared_v});
     rows.push_back({bm, backend_kind::prepared, "batched", "prepared:batched",
                     &supports_tiled, &run_prepared_v});
-    // Simulated schedules (fig4–fig9 series), in the paper's series order.
-    // Only the paper's benchmarks have calibrated cost models.
-    if (!has_sim) continue;
-    rows.push_back({bm, backend_kind::sim, "cnc", "sim:cnc",  //
-                    &supports_pow2, &run_sim_v});
-    rows.push_back({bm, backend_kind::sim, "tuner", "sim:tuner",
-                    &supports_pow2, &run_sim_v});
-    rows.push_back({bm, backend_kind::sim, "manual", "sim:manual",
-                    &supports_pow2, &run_sim_v});
-    rows.push_back({bm, backend_kind::sim, "omp", "sim:omp",  //
-                    &supports_pow2, &run_sim_v});
   }
   return rows;
 }
@@ -366,8 +321,6 @@ std::shared_ptr<recurrence> make_tile_scale_spec(benchmark_id bm,
 std::string trace_phase_label(const variant& v) {
   if (v.backend == backend_kind::dataflow)
     return to_string(mode_to_variant(v.mode));
-  if (v.backend == backend_kind::sim)
-    return std::string("sim:") + sim::to_string(sim_mode_to_exec(v.mode));
   return std::string(v.label);
 }
 

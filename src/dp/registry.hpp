@@ -5,7 +5,7 @@
 // runner — so consumers iterate it (equivalence tests, smoke benches) or
 // resolve one entry from a CLI `--impl=backend[:mode]` string. Together
 // with the recurrence specs (dp/spec/specs.hpp) it is the one way to run a
-// DP: every real row checks its own supports(n, base), builds the
+// DP: every row checks its own supports(n, base), builds the
 // benchmark's spec and makes one src/exec backend call. A shape a row does
 // not support raises contract_error.
 #pragma once
@@ -25,11 +25,6 @@ namespace rdp::forkjoin {
 class worker_pool;
 }
 
-namespace rdp::sim {
-enum class exec_variant;
-struct machine_profile;
-}  // namespace rdp::sim
-
 namespace rdp::dp {
 
 enum class benchmark_id : std::uint8_t { ge, sw, fw, lcs, paren };
@@ -43,9 +38,6 @@ enum class backend_kind : std::uint8_t {
   prepared,  ///< frozen dependence DAG (exec::prepared_graph) built once
              ///< per run here; the batch server amortises the freeze
              ///< across requests
-  sim,       ///< discrete-event simulated schedule (modes: cnc, tuner,
-             ///< manual, omp); the table itself is computed by the serial
-             ///< reference so outputs stay bit-identical
 };
 
 const char* to_string(benchmark_id b) noexcept;
@@ -82,22 +74,12 @@ struct run_options {
   /// Pool every parallel backend runs on; when null each run owns a
   /// transient pool of `workers` threads.
   forkjoin::worker_pool* pool = nullptr;
-  /// Machine profile for sim:* rows; when null they price the schedule on
-  /// sim::epyc64(). Ignored by every real backend.
-  const sim::machine_profile* sim_machine = nullptr;
 };
 
 struct run_outcome {
   /// True when `info` carries data-flow run counters.
   bool used_dataflow = false;
   cnc_run_info info{};
-  /// True for sim:* rows: the table was filled by the serial reference
-  /// (simulation never changes outputs) and the fields below carry the
-  /// discrete-event prediction for the requested variant.
-  bool simulated = false;
-  double sim_seconds = 0;       ///< predicted wall-clock
-  double sim_utilization = 0;   ///< busy / (cores × makespan)
-  std::uint64_t sim_base_tasks = 0;
 };
 
 /// One runnable registry entry.
@@ -113,10 +95,8 @@ struct variant {
                      const run_options& opts);
 };
 
-/// All 67 registered variants: the paper's three benchmarks get 15
-/// backend[:mode] entries each (11 real + 4 sim:* series); the
-/// variable-arity benchmarks (LCS, Paren) get the 11 real entries — the
-/// simulator's cost model only covers the paper's figures.
+/// All 55 registered variants: 11 backend[:mode] entries per benchmark,
+/// each of which fills the table through a real backend.
 /// Debug builds cross-check every spec with dp::verify_spec on a small
 /// instance the first time this is called (see registry.cpp).
 const std::vector<variant>& registry();
@@ -133,14 +113,9 @@ const variant* find_variant(benchmark_id bm, std::string_view impl);
 std::string impl_help();
 
 /// Display name of a variant for obs/trace phase labels. Data-flow rows
-/// keep the paper's series names ("CnC", "CnC_tuner", ...); sim rows get
-/// "sim:" + the simulator's series name; every other backend is labelled
-/// by its registry label.
+/// keep the paper's series names ("CnC", "CnC_tuner", ...); every other
+/// backend is labelled by its registry label.
 std::string trace_phase_label(const variant& v);
-
-/// Map a sim:* row's mode string ("cnc", "tuner", "manual", "omp") onto
-/// the simulator's execution variant. Throws contract_error otherwise.
-sim::exec_variant sim_mode_to_exec(std::string_view mode);
 
 /// Tile-scale spec of a benchmark: `tiles` tiles of side 1 over dummy
 /// problem data the returned pointer owns. A spec's tile structure depends

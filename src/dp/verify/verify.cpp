@@ -95,9 +95,19 @@ struct verifier {
   std::unordered_set<tile3> outside_reported;
 
   // ---- split-walk state (one walk per branching factor) ------------------
+  /// The walk numbers base tiles in the order it reaches them (the
+  /// flattened split order), so each child subtree of a split is one
+  /// contiguous range of positions. Visit p's depends() keys are
+  /// visit_deps[deps_begin(p) .. deps_end[p]).
+  static constexpr std::size_t not_reached = static_cast<std::size_t>(-1);
   std::size_t split_r = 2;
-  std::unordered_map<tile3, std::size_t> reached;  // base coord -> visits
-  std::unordered_set<tile3> completed;  // done in flattened order (+ seeds)
+  std::vector<tile3> visit_deps;
+  std::vector<std::size_t> deps_end;
+  /// base coord -> number of visits and the position of the latest one.
+  struct reach {
+    std::size_t count = 0, last = not_reached;
+  };
+  std::unordered_map<tile3, reach> reached;
   bool split_walk_aborted = false;
 
   void issue(verify_failure_kind kind, const tile3& key,
@@ -260,21 +270,11 @@ struct verifier {
   // (d) split() from root(): structural sanity, reach-exactly-once, the
   // flattened-order property, and per-stage independence.
 
-  /// Base coords produced/consumed by one subtree of the split recursion.
-  struct io_sets {
-    std::unordered_set<tile3> produced_keys;
-    std::unordered_set<tile3> consumed_keys;
-
-    void merge(io_sets&& other) {
-      produced_keys.merge(other.produced_keys);
-      consumed_keys.merge(other.consumed_keys);
-    }
-  };
-
   void walk_split(std::size_t r) {
     split_r = r;
+    visit_deps.clear();
+    deps_end.clear();
     reached.clear();
-    completed = seeds;  // the environment's items exist before any tag
     split_walk_aborted = false;
     walk(rec.root());
     check_split_closure();
@@ -285,50 +285,59 @@ struct verifier {
     return " (split at r=" + std::to_string(split_r) + ")";
   }
 
-  io_sets walk(const tile4& t) {
-    io_sets io;
-    if (split_walk_aborted) return io;
+  std::size_t deps_begin(std::size_t p) const {
+    return p == 0 ? 0 : deps_end[p - 1];
+  }
+
+  /// Position of the latest visit of `key`, or not_reached.
+  std::size_t last_visit(const tile3& key) const {
+    const auto it = reached.find(key);
+    return it == reached.end() ? not_reached : it->second.last;
+  }
+
+  void walk(const tile4& t) {
+    if (split_walk_aborted) return;
 
     if (rec.is_base(t)) {
       const tile3 c{t.i, t.j, t.k};
-      ++reached[c];
-      dep_collector deps;
-      rec.depends(c, dep_sink(deps));
-      for (const tile3& d : deps.keys) {
-        io.consumed_keys.insert(d);
+      dep_collector dc;
+      rec.depends(c, dep_sink(dc));
+      for (const tile3& d : dc.keys) {
         // Orphan keys are already reported by collect_edges(); flag only
-        // genuine serialisation bugs here.
-        if (produced.count(d) != 0 && completed.count(d) == 0)
+        // genuine serialisation bugs here. The environment's seeds exist
+        // before any tag runs.
+        if (last_visit(d) == not_reached && produced.count(d) != 0 &&
+            seeds.count(d) == 0)
           issue(verify_failure_kind::stage_order_violation, c,
                 "flattened split order runs base task " + key_string(c) +
                     " before its dependency " + key_string(d) +
                     " is produced" + at_r());
       }
-      completed.insert(c);
-      io.produced_keys.insert(c);
-      return io;
+      reach& rc = reached[c];
+      ++rc.count;
+      rc.last = deps_end.size();
+      visit_deps.insert(visit_deps.end(), dc.keys.begin(), dc.keys.end());
+      deps_end.push_back(visit_deps.size());
+      return;
     }
 
     const split_plan plan = rec.split(t, split_r);
     if (!plan_well_formed(t, plan)) {
       split_walk_aborted = true;
-      return io;
+      return;
     }
+    std::vector<std::size_t> starts;  // one stage's child ranges
     for (std::size_t s = 0; s < plan.stage_count(); ++s) {
       const std::size_t begin = plan.stage_begin(s);
       const std::size_t end = plan.stage_end[s];
-      if (end - begin == 1) {
-        io.merge(walk(plan.children[begin]));
-        continue;
+      starts.clear();
+      for (std::size_t c = begin; c < end; ++c) {
+        starts.push_back(deps_end.size());
+        walk(plan.children[c]);
       }
-      std::vector<io_sets> kids;
-      kids.reserve(end - begin);
-      for (std::size_t c = begin; c < end; ++c)
-        kids.push_back(walk(plan.children[c]));
-      check_stage_independence(t, s, plan, begin, kids);
-      for (io_sets& k : kids) io.merge(std::move(k));
+      starts.push_back(deps_end.size());
+      if (end - begin > 1) check_stage_independence(t, s, plan, begin, starts);
     }
-    return io;
   }
 
   bool plan_well_formed(const tile4& t, const split_plan& plan) {
@@ -365,25 +374,30 @@ struct verifier {
   }
 
   /// Fork-join runs one stage's children concurrently: no child subtree
-  /// may consume an item a sibling subtree produces. One lookup per
-  /// consumed key, so a full-width stage (thousands of children) stays
-  /// linear.
+  /// may consume an item a sibling subtree produces. Child c of the stage
+  /// is visit range [starts[c], starts[c + 1]); one lookup per consumed
+  /// key, so a full-width stage (thousands of children) stays linear.
   void check_stage_independence(const tile4& t, std::size_t stage,
                                 const split_plan& plan, std::size_t begin,
-                                const std::vector<io_sets>& kids) {
-    std::unordered_map<tile3, std::size_t> producer;  // key -> child
-    for (std::size_t b = 0; b < kids.size(); ++b)
-      for (const tile3& key : kids[b].produced_keys) producer.emplace(key, b);
-    for (std::size_t a = 0; a < kids.size(); ++a) {
+                                const std::vector<std::size_t>& starts) {
+    const std::size_t lo = starts.front(), hi = starts.back();
+    for (std::size_t a = 0; a + 1 < starts.size(); ++a) {
       // One witness per sibling keeps the report readable.
       std::unordered_set<std::size_t> witnessed;
-      for (const tile3& key : kids[a].consumed_keys) {
-        const auto it = producer.find(key);
-        if (it == producer.end() || it->second == a ||
-            !witnessed.insert(it->second).second)
+      for (std::size_t e = deps_begin(starts[a]);
+           e < deps_begin(starts[a + 1]); ++e) {
+        const tile3& key = visit_deps[e];
+        const std::size_t q = last_visit(key);
+        if (q < lo || q >= hi || (q >= starts[a] && q < starts[a + 1]))
           continue;
+        const std::size_t b =
+            static_cast<std::size_t>(
+                std::upper_bound(starts.begin(), starts.end(), q) -
+                starts.begin()) -
+            1;
+        if (!witnessed.insert(b).second) continue;
         const tile4& ca = plan.children[begin + a];
-        const tile4& cb = plan.children[begin + it->second];
+        const tile4& cb = plan.children[begin + b];
         issue(verify_failure_kind::stage_conflict, key,
               "stage " + std::to_string(stage) + " of split " +
                   key_string({t.i, t.j, t.k}) + ": child " +
@@ -403,14 +417,14 @@ struct verifier {
         issue(verify_failure_kind::split_base_mismatch, c,
               "enumerate_base lists " + key_string(c) +
                   " but split() from root() never reaches it" + at_r());
-      } else if (it->second > 1) {
+      } else if (it->second.count > 1) {
         issue(verify_failure_kind::duplicate_split_emission, c,
               "split() from root() reaches " + key_string(c) + " " +
-                  std::to_string(it->second) + " times" + at_r());
+                  std::to_string(it->second.count) + " times" + at_r());
       }
     }
-    for (const auto& [c, visits] : reached) {
-      (void)visits;
+    for (const auto& [c, hit] : reached) {
+      (void)hit;
       if (base_multiplicity.count(c) == 0)
         issue(verify_failure_kind::split_base_mismatch, c,
               "split() from root() reaches " + key_string(c) +

@@ -35,10 +35,10 @@
 
 namespace rdp::exec {
 
-/// Depth-first serial execution of the r-way recursion. Requires r >= 2 to
-/// divide every level's side down to base() (size() == base() * r^L, or a
-/// last level below base()); throws contract_error before running any
-/// kernel otherwise.
+/// Depth-first serial execution of the r-way recursion. Requires r to split
+/// size() down to base() exactly (size() == base() * r^L,
+/// dp::splits_evenly); throws contract_error before running any kernel
+/// otherwise.
 void run_serial(dp::recurrence& rec, std::size_t r = 2);
 
 /// Fork-join execution of the r-way recursion: stages with one child run

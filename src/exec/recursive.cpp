@@ -39,14 +39,12 @@ struct walker {
   }
 };
 
-/// Refuse, before any kernel runs, an r that some level of the recursion
-/// does not divide. A last level may undershoot base() (n = 64, base 8,
-/// r = 4 runs tiles of side 4); the registry rows admit only
-/// n == base * r^L (dp::splits_evenly).
+/// Refuse, before any kernel runs, an r that does not split size() down to
+/// base() exactly (dp::splits_evenly): every base task the walk runs is then
+/// a base() tile that enumerate_base, depends and the DAGs also describe.
 void require_splits(const dp::recurrence& rec, std::size_t r) {
-  for (std::size_t s = rec.size(); s > rec.base(); s /= r)
-    RDP_REQUIRE_MSG(r >= 2 && s % r == 0,
-                    "the r-way recursion needs r to divide every level");
+  RDP_REQUIRE_MSG(dp::splits_evenly(rec.size(), rec.base(), r),
+                  "the r-way recursion needs size() == base() * r^L");
 }
 
 }  // namespace

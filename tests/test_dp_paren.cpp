@@ -74,6 +74,7 @@ TEST(DpParen, AllRecursiveBackendsMatchLoop) {
       EXPECT_EQ(c, expect) << "tiled base=" << base;
     }
     for (const std::size_t r : {2u, 4u}) {
+      if (!splits_evenly(n, base, r)) continue;  // as the rway:r4 row
       matrix<double> c(n, n, 0.0);
       exec::run_forkjoin(*make_paren_spec(c, dims, base), pool, r);
       EXPECT_EQ(c, expect) << "rway r=" << r << " base=" << base;

@@ -122,6 +122,31 @@ TEST(Rway, RejectsNonConformingSizes) {
                contract_error);
 }
 
+// n = 64, base 8, r = 4: 4 divides 64 and 16, but the second level would
+// run tiles of side 4, not the 8×8 grid of base tiles that enumerate_base,
+// depends and the DAGs describe. Both walkers refuse before any kernel runs.
+TEST(Rway, RejectsAnRWhoseLastLevelUndershootsBase) {
+  constexpr std::size_t n = 64, base = 8, r = 4;
+  ASSERT_FALSE(splits_evenly(n, base, r));
+  forkjoin::worker_pool pool(2);
+  const std::string a = make_dna(n, 1), b = make_dna(n, 2);
+  matrix<std::int32_t> s(n + 1, n + 1, 0);
+  const auto lcs = [&] {
+    return make_lcs_spec(s, a, b, lcs_mode::lcs, base);
+  };
+  EXPECT_THROW(exec::run_serial(*lcs(), r), contract_error);
+  EXPECT_THROW(exec::run_forkjoin(*lcs(), pool, r), contract_error);
+  EXPECT_EQ(s, matrix<std::int32_t>(n + 1, n + 1, 0));
+
+  const std::vector<double> dims(n + 1, 2.0);
+  matrix<double> c(n, n, 0.0);
+  EXPECT_THROW(exec::run_serial(*make_paren_spec(c, dims, base), r),
+               contract_error);
+  EXPECT_THROW(exec::run_forkjoin(*make_paren_spec(c, dims, base), pool, r),
+               contract_error);
+  EXPECT_EQ(c, matrix<double>(n, n, 0.0));
+}
+
 TEST(Rway, DifferentWaysGiveIdenticalGeResults) {
   // 64 = 4*2^4 = 4*4^2 = 64*...: r=2 vs r=4 vs r=8 on the same input.
   auto base_case = ge_input(64);

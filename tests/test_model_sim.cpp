@@ -269,6 +269,28 @@ TEST(Findings, EstimatedSeriesIsFiniteAndPositive) {
   }
 }
 
+// Every figure series prices a non-trivial schedule, and the DAG it prices
+// runs each of the spec's base tasks exactly once.
+TEST(Experiment, EverySeriesPricesEveryBaseTaskOfTheSpec) {
+  constexpr std::size_t tiles = 4, base = 16;
+  for (const benchmark_id bm :
+       {benchmark_id::ge, benchmark_id::sw, benchmark_id::fw}) {
+    const auto spec = dp::make_tile_scale_spec(bm, tiles);
+    std::uint64_t declared = 0;
+    auto count = [&](const dp::tile4&) { ++declared; };
+    spec->enumerate_base(dp::tag_sink(count));
+    ASSERT_GT(declared, 0u) << dp::to_string(bm);
+    for (const exec_variant v :
+         {exec_variant::cnc_native, exec_variant::cnc_tuner,
+          exec_variant::cnc_manual, exec_variant::omp_tasking}) {
+      const variant_result r = simulate_variant(*spec, v, base, epyc64());
+      EXPECT_GT(r.seconds, 0.0) << dp::to_string(bm) << " × " << to_string(v);
+      EXPECT_EQ(r.base_tasks, declared)
+          << dp::to_string(bm) << " × " << to_string(v);
+    }
+  }
+}
+
 TEST(MachineProfiles, CoreCountsMatchPaper) {
   EXPECT_EQ(epyc64().cores, 64u);
   EXPECT_EQ(skylake192().cores, 192u);

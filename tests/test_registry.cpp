@@ -71,15 +71,6 @@ std::size_t check_point(benchmark_id bm, const problem_ref& prob,
       // Data-flow rows must have actually built a CnC graph.
       EXPECT_GT(outcome.info.stats.steps_executed, 0u) << v->label;
     }
-    if (v->backend == backend_kind::sim) {
-      // sim rows fill the table via the serial reference (checked above)
-      // and must carry a non-trivial discrete-event prediction.
-      EXPECT_TRUE(outcome.simulated) << v->label;
-      EXPECT_GT(outcome.sim_seconds, 0.0) << v->label;
-      EXPECT_GT(outcome.sim_base_tasks, 0u) << v->label;
-    } else {
-      EXPECT_FALSE(outcome.simulated) << v->label;
-    }
     ++ran;
   }
   return ran;
@@ -155,28 +146,18 @@ std::size_t check_paren(std::size_t n, std::size_t base,
 
 TEST(RegistryShape, AdvertisesEveryBackendPerBenchmark) {
   for (benchmark_id bm : {benchmark_id::ge, benchmark_id::sw,
-                          benchmark_id::fw}) {
+                          benchmark_id::fw, benchmark_id::lcs,
+                          benchmark_id::paren}) {
     const auto rows = variants_for(bm);
-    ASSERT_EQ(rows.size(), 15u) << to_string(bm);
+    ASSERT_EQ(rows.size(), 11u) << to_string(bm);
     // Labels resolve back to their own row, and are unique per benchmark.
     for (const variant* v : rows)
       EXPECT_EQ(find_variant(bm, v->label), v) << v->label;
   }
-  // The variable-arity benchmarks carry every real backend but no sim:*
-  // series (the simulator's cost model only covers the paper's figures).
-  for (benchmark_id bm : {benchmark_id::lcs, benchmark_id::paren}) {
-    const auto rows = variants_for(bm);
-    ASSERT_EQ(rows.size(), 11u) << to_string(bm);
-    for (const variant* v : rows) {
-      EXPECT_EQ(find_variant(bm, v->label), v) << v->label;
-      EXPECT_NE(v->backend, backend_kind::sim) << v->label;
-    }
-  }
-  EXPECT_EQ(registry().size(), 67u);
+  EXPECT_EQ(registry().size(), 55u);
   EXPECT_EQ(find_variant(benchmark_id::ge, "no-such-backend"), nullptr);
   EXPECT_NE(impl_help().find("dataflow:tuner"), std::string::npos);
   EXPECT_NE(impl_help().find("prepared:batched"), std::string::npos);
-  EXPECT_NE(impl_help().find("sim:omp"), std::string::npos);
 }
 
 // Every parallel row runs on the caller's pool when it passes one, so a
@@ -214,37 +195,35 @@ TEST(RegistryPool, DataflowRowsRunOnTheCallersPool) {
 
 // serial + forkjoin + tiled + 4 dataflow modes + rway:r2 + prepared +
 // prepared:batched always apply on a power-of-two sweep point (10 rows);
-// GE/SW/FW add their 4 sim modes; rway:r4 joins whenever n/base is a power
-// of 4.
-constexpr std::size_t k_min_rows_paper = 14;
-constexpr std::size_t k_min_rows_spec_only = 10;
+// rway:r4 joins whenever n/base is a power of 4.
+constexpr std::size_t k_min_rows = 10;
 
 TEST(RegistryEquivalence, GeAllVariantsMatchSerial) {
   forkjoin::worker_pool pool(3);
   xoshiro256 gen(42);
   for (const sweep_point pt : sweep_points())
-    EXPECT_GE(check_ge(pt.n, pt.base, pool, gen.next()), k_min_rows_paper)
+    EXPECT_GE(check_ge(pt.n, pt.base, pool, gen.next()), k_min_rows)
         << "registry lost variants at n=" << pt.n << ", base=" << pt.base;
 }
 
 TEST(RegistryEquivalence, SwAllVariantsMatchSerial) {
   forkjoin::worker_pool pool(3);
   for (const sweep_point pt : sweep_points())
-    EXPECT_GE(check_sw(pt.n, pt.base, pool), k_min_rows_paper)
+    EXPECT_GE(check_sw(pt.n, pt.base, pool), k_min_rows)
         << "registry lost variants at n=" << pt.n << ", base=" << pt.base;
 }
 
 TEST(RegistryEquivalence, FwAllVariantsMatchSerial) {
   forkjoin::worker_pool pool(3);
   for (const sweep_point pt : sweep_points())
-    EXPECT_GE(check_fw(pt.n, pt.base, pool), k_min_rows_paper)
+    EXPECT_GE(check_fw(pt.n, pt.base, pool), k_min_rows)
         << "registry lost variants at n=" << pt.n << ", base=" << pt.base;
 }
 
 TEST(RegistryEquivalence, LcsAllVariantsMatchSerial) {
   forkjoin::worker_pool pool(3);
   for (const sweep_point pt : sweep_points())
-    EXPECT_GE(check_lcs(pt.n, pt.base, pool), k_min_rows_spec_only)
+    EXPECT_GE(check_lcs(pt.n, pt.base, pool), k_min_rows)
         << "registry lost variants at n=" << pt.n << ", base=" << pt.base;
 }
 
@@ -252,7 +231,7 @@ TEST(RegistryEquivalence, ParenAllVariantsMatchSerial) {
   forkjoin::worker_pool pool(3);
   xoshiro256 gen(17);
   for (const sweep_point pt : sweep_points())
-    EXPECT_GE(check_paren(pt.n, pt.base, pool, gen), k_min_rows_spec_only)
+    EXPECT_GE(check_paren(pt.n, pt.base, pool, gen), k_min_rows)
         << "registry lost variants at n=" << pt.n << ", base=" << pt.base;
 }
 
@@ -260,7 +239,7 @@ TEST(RegistryEquivalence, ParenAllVariantsMatchSerial) {
 /// with contract_error (its supports() is false) or runs it bit-exact.
 /// At (96, 8) only the rows without a power-of-two requirement — tiled,
 /// prepared, prepared:batched — accept; (64, 6) and (32, 64) (base does
-/// not divide n / exceeds it) are rejected by all 67 rows.
+/// not divide n / exceeds it) are rejected by all 55 rows.
 TEST(RegistryPreconditions, EveryRowRejectsOrMatchesTheOracle) {
   forkjoin::worker_pool pool(3);
   xoshiro256 gen(5);
