@@ -1,20 +1,17 @@
 // Spec consistency sweep (CI): run dp::verify_spec over every benchmark
 // spec across the (n, base) grid the registry's backends accept, and print
 // one row per configuration. Exits 1 if any configuration reports an
-// inconsistency, so a spec edit that breaks the depends/consumer_count/
-// enumerate_base/split agreement fails fast — with the validator's report,
-// not a hung executor.
+// inconsistency, so a spec edit that breaks the depends/enumerate_base/
+// split/gather agreement fails fast — with the validator's report, not a
+// hung executor.
 //
 // The grid mixes power-of-two configurations (all backends; the
 // split()-closure checked at r = 2 and at the full width r = n/base) and
 // divisible-but-not-pow2 ones (tiled backend only; the split()-closure
 // checked at r = n/base, the level the tiled row runs). The final
-// per-benchmark fan-in summary shows the bound executors reserve
-// dependency buffers from: observed == declared
-// (max_dependencies() must be tight — the validator's
-// arity_bound_not_tight check). There is no fixed capacity any more;
-// wide-fan-in specs (Paren: 2(T-1)) spill past the executors' inline
-// storage onto the heap.
+// per-benchmark summary shows the widest observed depends() fan-in; there
+// is no fixed capacity — wide-fan-in specs (Paren: 2(T-1)) spill past the
+// executors' inline storage onto the heap.
 #include <algorithm>
 #include <iostream>
 #include <string>
@@ -34,7 +31,6 @@ struct sweep_stats {
   std::size_t configs = 0;
   std::size_t failures = 0;
   std::size_t max_fan_in = 0;
-  std::size_t declared = 0;
 };
 
 /// Verify one (benchmark, n, base) configuration over scratch data (the
@@ -83,7 +79,6 @@ verify_report verify_one(benchmark_id bm, std::size_t n, std::size_t base,
                  std::to_string(rep.items_produced),
                  std::to_string(rep.dependency_edges),
                  std::to_string(rep.max_fan_in),
-                 std::to_string(rep.declared_max_fan_in),
                  is_pow2(n / base) ? "r=2,T" : "r=T",
                  rep.ok() ? "ok" : "FAIL(" + std::to_string(rep.issues.size())
                                        + ")"});
@@ -111,7 +106,7 @@ int main(int argc, char** argv) {
   if (only_n > 0) ns = {static_cast<std::size_t>(only_n)};
 
   table_printer table({"Spec", "n", "base", "tasks", "items", "edges",
-                       "fan-in", "declared", "split", "result"});
+                       "fan-in", "split", "result"});
   std::size_t failures = 0, configs = 0;
   sweep_stats per_bm[5];
 
@@ -135,8 +130,6 @@ int main(int argc, char** argv) {
         auto& agg = per_bm[static_cast<std::size_t>(bm)];
         ++agg.configs;
         agg.max_fan_in = std::max(agg.max_fan_in, rep.max_fan_in);
-        // Tight bounds vary with (n, base); report the widest instance.
-        agg.declared = std::max(agg.declared, rep.declared_max_fan_in);
         if (!rep.ok()) {
           ++failures;
           ++agg.failures;
@@ -147,16 +140,14 @@ int main(int argc, char** argv) {
   }
 
   table.print(std::cout);
-  std::cout << "\nDependency fan-in (observed == declared per instance — "
-               "max_dependencies() is a tight bound; inline buffer hint "
+  std::cout << "\nWidest observed dependency fan-in (inline buffer hint "
             << typical_dependency_arity << ", wider fan-ins heap-spill)\n";
   for (const benchmark_id bm :
        {benchmark_id::ge, benchmark_id::sw, benchmark_id::fw,
         benchmark_id::lcs, benchmark_id::paren}) {
     const auto& agg = per_bm[static_cast<std::size_t>(bm)];
-    std::cout << "  " << to_string(bm) << ": observed " << agg.max_fan_in
-              << ", declared " << agg.declared << " over " << agg.configs
-              << " configurations\n";
+    std::cout << "  " << to_string(bm) << ": " << agg.max_fan_in << " over "
+              << agg.configs << " configurations\n";
   }
 
   if (failures > 0) {

@@ -204,7 +204,7 @@ run_outcome run_rway_v(const variant& self, const problem_ref& p,
 #ifndef NDEBUG
 /// Debug builds cross-check every registered spec with dp::verify_spec on a
 /// small instance the first time the registry is built, so a spec edit that
-/// breaks the depends/consumer_count/enumerate_base agreement fails at
+/// breaks the depends/split/enumerate_base/gather agreement fails at
 /// registration with a report — not mid-graph as a hang or a leak. The
 /// specs run over scratch data (verify drives gather_values destructively
 /// for value-passing specs).

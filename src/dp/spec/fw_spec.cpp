@@ -53,47 +53,6 @@ class fw_spec final : public recurrence {
     }
   }
 
-  /// Tight instance-wide maximum: D tasks carry the widest fan-in
-  /// (round-(K-1) snapshot + C + B reads = 3); a single-tile instance has
-  /// only the pivot A with its seed snapshot.
-  std::size_t max_dependencies() const override {
-    return m_.rows() / base_ <= 1 ? 1 : 3;
-  }
-
-  /// Per-tile: the previous-round snapshot (always, seeds cover k == 0)
-  /// plus the kind's pivot-round reads.
-  std::size_t dependency_bound(const tile3& t) const override {
-    switch (classify(t.i, t.j, t.k)) {
-      case task_kind::A: return 1;
-      case task_kind::B:
-      case task_kind::C: return 2;
-      case task_kind::D: return 3;
-    }
-    return 3;
-  }
-
-  /// Exact consumer count of the snapshot produced for key t (seed keys
-  /// have k == -1). Every non-final snapshot feeds its round-(k+1)
-  /// successor; pivot-round outputs additionally feed the round's readers
-  /// (A: the T-1 B tiles + T-1 C tiles; B/C: the T-1 D tiles in their
-  /// column/row); final-round snapshots are collected once by the
-  /// environment gather.
-  std::uint32_t consumer_count(const tile3& t) const override {
-    if (t.k < 0) return 1;  // seed: read only by the round-0 step
-    const auto n_tiles = static_cast<std::int32_t>(m_.rows() / base_);
-    const std::int32_t last = n_tiles - 1;
-    const auto readers = static_cast<std::uint32_t>(last);
-    std::uint32_t gets = t.k < last ? 1u : 0u;
-    switch (classify(t.i, t.j, t.k)) {
-      case task_kind::A: gets += 2 * readers; break;
-      case task_kind::B:
-      case task_kind::C: gets += readers; break;
-      case task_kind::D: break;
-    }
-    if (t.k == last) ++gets;  // environment gather
-    return gets;
-  }
-
   void enumerate_base(const tag_sink& emit) const override {
     const auto n_tiles = static_cast<std::int32_t>(m_.rows() / base_);
     const auto b = static_cast<std::int32_t>(base_);

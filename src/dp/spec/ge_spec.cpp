@@ -1,7 +1,7 @@
 // Gaussian Elimination recurrence spec (the paper's running example,
 // Listings 2-5). Its split is the abcd_triangular rule (spec/split.cpp),
 // whose r = 2 stages reproduce Fig. 2 / Listing 3; the dependency function
-// and consumer counts reproduce Listing 5.
+// reproduces Listing 5.
 #include "dp/spec/specs.hpp"
 
 #include "dp/common.hpp"
@@ -50,46 +50,6 @@ class ge_spec final : public recurrence {
         need({t.i, t.k, t.k});
         break;
     }
-  }
-
-  /// Tight instance-wide maximum. D tasks carry the widest fan-in
-  /// (write-write + A + B + C reads = 4), but a D with a write-write
-  /// predecessor needs K >= 1, i.e. at least 3 tiles per side; at T == 2
-  /// the widest is a first-round D (3), and a single tile has none.
-  std::size_t max_dependencies() const override {
-    const std::size_t t = m_.rows() / base_;
-    if (t <= 1) return 0;
-    return t == 2 ? 3 : 4;
-  }
-
-  /// Per-tile: the write-write predecessor (K > 0 only) plus the kind's
-  /// read fan-in from Listing 5.
-  std::size_t dependency_bound(const tile3& t) const override {
-    std::size_t b = t.k > 0 ? 1 : 0;
-    switch (classify(t.i, t.j, t.k)) {
-      case task_kind::A: break;
-      case task_kind::B:
-      case task_kind::C: b += 1; break;
-      case task_kind::D: b += 3; break;
-    }
-    return b;
-  }
-
-  /// Exact consumer count of each output item (get-count GC):
-  ///   A(K,K,K): (T-1-K) B readers + (T-1-K) C readers + (T-1-K)^2 D readers
-  ///   B(K,J,K): (T-1-K) D readers;  C(I,K,K): (T-1-K) D readers
-  ///   D(I,J,K): one write-write successor (always exists: K < min(I,J))
-  /// A count of zero (the final A) means "keep forever".
-  std::uint32_t consumer_count(const tile3& t) const override {
-    const auto rest = static_cast<std::uint32_t>(
-        m_.rows() / base_ - 1 - static_cast<std::size_t>(t.k));
-    switch (classify(t.i, t.j, t.k)) {
-      case task_kind::A: return 2 * rest + rest * rest;
-      case task_kind::B:
-      case task_kind::C: return rest;
-      case task_kind::D: return 1;
-    }
-    return 0;
   }
 
   void enumerate_base(const tag_sink& emit) const override {

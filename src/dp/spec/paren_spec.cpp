@@ -7,8 +7,8 @@
 // over the upper triangle of an n×n table, where p = dims (the n+1 matrix
 // dimensions). Tile (I,J) on diagonal d = J-I reads the whole row segment
 // (I,K) for K < J and column segment (K,J) for K > I: fan-in 2(J-I),
-// growing with the diagonal — exactly the case the variable-arity
-// dependency contract exists for (Tang's "Nested Dataflow Algorithms for
+// growing with the diagonal, so the executors' dependency lists spill
+// past their inline storage (Tang's "Nested Dataflow Algorithms for
 // DP Recurrences with more than O(1) Dependency", PAPERS.md). Each tile
 // is written once, so boolean signalling over the shared table is
 // race-free (token graph, like GE/SW).
@@ -57,24 +57,6 @@ class paren_spec final : public recurrence {
   void depends(const tile3& t, const dep_sink& need) const override {
     for (std::int32_t k = t.i; k < t.j; ++k) need({t.i, k, 0});
     for (std::int32_t k = t.i + 1; k <= t.j; ++k) need({k, t.j, 0});
-  }
-
-  /// Tight: the top-right tile (0,T-1) attains 2(T-1).
-  std::size_t max_dependencies() const override {
-    const std::size_t t = c_.rows() / base_;
-    return t <= 1 ? 0 : 2 * (t - 1);
-  }
-
-  /// Fan-in grows with the diagonal: 2(J-I) for tile (I,J).
-  std::size_t dependency_bound(const tile3& t) const override {
-    return 2 * static_cast<std::size_t>(t.j - t.i);
-  }
-
-  /// Readers of (I,J): the tiles (I,B) to its right (B > J) and the tiles
-  /// (A,J) above it (A < I). Zero for the answer tile (0,T-1): keep.
-  std::uint32_t consumer_count(const tile3& t) const override {
-    const auto n_tiles = static_cast<std::int32_t>(c_.rows() / base_);
-    return static_cast<std::uint32_t>((n_tiles - 1 - t.j) + t.i);
   }
 
   /// Diagonal-major (a topological order of the tile DAG).

@@ -22,9 +22,10 @@
 //   * the true-dependency function of a base tile (the depends() logic
 //     formerly buried in each CnC implementation), emitted in the exact
 //     get order of the retired implementations: write-write predecessor
-//     first, then the read dependencies.
-//   * the exact consumer count of each produced item (get-count garbage
-//     collection for the single-execution tuners).
+//     first, then the read dependencies. It is the one description of the
+//     DAG's edges: consumer counts (get-count garbage collection for the
+//     single-execution tuners) and fan-in are derived from it
+//     (exec/dag.hpp), never declared.
 //   * the base-case kernel hook, routed through the dp/kernels.hpp
 //     dispatch so RDP_KERNELS governs every variant.
 //
@@ -101,9 +102,9 @@ constexpr const char* to_string(structure_kind s) {
 
 /// Inline (small-buffer) capacity hint for per-step dependency buffers:
 /// lists up to this long stay allocation-free in the executors'
-/// small_vectors. NOT a limit — specs may declare any max_dependencies()
-/// and longer lists spill to the heap. Sized to cover every O(1)-fan-in
-/// spec (GE's widest is 4) with headroom.
+/// small_vectors. NOT a limit — depends() may emit any number of keys and
+/// longer lists spill to the heap. Sized to cover every O(1)-fan-in spec
+/// (GE's widest is 4) with headroom.
 inline constexpr std::size_t typical_dependency_arity = 8;
 
 /// The staged children of one non-base tag. Children within a stage are
@@ -185,9 +186,11 @@ class value_store {
 };
 
 /// One declarative recurrence specification. Everything an executor needs:
-/// the recursion shape (split), the true dependencies and consumer counts
-/// of base tiles, and the base-case kernel. Specs are cheap views over the
-/// caller's problem data (matrix, sequences); they do not own it.
+/// the base tiles (enumerate_base), their true dependencies (depends), the
+/// recursion shape (split, derived from structure()) and the base-case
+/// kernel. Everything else about the DAG — consumer counts, fan-in — is
+/// derived from enumerate_base() and depends(). Specs are cheap views over
+/// the caller's problem data (matrix, sequences); they do not own it.
 ///
 /// Base tasks are the tile4 tags with b <= base() — when size() splits
 /// evenly (splits_evenly) the recursion hits b == base() exactly, so base
@@ -225,32 +228,6 @@ class recurrence {
   /// data-flow base step performs its gets: the write-write predecessor of
   /// this tile first, then the read dependencies.
   virtual void depends(const tile3& t, const dep_sink& need) const = 0;
-
-  /// The exact maximum number of keys depends() emits over all base tiles
-  /// of THIS instance — a tight bound, not a generous cap. Executors
-  /// reserve per-step dependency buffers from it (variable arity: there is
-  /// no global capacity constant any more — lists longer than
-  /// typical_dependency_arity spill to the heap); dp::verify_spec checks
-  /// both directions (a fan-in above the bound is
-  /// fan_in_exceeds_declared / tile_arity_exceeds_bound, a bound no tile
-  /// attains is arity_bound_not_tight). The default is the historical 4
-  /// (GE's D kind: write-write + A + B + C).
-  virtual std::size_t max_dependencies() const { return 4; }
-
-  /// Per-tile upper bound on how many keys depends(t, ...) may emit —
-  /// tighter than the instance-wide max_dependencies() for specs whose
-  /// fan-in varies by position (Parenthesization: 2(J-I), growing with the
-  /// diagonal). dp::verify_spec checks every tile's observed fan-in
-  /// against it; executors may size exact per-tile arrays from it.
-  virtual std::size_t dependency_bound(const tile3& t) const {
-    (void)t;
-    return max_dependencies();
-  }
-
-  /// Exact number of gets that will consume the item produced for t
-  /// (get-count garbage collection). 0 means "keep forever" — used for the
-  /// items no later task reads (e.g. GE's final funcA output).
-  virtual std::uint32_t consumer_count(const tile3& t) const = 0;
 
   /// Emit every base tag (b == base()) in manual pre-declaration order.
   virtual void enumerate_base(const tag_sink& emit) const = 0;
@@ -292,7 +269,10 @@ class recurrence {
   /// Seed the store with the environment's initial items (before any tag).
   virtual void seed_values(value_store& store) { (void)store; }
 
-  /// Gather the final items back into the problem data (after wait()).
+  /// Gather the final items back into the problem data (after wait()):
+  /// one get of each base tile's final version, the item no base tile at
+  /// the same (i, j) reads. exec::consumer_counts counts exactly those
+  /// gets, and dp::verify_spec checks that this hook makes them.
   virtual void gather_values(value_store& store) { (void)store; }
 };
 

@@ -1,7 +1,6 @@
 // Shared wavefront recurrence: everything a wavefront-structured spec
 // (SW, LCS/edit-distance, any one-off cell-rule DP) has in common — the
-// NW/N/W dependency function with tight per-tile arity, consumer counts
-// and enumeration order; its split is the wavefront rule (spec/split.cpp).
+// NW/N/W dependency function and enumeration order; its split is the wavefront rule (spec/split.cpp).
 // Derived classes supply only name() and the base-case kernel (see
 // DESIGN.md §15).
 #pragma once
@@ -30,29 +29,6 @@ class wavefront_recurrence : public recurrence {
     if (t.i > 0 && t.j > 0) need({t.i - 1, t.j - 1, 0});
     if (t.i > 0) need({t.i - 1, t.j, 0});
     if (t.j > 0) need({t.i, t.j - 1, 0});
-  }
-
-  /// Tight: the three wavefront neighbours, attained by any interior tile;
-  /// a single-tile instance has no dependencies at all.
-  std::size_t max_dependencies() const override {
-    return n_ / base_ <= 1 ? 0 : 3;
-  }
-
-  std::size_t dependency_bound(const tile3& t) const override {
-    return static_cast<std::size_t>(t.i > 0 && t.j > 0) +
-           static_cast<std::size_t>(t.i > 0) +
-           static_cast<std::size_t>(t.j > 0);
-  }
-
-  /// Consumers of tile (I,J): its east, south and south-east neighbours
-  /// (those inside the tiling). Zero (the bottom-right tile) keeps it.
-  std::uint32_t consumer_count(const tile3& t) const override {
-    const auto n_tiles = static_cast<std::int32_t>(n_ / base_);
-    std::uint32_t gets = 0;
-    if (t.i + 1 < n_tiles) ++gets;
-    if (t.j + 1 < n_tiles) ++gets;
-    if (t.i + 1 < n_tiles && t.j + 1 < n_tiles) ++gets;
-    return gets;
   }
 
   void enumerate_base(const tag_sink& emit) const override {

@@ -24,12 +24,6 @@ const char* to_string(verify_failure_kind k) noexcept {
       return "key_outside_item_box";
     case verify_failure_kind::consumer_count_mismatch:
       return "consumer_count_mismatch";
-    case verify_failure_kind::fan_in_exceeds_declared:
-      return "fan_in_exceeds_declared";
-    case verify_failure_kind::tile_arity_exceeds_bound:
-      return "tile_arity_exceeds_bound";
-    case verify_failure_kind::arity_bound_not_tight:
-      return "arity_bound_not_tight";
     case verify_failure_kind::malformed_split: return "malformed_split";
     case verify_failure_kind::split_base_mismatch:
       return "split_base_mismatch";
@@ -123,7 +117,6 @@ struct verifier {
     rep.spec_name = rec.name();
     rep.n = rec.size();
     rep.base = rec.base();
-    rep.declared_max_fan_in = rec.max_dependencies();
 
     collect_base_set();
     // The box bounds the base tags, so only the other keys can leave it.
@@ -208,9 +201,7 @@ struct verifier {
                 ", which no base task produces and no seed provides");
   }
 
-  // (b)/(e) every depends() edge, fan-in statistics vs the declared
-  // bounds: the instance-wide max_dependencies() (which must be tight) and
-  // the per-tile dependency_bound(t).
+  // (b) every depends() edge, and the fan-in statistics.
   void collect_edges() {
     for (const auto& [c, mult] : base_multiplicity) {
       (void)mult;
@@ -218,20 +209,6 @@ struct verifier {
       rec.depends(c, dep_sink(deps));
       rep.dependency_edges += deps.keys.size();
       rep.max_fan_in = std::max(rep.max_fan_in, deps.keys.size());
-      if (deps.keys.size() > rep.declared_max_fan_in)
-        issue(verify_failure_kind::fan_in_exceeds_declared, c,
-              "base task " + key_string(c) + " declares " +
-                  std::to_string(deps.keys.size()) +
-                  " dependencies, max_dependencies() is " +
-                  std::to_string(rep.declared_max_fan_in));
-      const std::size_t tile_bound = rec.dependency_bound(c);
-      rep.max_tile_bound = std::max(rep.max_tile_bound, tile_bound);
-      if (deps.keys.size() > tile_bound)
-        issue(verify_failure_kind::tile_arity_exceeds_bound, c,
-              "base task " + key_string(c) + " emits " +
-                  std::to_string(deps.keys.size()) +
-                  " dependencies, its dependency_bound() is " +
-                  std::to_string(tile_bound));
       for (const tile3& d : deps.keys) {
         if (d == c)
           issue(verify_failure_kind::self_dependency, c,
@@ -240,30 +217,28 @@ struct verifier {
         consume(d, "depends()");
       }
     }
-    if (rep.base_tasks > 0 && rep.declared_max_fan_in > rep.max_fan_in)
-      issue(verify_failure_kind::arity_bound_not_tight, {},
-            "max_dependencies() declares " +
-                std::to_string(rep.declared_max_fan_in) +
-                " but the widest base task emits only " +
-                std::to_string(rep.max_fan_in) +
-                " — the bound must be tight for this instance");
   }
 
-  // (c) counted consumers of every produced item must equal the edges
-  // referencing it — the get-count GC contract, exactly.
+  // (c) the get counts the tuners collect by (exec::consumer_counts) must
+  // equal the gets that happen: dependency edges plus the environment's
+  // gather gets. Keys outside the item box are reported by check_box.
   void check_consumer_counts() {
+    const std::vector<std::uint32_t> derived =
+        box.empty() ? std::vector<std::uint32_t>{}
+                    : exec::consumer_counts(rec, box);
     for (const tile3& key : produced) {
       const auto it = consumers.find(key);
       const std::size_t counted = it == consumers.end() ? 0 : it->second;
       rep.max_fan_out = std::max(rep.max_fan_out, counted);
-      const std::size_t declared = rec.consumer_count(key);
-      if (declared != counted)
-        issue(verify_failure_kind::consumer_count_mismatch, key,
-              "item " + key_string(key) + ": consumer_count() declares " +
-                  std::to_string(declared) + ", dependency edges count " +
-                  std::to_string(counted) +
-                  (declared < counted ? " (GC would free it early)"
-                                      : " (GC would leak it)"));
+      const std::size_t at = box.offset(key);
+      if (at == exec::tile_box::npos || derived[at] == counted) continue;
+      issue(verify_failure_kind::consumer_count_mismatch, key,
+            "item " + key_string(key) + ": get-count GC expects " +
+                std::to_string(derived[at]) +
+                " gets (depends() edges + the final-version gather), " +
+                std::to_string(counted) + " happen" +
+                (derived[at] < counted ? " (GC would free it early)"
+                                       : " (GC would leak it)"));
     }
   }
 
@@ -458,7 +433,7 @@ std::string verify_report::summary() const {
     os << "OK — " << base_tasks << " base tasks, " << dependency_edges
        << " edges, " << items_produced << " items (" << environment_seeds
        << " seeds, " << environment_gets << " gather gets), max fan-in "
-       << max_fan_in << "/" << declared_max_fan_in << " declared";
+       << max_fan_in;
     return os.str();
   }
   os << issues.size() << (truncated ? "+" : "") << " issue(s)";

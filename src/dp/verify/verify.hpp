@@ -1,28 +1,30 @@
-// Spec consistency validator: the mechanical check behind the spec layer's
-// redundancy.
+// Spec consistency validator: the mechanical check behind the spec layer.
 //
-// A dp::recurrence describes one dependency graph three times over:
-// enumerate_base() lists the tasks, depends() lists each task's in-edges,
-// and consumer_count() restates every item's out-degree for get-count
-// garbage collection; split() encodes the same graph a fourth time as a
-// staged recursion whose flattened order must be a valid serialisation.
-// Nothing in the type system forces these four descriptions to agree — and
-// when they silently disagree an executor turns the inconsistency into a
-// hang (a dependency key nothing produces parks a step forever), a
-// use-after-free (an under-counted consumer lets get-count GC reclaim an
-// item that is still needed), or a leak (an over-counted one keeps it
-// alive forever). The dep_list overflow PR 5 shipped — GE D tiles emitting
-// 4 dependencies into a 3-wide buffer, corrupting the ready count only in
-// Release — is exactly this bug class.
+// A dp::recurrence describes its dependency graph twice: enumerate_base()
+// lists the tasks and depends() lists each task's in-edges, and split()
+// encodes the same graph again as a staged recursion (one rule per
+// structure_kind) whose flattened order must be a valid serialisation.
+// Everything else the executors need — each item's get count, the fan-in —
+// is derived from enumerate_base() and depends() (exec/dag.hpp), so it
+// cannot disagree with them. Nothing in the type system forces the
+// remaining descriptions to agree, and when they silently disagree an
+// executor turns the inconsistency into a hang (a dependency key nothing
+// produces parks a step forever), a race (a split stage whose children
+// depend on each other) or stale reads (a stage order that runs a consumer
+// before its producer).
 //
 // verify_spec() enumerates the whole base-task graph of a spec instance
 // and cross-checks every pairing:
 //
 //   * every depends() key is produced by some base task or seeded by the
 //     environment (no blocking get can wait forever);
-//   * the counted consumers of every produced item — dependency edges plus
-//     the environment's gather gets — exactly equal consumer_count(), so
-//     get-count GC can neither free early nor leak;
+//   * the get counts the data-flow tuners collect by
+//     (exec::consumer_counts: depends() edges plus one gather get of each
+//     base tile's final version) equal the gets that happen — dependency
+//     edges plus the gets gather_values() makes — so get-count GC can
+//     neither free early nor leak. Only a value-passing spec whose
+//     gather_values() reads something other than the final versions can
+//     break this;
 //   * split() from root() reaches exactly the enumerate_base() set, each
 //     tag once, with the flattened stage order satisfying every depends()
 //     edge and the children of one stage mutually independent (the
@@ -33,15 +35,10 @@
 //   * every depends() key, seed and gather key lies inside the key box the
 //     data-flow lowering sizes its dense item store for (exec::item_box,
 //     which bounds the base tags), so no run names a key the store has no
-//     slot for;
-//   * the observed dependency fan-in respects the variable-arity contract
-//     both per tile (dependency_bound(t)) and instance-wide
-//     (max_dependencies(), which must also be *tight* — attained by some
-//     tile — since executors reserve from it and session fingerprints
-//     compare it).
+//     slot for.
 //
 // The validator only calls the *descriptive* spec hooks (split, depends,
-// consumer_count, enumerate_base, seed_values, gather_values) — never
+// enumerate_base, seed_values, gather_values) — never
 // run_base()/run_base_value() — so it is cheap (no kernels) and exact (no
 // schedules). Caveat: gather_values() is driven against a recording store
 // handing out placeholder tiles, so for a value-passing spec verification
@@ -59,7 +56,7 @@
 
 namespace rdp::dp {
 
-/// Everything that can be inconsistent between the four descriptions.
+/// Everything that can be inconsistent between the spec's descriptions.
 enum class verify_failure_kind : std::uint8_t {
   /// enumerate_base() emitted the same tile twice (manual pre-declaration
   /// would put a duplicate tag; with memoisation off the step runs twice
@@ -81,22 +78,12 @@ enum class verify_failure_kind : std::uint8_t {
   /// — the box the data-flow lowering sizes its dense item store for. The
   /// store refuses such a key (cnc::key_out_of_range) and the run fails.
   key_outside_item_box,
-  /// consumer_count(key) differs from the number of dependency edges (plus
-  /// environment gather gets) referencing the key: get-count GC would free
-  /// the item early (under-count) or leak it (over-count).
+  /// The derived get count of an item (exec::consumer_counts) differs
+  /// from the gets that happen — dependency edges plus environment gather
+  /// gets: get-count GC would free the item early (under-count) or leak it
+  /// (over-count). A value-passing spec's gather_values() must read each
+  /// base tile's final version, and only that.
   consumer_count_mismatch,
-  /// Observed depends() fan-in of some base task exceeds
-  /// max_dependencies() — executors reserved buffers the spec outgrew.
-  fan_in_exceeds_declared,
-  /// Observed depends() fan-in of a base task exceeds the spec's own
-  /// per-tile dependency_bound(t) — the variable-arity contract: a tile's
-  /// bound must cover exactly what depends() emits for it.
-  tile_arity_exceeds_bound,
-  /// max_dependencies() is not tight: no base task of this instance
-  /// attains the declared bound. Executors reserve from it and the
-  /// session-shape fingerprint compares it, so an inflated bound hides
-  /// real structural changes and over-allocates every step.
-  arity_bound_not_tight,
   /// split() returned a structurally broken plan (no children, stage
   /// prefix sums not increasing, or a child not strictly smaller than its
   /// parent — the recursion would not terminate).
@@ -140,14 +127,8 @@ struct verify_report {
   std::size_t environment_seeds = 0; ///< keys seed_values() put
   std::size_t environment_gets = 0;  ///< keys gather_values() read
   std::size_t dependency_edges = 0;  ///< total depends() emissions
-  /// Largest depends() fan-in of any base task — the number executors must
-  /// size dependency buffers for (ISSUE: replaces the hard-coded 4).
+  /// Largest depends() fan-in of any base task.
   std::size_t max_fan_in = 0;
-  /// The spec's declared bound (recurrence::max_dependencies()) — must be
-  /// tight: equal to max_fan_in once the graph is enumerated.
-  std::size_t declared_max_fan_in = 0;
-  /// Largest per-tile dependency_bound() over the base tasks.
-  std::size_t max_tile_bound = 0;
   /// Largest consumer count of any produced item.
   std::size_t max_fan_out = 0;
 

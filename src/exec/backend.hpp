@@ -8,8 +8,9 @@
 //   run_dataflow  — a CnC graph generated from the spec: one step/tag/item
 //                   collection trio, recursive tag expansion from split(),
 //                   base-step gets from depends(), get-count GC from
-//                   consumer_count(), manual pre-declaration from
-//                   enumerate_base(). All four cnc_variant modes.
+//                   the counts derived from depends() (consumer_counts),
+//                   manual pre-declaration from enumerate_base(). All four
+//                   cnc_variant modes.
 //
 // run_serial and run_forkjoin walk the spec's one split rule
 // (recurrence::split) at a branching factor r: r = 2 is the classic 2-way

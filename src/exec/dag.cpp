@@ -132,6 +132,32 @@ tile_box item_box(const dp::recurrence& rec) {
   return rec.value_passing() ? box.widened_below(1) : box;
 }
 
+std::vector<std::uint32_t> consumer_counts(const dp::recurrence& rec,
+                                           const tile_box& box) {
+  std::vector<std::uint32_t> counts(box.size(), 0);
+  // Value-passing only: which keys are base outputs, and which of those a
+  // later version of the same tile reads (not a final version).
+  constexpr std::uint8_t produced = 1, superseded = 2;
+  const bool gathered = rec.value_passing();
+  std::vector<std::uint8_t> version(gathered ? box.size() : 0, 0);
+  auto visit = [&](const tile4& tag) {
+    const tile3 t = coord(tag);
+    auto count = [&](const tile3& key) {
+      const std::size_t at = box.offset(key);
+      if (at == tile_box::npos) return;
+      ++counts[at];
+      if (gathered && key.i == t.i && key.j == t.j) version[at] |= superseded;
+    };
+    rec.depends(t, dp::dep_sink(count));
+    const std::size_t at = box.offset(t);
+    if (gathered && at != tile_box::npos) version[at] |= produced;
+  };
+  rec.enumerate_base(dp::tag_sink(visit));
+  for (std::size_t at = 0; at < version.size(); ++at)
+    if (version[at] == produced) ++counts[at];
+  return counts;
+}
+
 tile_dag derive_tile_dag(const dp::recurrence& rec) {
   const std::string name = rec.name();
   tile_dag dag;
@@ -154,13 +180,12 @@ tile_dag derive_tile_dag(const dp::recurrence& rec) {
   // One depends() walk per tile. A produced key resolves to its tile; an
   // unproduced one is an environment seed, legal only when values pass
   // (a token graph signals over the problem table and would deadlock).
-  const std::size_t max_deps = rec.max_dependencies();
   const bool seeded = rec.value_passing();
   dag.dep_begin.reserve(count + 1);
   dag.dep_begin.push_back(0);
   for (std::uint32_t t = 0; t < count; ++t) {
     const tile3 c = coord(dag.tags[t]);
-    dep_list deps(max_deps);
+    dep_list deps;
     rec.depends(c, dp::dep_sink(deps));
     for (const tile3& key : deps.keys) {
       std::uint32_t slot = dag.index.find(key);

@@ -8,6 +8,8 @@
 //                  dependence contract is checked, and the source of
 //                  dataflow_dag, prepared_graph's frozen CSR and the band
 //                  plan of freeze_batched (exec/banding.hpp).
+//   consumer_counts — each item's get count for the data-flow tuners'
+//                  get-count GC, counted over the same two hooks.
 //   dataflow_dag — true dependencies only: the tile_dag renumbered into
 //                  (k, i, j) node order, one edge per dependency on a
 //                  produced key. These are the constraints run_dataflow
@@ -38,7 +40,6 @@
 
 #include "dp/common.hpp"
 #include "dp/spec/spec.hpp"
-#include "support/assertions.hpp"
 #include "support/small_vector.hpp"
 #include "trace/task_graph.hpp"
 
@@ -46,19 +47,11 @@ namespace rdp::exec {
 
 /// Dependency keys of one base task, in depends() order (the walk's and the
 /// CnC base step's collector). Wide lists (Paren's 2(J-I)) spill to the
-/// heap; the max_dependencies() check is a spec-consistency guard, not a
-/// capacity limit.
+/// heap.
 struct dep_list {
   rdp::small_vector<dp::tile3, dp::typical_dependency_arity> keys;
-  std::size_t limit;
 
-  explicit dep_list(std::size_t lim) : limit(lim) {}
-  void operator()(const dp::tile3& k) {
-    RDP_REQUIRE_MSG(keys.size() < limit,
-                    "base task emits more dependency keys than the spec's "
-                    "max_dependencies() declares");
-    keys.push_back(k);
-  }
+  void operator()(const dp::tile3& k) { keys.push_back(k); }
 };
 
 /// A box of tile coordinates (inclusive bounds), laid out densely in
@@ -129,6 +122,15 @@ class tile_box {
 /// (dp::verify_spec checks this).
 tile_box item_box(const dp::recurrence& rec);
 
+/// Get count of every item key in `box`, indexed by box.offset(key): the
+/// get-count GC input of the data-flow tuners. A key's count is the number
+/// of depends() edges naming it; a value-passing spec adds one get for each
+/// base tile's final version — the item no base tile at the same (i, j)
+/// reads, which gather_values() collects. A count of 0 keeps the item
+/// forever. Keys outside the box are skipped.
+std::vector<std::uint32_t> consumer_counts(const dp::recurrence& rec,
+                                           const tile_box& box);
+
 /// Dense key -> tile map over the bounding box of a spec's base tags, laid
 /// out in lexicographic (k, i, j) order. Keys outside the box (FW's k = -1
 /// seeds) or on no tag map to npos.
@@ -192,9 +194,8 @@ struct tile_dag {
 };
 
 /// Walk `rec` once into its tile_dag. Throws contract_error when the spec
-/// emits no base tiles or a tile twice, a tile exceeds max_dependencies(),
-/// a token spec depends on a key no base task produces, or depends()
-/// forms a cycle.
+/// emits no base tiles or a tile twice, a token spec depends on a key no
+/// base task produces, or depends() forms a cycle.
 tile_dag derive_tile_dag(const dp::recurrence& rec);
 
 /// Data-flow DAG of rec. Nodes are numbered in lexicographic (k, i, j) tag

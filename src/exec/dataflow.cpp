@@ -21,8 +21,10 @@
 // native/tuner/manual variants, try_get polling with short-circuit plus
 // respawn for the nonblocking variant — then run the base kernel (token
 // graphs) or compute a fresh tile from the read values (value-passing
-// graphs) and put their output item with the spec's consumer count when
-// get-count GC is enabled (preschedule tuners only).
+// graphs) and put their output item with its get count when get-count GC
+// is enabled (preschedule tuners only). The counts come from
+// exec::consumer_counts — derived from depends(), built once per context
+// and only when GC is on.
 #include "exec/backend.hpp"
 
 #include <cstdint>
@@ -30,6 +32,7 @@
 #include <string>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "cnc/cnc.hpp"
 #include "dp/common.hpp"
@@ -87,6 +90,10 @@ struct df_context : cnc::context<df_context<Value>> {
   /// or poll-and-requeue (nonblocking) execution.
   bool collect;
 
+  /// The item store's key box and, when collecting, every key's get count.
+  tile_box box;
+  std::vector<std::uint32_t> counts;
+
   cnc::step_collection<df_context, df_step<df_context>, dp::tile4> steps;
   // Recursive expansion puts each tag exactly once -> memoisation off.
   cnc::tag_collection<dp::tile4> tags;
@@ -94,25 +101,26 @@ struct df_context : cnc::context<df_context<Value>> {
                        cnc::dense_slots<dp::tile3, Value, tile_box>>
       items;
 
-  /// Per-spec dependency fan-in bound (a spec-consistency guard for the
-  /// collectors below, not a buffer capacity — lists of any length work).
-  std::size_t max_deps = 0;
-
   df_context(dp::recurrence& r, const dataflow_options& opts)
       : cnc::context<df_context<Value>>(*opts.pool), rec(r),
         nonblocking(opts.variant == dp::cnc_variant::nonblocking),
         collect(opts.variant == dp::cnc_variant::tuner ||
                 opts.variant == dp::cnc_variant::manual),
+        box(item_box(r)),
+        counts(collect ? consumer_counts(r, box)
+                       : std::vector<std::uint32_t>{}),
         steps(*this, std::string(r.name()) + "_step", df_step<df_context>{},
               policy_for(opts.variant)),
         tags(*this, std::string(r.name()) + "_tags", false),
-        items(*this, std::string(r.name()) + "_items", item_box(r)),
-        max_deps(r.max_dependencies()) {
+        items(*this, std::string(r.name()) + "_items", box) {
     tags.prescribe(steps);
   }
 
+  /// 0 (keep) when not collecting, and for a key outside the box, whose
+  /// put the store refuses.
   std::uint32_t count_for(const dp::tile3& t) const {
-    return collect ? rec.consumer_count(t) : 0;
+    const std::size_t at = collect ? box.offset(t) : tile_box::npos;
+    return at == tile_box::npos ? 0 : counts[at];
   }
 };
 
@@ -127,7 +135,7 @@ int df_step<Ctx>::execute(const dp::tile4& t, Ctx& ctx) const {
   }
 
   const dp::tile3 coord{t.i, t.j, t.k};
-  dep_list deps(ctx.max_deps);
+  dep_list deps;
   ctx.rec.depends(coord, dp::dep_sink(deps));
 
   rdp::small_vector<Value, dp::typical_dependency_arity> vals;

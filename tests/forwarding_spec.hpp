@@ -26,15 +26,6 @@ class forwarding_spec : public dp::recurrence {
   void depends(const dp::tile3& t, const dp::dep_sink& need) const override {
     inner_->depends(t, need);
   }
-  std::size_t max_dependencies() const override {
-    return inner_->max_dependencies();
-  }
-  std::size_t dependency_bound(const dp::tile3& t) const override {
-    return inner_->dependency_bound(t);
-  }
-  std::uint32_t consumer_count(const dp::tile3& t) const override {
-    return inner_->consumer_count(t);
-  }
   void enumerate_base(const dp::tag_sink& emit) const override {
     inner_->enumerate_base(emit);
   }

@@ -5,6 +5,7 @@
 // serial spec against the textbook bottom-up loop (and the classic CLRS
 // instance), then sweep the recursive/fork-join/tiled/r-way backends for
 // bit-identical tables.
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -13,6 +14,7 @@
 
 #include "dp/dp.hpp"
 #include "exec/backend.hpp"
+#include "exec/dag.hpp"
 #include "forkjoin/worker_pool.hpp"
 #include "support/rng.hpp"
 #include "support/small_vector.hpp"
@@ -100,18 +102,19 @@ TEST(DpParen, SpecDeclaresVariableArity) {
   const auto spec = make_paren_spec(c, dims, base);
 
   EXPECT_EQ(spec->structure(), structure_kind::diagonal_3way);
-  EXPECT_EQ(spec->max_dependencies(), 2 * (tiles - 1));
-  // Per-tile bound: 2(J-I) keys — diagonal tiles none, the corner most.
-  EXPECT_EQ(spec->dependency_bound({0, 0, 0}), 0u);
-  EXPECT_EQ(spec->dependency_bound({0, 3, 0}), 6u);
-  EXPECT_EQ(spec->dependency_bound(
-                {0, static_cast<std::int32_t>(tiles) - 1, 0}),
-            2 * (tiles - 1));
-
-  std::size_t count = 0;
-  auto counting = [&](const tile3&) { ++count; };
-  spec->depends({2, 5, 0}, dep_sink(counting));
-  EXPECT_EQ(count, spec->dependency_bound({2, 5, 0}));
+  // Tile (I,J) reads 2(J-I) keys — diagonal tiles none, the corner
+  // (0,T-1) the most.
+  const exec::tile_dag dag = exec::derive_tile_dag(*spec);
+  ASSERT_EQ(dag.tile_count(), tiles * (tiles + 1) / 2);
+  std::size_t widest = 0;
+  for (std::uint32_t t = 0; t < dag.tile_count(); ++t) {
+    const tile4& tag = dag.tags[t];
+    const std::size_t fan_in = dag.deps(t).size();
+    EXPECT_EQ(fan_in, 2 * static_cast<std::size_t>(tag.j - tag.i))
+        << "tile (" << tag.i << "," << tag.j << ")";
+    widest = std::max(widest, fan_in);
+  }
+  EXPECT_EQ(widest, 2 * (tiles - 1));
 }
 
 // The executors' dependency buffers spill past their inline storage for

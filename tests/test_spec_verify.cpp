@@ -3,16 +3,17 @@
 // Two halves:
 //   * positive — every real spec verifies clean across the (n, base) sweep,
 //     with the graph statistics the specs are known to produce;
-//   * negative — mutant specs, each wrapping the real GE spec with exactly
-//     one seeded inconsistency, must be rejected with the *right* failure
-//     kind. A validator that flags mutants for the wrong reason would pass
-//     a weaker version of these tests, so each mutant asserts its specific
-//     kind, not just !ok().
+//   * negative — mutant specs, each wrapping a real spec (GE, SW or FW)
+//     with exactly one seeded inconsistency, must be rejected with the
+//     *right* failure kind. A validator that flags mutants for the wrong
+//     reason would pass a weaker version of these tests, so each mutant
+//     asserts its specific kind, not just !ok().
 //
 // The file also carries the get-count accounting regressions for the
 // data-flow variants (which modes may garbage-collect items, and what must
 // stay live), since verify_spec's consumer-count check is only meaningful
 // if the executors honour the counted semantics.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -53,7 +54,8 @@ TEST(SpecVerify, AllSpecsConsistentAcrossSweep) {
         const verify_report r = verify_ge(n, base);
         EXPECT_TRUE(r.ok()) << r.summary();
         EXPECT_EQ(r.base_tasks, r.items_produced);  // GE: no env seeds
-        EXPECT_LE(r.max_fan_in, r.declared_max_fan_in) << r.summary();
+        EXPECT_EQ(r.max_fan_in, n / base > 2 ? 4u : n / base == 2 ? 3u : 0u)
+            << r.summary();
       }
       {
         const std::string a(n, 'A'), c(n, 'C');
@@ -82,17 +84,14 @@ TEST(SpecVerify, AllSpecsConsistentAcrossSweep) {
       }
       {
         // The variable-arity spec: tile (I,J) on diagonal d = J-I has
-        // fan-in 2d, so the tight declared bound is 2(T-1) and the widest
-        // observed fan-in must attain it.
+        // fan-in 2d, so the widest tile, the corner (0,T-1), has 2(T-1).
         matrix<double> c(n, n, 0.0);
         const std::vector<double> dims(n + 1, 1.0);
         const verify_report r = verify_spec(*make_paren_spec(c, dims, base));
         EXPECT_TRUE(r.ok()) << r.summary();
         const std::size_t tiles = n / base;
         EXPECT_EQ(r.base_tasks, tiles * (tiles + 1) / 2);
-        EXPECT_EQ(r.declared_max_fan_in,
-                  tiles > 1 ? 2 * (tiles - 1) : 0u);
-        EXPECT_EQ(r.max_fan_in, r.declared_max_fan_in);
+        EXPECT_EQ(r.max_fan_in, tiles > 1 ? 2 * (tiles - 1) : 0u);
       }
     }
   }
@@ -128,7 +127,6 @@ TEST(SpecVerify, ReportStatisticsMatchKnownGeGraph) {
   EXPECT_EQ(r.base_tasks, 30u);
   EXPECT_EQ(r.items_produced, 30u);
   EXPECT_EQ(r.max_fan_in, 4u);
-  EXPECT_EQ(r.declared_max_fan_in, 4u);
   EXPECT_EQ(r.spec_name, "GE");
   EXPECT_NE(r.summary().find("OK"), std::string::npos);
 }
@@ -139,71 +137,13 @@ TEST(SpecVerify, ReportStatisticsMatchKnownGeGraph) {
 /// plant one inconsistency, so the expected failure kind is unambiguous.
 using spec_mutant = test::forwarding_spec;
 
-/// A GE base tile whose output is consumed at least once (so dropping an
-/// edge or miscounting it is observable): the first round's A tile.
+/// The GE base tile the orphan-key mutant adds a dependency to: the first
+/// round's A tile.
 constexpr tile3 k_victim{0, 0, 0};
 
 std::unique_ptr<recurrence> ge16() {
   static matrix<double> m(16, 16, 1.0);  // verify never runs kernels
   return make_ge_spec(m, 4);
-}
-
-/// Drops every dependency edge pointing at the victim item. The victim's
-/// consumer_count still declares the old out-degree, so get-count GC would
-/// wait for gets that never come: a leak the validator must report as a
-/// consumer-count mismatch.
-struct missing_edge_mutant : spec_mutant {
-  using spec_mutant::spec_mutant;
-  void depends(const tile3& t, const dep_sink& need) const override {
-    auto filter = [&](const tile3& k) {
-      if (!(k == k_victim)) need(k);
-    };
-    dep_sink sink(filter);
-    inner_->depends(t, sink);
-  }
-};
-
-TEST(SpecVerifyMutants, MissingDependencyEdgeIsCaught) {
-  missing_edge_mutant mutant(ge16());
-  const verify_report r = verify_spec(mutant);
-  EXPECT_FALSE(r.ok());
-  EXPECT_TRUE(r.has(verify_failure_kind::consumer_count_mismatch))
-      << r.summary();
-}
-
-/// Declares one extra consumer for the victim: GC keeps the item past its
-/// real last get (leak).
-struct overcount_mutant : spec_mutant {
-  using spec_mutant::spec_mutant;
-  std::uint32_t consumer_count(const tile3& t) const override {
-    return inner_->consumer_count(t) + (t == k_victim ? 1 : 0);
-  }
-};
-
-/// Declares one consumer too few: GC frees the item while a counted get is
-/// still outstanding (use-after-free).
-struct undercount_mutant : spec_mutant {
-  using spec_mutant::spec_mutant;
-  std::uint32_t consumer_count(const tile3& t) const override {
-    const std::uint32_t real = inner_->consumer_count(t);
-    return t == k_victim && real > 0 ? real - 1 : real;
-  }
-};
-
-TEST(SpecVerifyMutants, OverAndUnderCountedConsumersAreCaught) {
-  {
-    overcount_mutant mutant(ge16());
-    const verify_report r = verify_spec(mutant);
-    EXPECT_TRUE(r.has(verify_failure_kind::consumer_count_mismatch))
-        << r.summary();
-    EXPECT_EQ(r.count(verify_failure_kind::consumer_count_mismatch), 1u);
-  }
-  {
-    undercount_mutant mutant(ge16());
-    const verify_report r = verify_spec(mutant);
-    EXPECT_TRUE(r.has(verify_failure_kind::consumer_count_mismatch))
-        << r.summary();
-  }
 }
 
 /// Emits the first base tag twice: manual pre-declaration would run the
@@ -462,81 +402,67 @@ TEST(SpecVerifyMutants, StructureDisagreeingWithDependsIsCaught) {
       << r.summary();
 }
 
-/// Understates the dependency bound executors reserve buffers from (the
-/// shipped dep_list overflow: GE D tiles emit 4 keys).
-struct narrow_fanin_mutant : spec_mutant {
-  using spec_mutant::spec_mutant;
-  std::size_t max_dependencies() const override { return 2; }
-};
-
-TEST(SpecVerifyMutants, FanInExceedingDeclaredBoundIsCaught) {
-  narrow_fanin_mutant mutant(ge16());
-  const verify_report r = verify_spec(mutant);
-  EXPECT_TRUE(r.has(verify_failure_kind::fan_in_exceeds_declared))
-      << r.summary();
-  const verify_report clean = verify_spec(*ge16());
-  EXPECT_FALSE(clean.has(verify_failure_kind::fan_in_exceeds_declared));
+std::unique_ptr<recurrence> fw16() {
+  static matrix<double> m(16, 16, 1.0);  // gather overwrites it with zeros
+  return make_fw_spec(m, 4);
 }
 
-/// Understates the *per-tile* bound while leaving the instance-wide
-/// max_dependencies() honest: the variable-arity contract is violated for
-/// every tile that has any dependency at all.
-struct narrow_tile_bound_mutant : spec_mutant {
-  using spec_mutant::spec_mutant;
-  std::size_t dependency_bound(const tile3& t) const override {
-    (void)t;
-    return 0;
+/// Forwards every get and put, reading `to` whenever `from` is asked for.
+struct redirecting_store final : value_store {
+  value_store& inner;
+  tile3 from, to;
+
+  redirecting_store(value_store& s, tile3 f, tile3 t)
+      : inner(s), from(f), to(t) {}
+  void put(const tile3& key, tile_value v) override {
+    inner.put(key, std::move(v));
+  }
+  tile_value get(const tile3& key) override {
+    return inner.get(key == from ? to : key);
   }
 };
 
-TEST(SpecVerifyMutants, TileArityExceedingPerTileBoundIsCaught) {
-  narrow_tile_bound_mutant mutant(ge16());
-  const verify_report r = verify_spec(mutant);
-  EXPECT_TRUE(r.has(verify_failure_kind::tile_arity_exceeds_bound))
-      << r.summary();
-  // The instance-wide bound is untouched, so the blanket check stays quiet.
-  EXPECT_FALSE(r.has(verify_failure_kind::fan_in_exceeds_declared))
-      << r.summary();
-  const verify_report clean = verify_spec(*ge16());
-  EXPECT_FALSE(clean.has(verify_failure_kind::tile_arity_exceeds_bound));
-}
-
-/// Overstates max_dependencies(): no tile attains the declared bound, so
-/// executors would oversize every dependency buffer and the session-shape
-/// fingerprint would carry a stale number.
-struct inflated_fanin_mutant : spec_mutant {
+/// FW 16/4 whose gather reads tile (0,0) one round early: (0,0,2) in place
+/// of its final version (0,0,3). Get-count GC would free (0,0,2) before the
+/// gather's get (its one counted get is round 3's) and keep (0,0,3) forever.
+struct early_gather_mutant : spec_mutant {
   using spec_mutant::spec_mutant;
-  std::size_t max_dependencies() const override {
-    return inner_->max_dependencies() + 3;
+  void gather_values(value_store& store) override {
+    redirecting_store early(store, {0, 0, 3}, {0, 0, 2});
+    inner_->gather_values(early);
   }
 };
 
-TEST(SpecVerifyMutants, UnattainedDeclaredBoundIsCaught) {
-  inflated_fanin_mutant mutant(ge16());
+TEST(SpecVerifyMutants, GatherOffTheFinalVersionIsCaught) {
+  early_gather_mutant mutant(fw16());
   const verify_report r = verify_spec(mutant);
-  EXPECT_TRUE(r.has(verify_failure_kind::arity_bound_not_tight))
+  EXPECT_EQ(r.count(verify_failure_kind::consumer_count_mismatch), 2u)
       << r.summary();
-  EXPECT_EQ(r.count(verify_failure_kind::arity_bound_not_tight), 1u);
-  const verify_report clean = verify_spec(*ge16());
-  EXPECT_FALSE(clean.has(verify_failure_kind::arity_bound_not_tight));
+  std::vector<tile3> keys;
+  for (const verify_issue& i : r.issues)
+    if (i.kind == verify_failure_kind::consumer_count_mismatch)
+      keys.push_back(i.key);
+  EXPECT_NE(std::find(keys.begin(), keys.end(), tile3{0, 0, 2}), keys.end());
+  EXPECT_NE(std::find(keys.begin(), keys.end(), tile3{0, 0, 3}), keys.end());
+  EXPECT_EQ(r.issues.size(), 2u) << r.summary();
+  EXPECT_TRUE(verify_spec(*fw16()).ok());
 }
 
 TEST(SpecVerifyMutants, IssueListTruncatesButKeepsStatistics) {
-  // Overstate every count: one mismatch per produced item, far over a
-  // 4-issue cap. The statistics must still cover the whole graph.
-  struct all_wrong_mutant : spec_mutant {
+  // Gather nothing: each of FW 16/4's 16 final versions misses its gather
+  // get, far over a 4-issue cap. The statistics must still cover the whole
+  // graph.
+  struct no_gather_mutant : spec_mutant {
     using spec_mutant::spec_mutant;
-    std::uint32_t consumer_count(const tile3& t) const override {
-      return inner_->consumer_count(t) + 7;
-    }
+    void gather_values(value_store&) override {}
   };
-  all_wrong_mutant mutant(ge16());
+  no_gather_mutant mutant(fw16());
   verify_options opts;
   opts.max_issues = 4;
   const verify_report r = verify_spec(mutant, opts);
   EXPECT_TRUE(r.truncated);
   EXPECT_EQ(r.issues.size(), 4u);
-  EXPECT_EQ(r.base_tasks, 30u);
+  EXPECT_EQ(r.base_tasks, 64u);
   EXPECT_NE(r.summary().find("4+ issue(s)"), std::string::npos)
       << r.summary();
 }
@@ -544,7 +470,7 @@ TEST(SpecVerifyMutants, IssueListTruncatesButKeepsStatistics) {
 // ------------------------------------------- get-count GC regressions ----
 
 /// Which items may stay live after a data-flow run is a direct consequence
-/// of the consumer counts verify_spec checks: the single-execution tuners
+/// of the get counts verify_spec checks: the single-execution tuners
 /// garbage-collect every item whose declared gets all happen, while the
 /// native/nonblocking modes never enable collection (abort/re-execute and
 /// poll-retry would double-count gets).
@@ -592,6 +518,30 @@ TEST(SpecVerifyRuntime, GetCountCollectionMatchesCountedConsumers) {
     const run_outcome out = v->run(*v, fw_problem(fw_input), opts);
     EXPECT_EQ(out.info.items_live_at_end, 0u);
   }
+  for (const char* mode : {"dataflow:tuner", "dataflow:manual"}) {
+    SCOPED_TRACE(mode);
+    {
+      // LCS (wavefront): only the bottom-right tile, which no tile reads,
+      // is kept.
+      const auto a = make_dna(n, 3), b = make_dna(n, 4);
+      matrix<std::int32_t> s(n + 1, n + 1, 0);
+      const variant* v = find_variant(benchmark_id::lcs, mode);
+      ASSERT_NE(v, nullptr);
+      const run_outcome out = v->run(*v, lcs_problem(s, a, b), opts);
+      EXPECT_EQ(out.info.items_live_at_end, 1u);
+    }
+    {
+      // Paren (variable fan-in): every tile but the answer tile (0,T-1)
+      // is read 2(J-I)-wide and reclaimed.
+      std::vector<double> dims(n + 1);
+      for (double& d : dims) d = static_cast<double>(1 + gen.next() % 16);
+      matrix<double> c(n, n, 0.0);
+      const variant* v = find_variant(benchmark_id::paren, mode);
+      ASSERT_NE(v, nullptr);
+      const run_outcome out = v->run(*v, paren_problem(c, dims), opts);
+      EXPECT_EQ(out.info.items_live_at_end, 1u);
+    }
+  }
 }
 
 // ----------------------------------------- generated-spec property test ----
@@ -636,11 +586,8 @@ TEST(SpecVerifyProperty, RandomWavefrontCellsAlwaysLowerConsistently) {
     const std::size_t tiles = n / base;
     EXPECT_EQ(r.base_tasks, tiles * tiles);
     EXPECT_EQ(r.items_produced, tiles * tiles);
-    // Interior tiles need NW + N + W, never more — and the declared bound
-    // is tight: a single-tile instance declares 0.
-    EXPECT_LE(r.max_fan_in, 3u);
-    EXPECT_EQ(r.declared_max_fan_in, tiles > 1 ? 3u : 0u);
-    EXPECT_EQ(r.max_fan_in, r.declared_max_fan_in);
+    // Interior tiles need NW + N + W; a single-tile instance has none.
+    EXPECT_EQ(r.max_fan_in, tiles > 1 ? 3u : 0u);
   }
 }
 
