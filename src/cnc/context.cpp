@@ -1,6 +1,7 @@
 #include "cnc/context.hpp"
 
 #include <sstream>
+#include <utility>
 
 #include "concurrent/backoff.hpp"
 #include "obs/tracer.hpp"
@@ -27,7 +28,11 @@ cnc_metrics_t& cnc_metrics() {
 
 context_base::context_base(forkjoin::worker_pool& pool) : pool_(pool) {}
 
-context_base::~context_base() = default;
+context_base::~context_base() {
+  // The environment may have read items after wait() (a value-passing
+  // gather), and a context destroyed without wait() still counted.
+  publish_metrics();
+}
 
 std::uint64_t context_base::total(
     std::atomic<std::uint64_t> counters::*field) const {
@@ -35,6 +40,49 @@ std::uint64_t context_base::total(
   for (const counter_shard& s : shards_)
     sum += (s.*field).load(std::memory_order_relaxed);
   return sum;
+}
+
+context_base::occupancy_totals context_base::occupancy() const noexcept {
+  occupancy_totals o;
+  for (const counter_shard& s : shards_) {
+    o.scheduled += s.scheduled.load(std::memory_order_seq_cst);
+    o.completed += s.completed.load(std::memory_order_seq_cst);
+    o.suspended += s.suspended.load(std::memory_order_seq_cst);
+    o.released += s.released.load(std::memory_order_seq_cst);
+  }
+  return o;
+}
+
+bool context_base::quiescent(long& parked) const noexcept {
+  // One pass showing an active instance proves the graph busy. A pass
+  // showing none may still have read some shards before and some after a
+  // transition, so it must be confirmed by an identical second pass.
+  const occupancy_totals first = occupancy();
+  if (first.active() != 0) return false;
+  if (occupancy() != first) return false;
+  parked = first.parked();
+  return true;
+}
+
+void context_base::publish_metrics() noexcept {
+  if (!obs::metrics_enabled()) return;
+  const auto delta = [this](std::atomic<std::uint64_t> counters::*field,
+                            std::uint64_t& published) {
+    const std::uint64_t now = total(field);
+    return now - std::exchange(published, now);
+  };
+  detail::cnc_metrics_t& m = detail::cnc_metrics();
+  const std::uint64_t put = delta(&counters::items_put, published_.items_put);
+  const std::uint64_t collected =
+      delta(&counters::collected, published_.collected);
+  m.items_put.add(put);
+  m.items_live.add(static_cast<std::int64_t>(put) -
+                   static_cast<std::int64_t>(collected));
+  m.gets_ok.add(delta(&counters::gets_ok, published_.gets_ok));
+  m.gets_failed.add(delta(&counters::gets_failed, published_.gets_failed));
+  m.tags_put.add(delta(&counters::tags_put, published_.tags_put));
+  m.steps_executed.add(delta(&counters::executed, published_.executed));
+  m.steps_requeued.add(delta(&counters::requeued, published_.requeued));
 }
 
 void context_base::attach(const item_collection_base* items) {
@@ -55,8 +103,9 @@ void context_base::record_error(std::exception_ptr e) noexcept {
 
 void context_base::dump_state(std::string& out) const {
   std::ostringstream os;
-  os << "  context: active=" << active_.load(std::memory_order_acquire)
-     << " suspended=" << suspended_.load(std::memory_order_acquire)
+  const occupancy_totals occ = occupancy();
+  os << "  context: active=" << occ.active()
+     << " suspended=" << occ.parked()
      << " executed=" << total(&counters::executed)
      << " aborted=" << total(&counters::aborted)
      << " requeued=" << total(&counters::requeued)
@@ -72,7 +121,7 @@ void context_base::dump_state(std::string& out) const {
     os << "  worker " << w.index << ": executed=" << w.executed
        << " steals=" << w.steals << " parks=" << w.parks
        << " deque~" << w.deque_depth << "\n";
-  const long parked = suspended_.load(std::memory_order_acquire);
+  const long parked = occ.parked();
   os << "  parked step instances: " << parked;
   if (parked > 0) {
     constexpr std::size_t kShown = 8;
@@ -120,18 +169,16 @@ void context_base::wait() {
       return total(&counters::gets_ok);
     });
     wd.add_gauge("active", [this] {
-      return static_cast<std::uint64_t>(
-          active_.load(std::memory_order_acquire));
+      return static_cast<std::uint64_t>(occupancy().active());
     });
     wd.add_gauge("suspended", [this] {
-      return static_cast<std::uint64_t>(
-          suspended_.load(std::memory_order_acquire));
+      return static_cast<std::uint64_t>(occupancy().parked());
     });
     wd.add_gauge("queue_depth",
                  [this] { return pool_.ready_estimate(); });
     wd.set_busy([this] {
-      return active_.load(std::memory_order_acquire) > 0 ||
-             suspended_.load(std::memory_order_acquire) > 0;
+      const occupancy_totals occ = occupancy();
+      return occ.active() != 0 || occ.parked() != 0;
     });
     wd.add_dump_section([this](std::string& out) { dump_state(out); });
     wd.start(cfg);
@@ -140,32 +187,29 @@ void context_base::wait() {
   // graph draining (name 0 distinguishes it from an item-collection get).
   RDP_TRACE_EVENT(obs::event_kind::data_wait_begin, 0, 0, 0);
   concurrent::backoff bo;
+  long parked = 0;
   for (;;) {
     if (pool_.try_run_one()) {
       bo.reset();
       continue;
     }
-    const long a = active_.load(std::memory_order_acquire);
-    const long s = suspended_.load(std::memory_order_acquire);
-    if (a == 0) {
-      if (s == 0) break;
-      RDP_TRACE_EVENT(obs::event_kind::data_wait_end, 0, 0, 0);
-      // No step is runnable or running, yet some are parked: no producer
-      // can ever publish the items they need. Deterministic deadlock —
-      // unless a step already died with a real error, in which case the
-      // parked instances are a *symptom* (the dead step's puts never
-      // happened) and the error is the diagnosis. Prefer rethrowing it.
-      if (std::exception_ptr error = take_error())
-        std::rethrow_exception(error);
-      std::ostringstream os;
-      os << "CnC graph quiesced with " << s
-         << " step instance(s) blocked on items that were never produced";
-      throw unsatisfied_dependency(os.str());
-    }
+    if (quiescent(parked)) break;
     bo.pause();
   }
   RDP_TRACE_EVENT(obs::event_kind::data_wait_end, 0, 0, 0);
+  publish_metrics();
+  // Parked instances with no step runnable or running: no producer can
+  // ever publish the items they need. Deterministic deadlock — unless a
+  // step already died with a real error, in which case the parked
+  // instances are a *symptom* (the dead step's puts never happened) and
+  // the error is the diagnosis. Prefer rethrowing it.
   if (std::exception_ptr error = take_error()) std::rethrow_exception(error);
+  if (parked > 0) {
+    std::ostringstream os;
+    os << "CnC graph quiesced with " << parked
+       << " step instance(s) blocked on items that were never produced";
+    throw unsatisfied_dependency(os.str());
+  }
 }
 
 std::exception_ptr context_base::take_error() noexcept {
@@ -188,6 +232,7 @@ context_stats context_base::stats() const {
   s.preschedule_deferrals =
       total(&counters::deferrals);
   s.steps_requeued = total(&counters::requeued);
+  s.steps_continued = total(&counters::continued);
   return s;
 }
 

@@ -9,27 +9,42 @@
 // parked on items nobody produced).
 //
 // Instance accounting — every step instance is in exactly one state:
-//   active    : scheduled in the pool or currently executing
+//   active    : scheduled in the pool, waiting in a thread's inline-resume
+//               slot, or currently executing
 //   suspended : parked on an item-collection waiter list
 // put() can only happen from an active step or from the environment thread
 // inside wait(), so `active == 0` while the environment is quiescent is a
 // stable property: if suspended > 0 at that point the graph is deadlocked.
 //
+// No counter of the context is a global atomic. Every counter lives in a
+// per-thread shard: a thread bumps its own cache-line-aligned shard, picked
+// by the metrics layer's round-robin shard token, so the workers of one
+// graph never contend on one line on a schedule, park, resume, get, put or
+// step. Occupancy is four monotone transition counts per shard — scheduled,
+// completed, suspended, released (resumed or discarded) — so
+//   active    = scheduled - completed
+//   suspended = suspended - released
+// summed over the shards. One pass over the shards that sees an active
+// instance proves the graph busy. Quiescence (or deadlock) is declared only
+// after two consecutive passes read identical values: the counts only ever
+// grow, so equal passes mean nothing moved between them, and the values are
+// the state at one instant (a double collect). A resume counts its schedule
+// before its release, so no instant shows a resumed instance in neither
+// state.
+//
 // The context only counts suspended instances; it holds no pointer to them.
 // A parked instance is owned by the waiter list it is parked on (see
-// step_instance.hpp), so parking and resuming touch two atomic counters and
+// step_instance.hpp), so parking and resuming touch the caller's shard and
 // one slot lock of the item collection, and no context-wide lock. Item
 // collections register with their context when they are built, which is
 // how dump_state() finds the parked instances to name, and abandon what is
 // still parked on them when they are destroyed.
 //
-// Only `active` and `suspended` are exact global atomics, because wait()'s
-// quiescence test needs them. The statistics counters (executed, aborted,
-// items put, gets, ...) are sharded per thread the way obs::counter is: a
-// thread bumps its own cache-line-aligned shard, picked by the metrics
-// layer's round-robin shard token, and stats() sums the shards. So the
-// workers of one graph do not contend on one counter line on every get,
-// put and step.
+// The process-wide cnc.* registry metrics (items put, gets, tags, executed
+// and requeued steps, live items) are not bumped per event: the context
+// folds its shard totals into the registry as deltas at quiescence — at the
+// end of wait() and when the context is destroyed, which also covers the
+// environment's gets after wait().
 #pragma once
 
 #include <array>
@@ -51,7 +66,10 @@ namespace detail {
 
 /// Process-wide registry metrics of the data-flow runtime, resolved once
 /// (context.cpp). Distinct from context_base::counters, which are per
-/// context: these feed the always-on metrics snapshot in run reports.
+/// context: these feed the always-on metrics snapshot in run reports. The
+/// counters and the gauge are folded in from the context's shards at
+/// quiescence (context_base::publish_metrics); only the sampled step
+/// histogram is recorded per event.
 struct cnc_metrics_t {
   obs::counter& items_put;
   obs::counter& gets_ok;
@@ -77,6 +95,9 @@ struct context_stats {
   std::uint64_t tags_put = 0;
   std::uint64_t preschedule_deferrals = 0;  // tuner: deps not yet all ready
   std::uint64_t steps_requeued = 0;  // non-blocking gets: self-requeues
+  /// Executions (of any outcome) run inline on the thread whose put or
+  /// countdown release woke the instance, instead of as a pool task.
+  std::uint64_t steps_continued = 0;
 };
 
 /// What a context needs of its item collections: naming the step instances
@@ -132,6 +153,12 @@ public:
 
   // ---- internal API used by collections and step instances ----
   struct counters {
+    // Step-instance transitions (monotone; see file comment).
+    std::atomic<std::uint64_t> scheduled{0};
+    std::atomic<std::uint64_t> completed{0};
+    std::atomic<std::uint64_t> suspended{0};
+    std::atomic<std::uint64_t> released{0};  // resumed or discarded
+    // Statistics.
     std::atomic<std::uint64_t> executed{0};
     std::atomic<std::uint64_t> aborted{0};
     std::atomic<std::uint64_t> prescribed{0};
@@ -141,34 +168,30 @@ public:
     std::atomic<std::uint64_t> tags_put{0};
     std::atomic<std::uint64_t> deferrals{0};
     std::atomic<std::uint64_t> requeued{0};
+    std::atomic<std::uint64_t> continued{0};
+    std::atomic<std::uint64_t> collected{0};  // items freed by get-count GC
   };
   /// The calling thread's counter shard (bump with relaxed fetch_add).
   counters& metrics() noexcept {
     return shards_[obs::metrics_detail::local_shard()];
   }
 
-  /// State transitions of step instances (see file comment).
-  void on_schedule() noexcept {
-    active_.fetch_add(1, std::memory_order_acq_rel);
-  }
-  void on_complete() noexcept {
-    active_.fetch_sub(1, std::memory_order_acq_rel);
-  }
-  void on_suspend() noexcept {
-    suspended_.fetch_add(1, std::memory_order_acq_rel);
-  }
+  /// State transitions of step instances (see file comment). Sequentially
+  /// consistent, so the double collect in quiescent() reads an instant.
+  void on_schedule() noexcept { bump(&counters::scheduled); }
+  void on_complete() noexcept { bump(&counters::completed); }
+  void on_suspend() noexcept { bump(&counters::suspended); }
   void on_resume() noexcept {
-    // Order matters for wait()'s quiescence test: make the instance visible
-    // as active *before* it stops being suspended, so (active==0 &&
-    // suspended==0) can never be observed while a resume is in flight.
-    active_.fetch_add(1, std::memory_order_acq_rel);
-    suspended_.fetch_sub(1, std::memory_order_acq_rel);
+    // Schedule before release: the instance is never counted in neither
+    // state, so an instant with active == 0 and suspended == 0 can never
+    // fall inside a resume.
+    counters& c = metrics();
+    c.scheduled.fetch_add(1, std::memory_order_seq_cst);
+    c.released.fetch_add(1, std::memory_order_seq_cst);
   }
   /// A suspended instance is freed without running (abandoned, or its
   /// preschedule countdown was killed).
-  void on_discard() noexcept {
-    suspended_.fetch_sub(1, std::memory_order_acq_rel);
-  }
+  void on_discard() noexcept { bump(&counters::released); }
 
   /// Item collections register for dump_state() while they live.
   void attach(const item_collection_base* items);
@@ -189,36 +212,53 @@ public:
   /// a real step error over a quiescence diagnostic.
   std::exception_ptr take_error() noexcept;
 
-  /// Schedule a type-erased runnable in the pool as a detached task.
-  template <class F>
-  void schedule(F&& f) {
-    pool_.enqueue(forkjoin::make_task(std::forward<F>(f), nullptr));
-  }
+  /// Instances active (scheduled, waiting to continue inline, or running)
+  /// and suspended, from one pass over the shards: exact when quiescent,
+  /// an estimate while steps run.
+  long active_count() const noexcept { return occupancy().active(); }
+  long suspended_count() const noexcept { return occupancy().parked(); }
 
-  /// Low-priority scheduling through the pool's FIFO injection queue —
-  /// used for self-requeued steps (non-blocking get retries) so a retry
-  /// cannot starve the producer it waits for (see worker_pool).
-  template <class F>
-  void schedule_global(F&& f) {
-    pool_.enqueue_global(forkjoin::make_task(std::forward<F>(f), nullptr));
-  }
-
-  long active_count() const noexcept {
-    return active_.load(std::memory_order_acquire);
-  }
-  long suspended_count() const noexcept {
-    return suspended_.load(std::memory_order_acquire);
-  }
+  /// True when two consecutive passes over the shards read identical
+  /// counts with no active instance: the graph is quiescent, and `parked`
+  /// receives the number of suspended instances (> 0: deadlocked).
+  bool quiescent(long& parked) const noexcept;
 
 private:
+  /// The transition counts summed over the shards.
+  struct occupancy_totals {
+    std::uint64_t scheduled = 0, completed = 0, suspended = 0, released = 0;
+    long active() const noexcept {
+      return static_cast<long>(scheduled - completed);
+    }
+    long parked() const noexcept {
+      return static_cast<long>(suspended - released);
+    }
+    bool operator==(const occupancy_totals&) const = default;
+  };
+  occupancy_totals occupancy() const noexcept;
+
+  void bump(std::atomic<std::uint64_t> counters::*field) noexcept {
+    (metrics().*field).fetch_add(1, std::memory_order_seq_cst);
+  }
+
+  /// Fold the shard totals of the cnc.* registry metrics into the registry
+  /// as deltas since the last publish (DESIGN §12). Called by the
+  /// environment thread at the end of wait() and on destruction.
+  void publish_metrics() noexcept;
+
   forkjoin::worker_pool& pool_;
-  std::atomic<long> active_{0};
-  std::atomic<long> suspended_{0};
   struct alignas(64) counter_shard : counters {};
   std::array<counter_shard, obs::k_metric_shards> shards_{};
 
   /// Sum of one counter over the shards (relaxed; exact when quiescent).
   std::uint64_t total(std::atomic<std::uint64_t> counters::*field) const;
+
+  /// Totals already folded into the registry (publish_metrics).
+  struct published_totals {
+    std::uint64_t items_put = 0, gets_ok = 0, gets_failed = 0, tags_put = 0,
+                  executed = 0, requeued = 0, collected = 0;
+  };
+  published_totals published_;
 
   std::mutex error_mutex_;
   std::exception_ptr first_error_;

@@ -195,8 +195,6 @@ public:
       woken = s->waiters.take();
     }
     ctx_.metrics().items_put.fetch_add(1, std::memory_order_relaxed);
-    detail::cnc_metrics().items_put.add();
-    detail::cnc_metrics().items_live.add();
     RDP_TRACE_EVENT(obs::event_kind::item_put, trace_name_, trace_key(key),
                     waiter_list::count(woken));
     // Wake outside the slot lock: item_ready() may schedule work.
@@ -226,13 +224,11 @@ public:
     }
     if (!found) {
       ctx_.metrics().gets_failed.fetch_add(1, std::memory_order_relaxed);
-      detail::cnc_metrics().gets_failed.add();
       RDP_TRACE_EVENT(obs::event_kind::item_get_miss, trace_name_,
                       trace_key(key), 0);
       return false;
     }
     ctx_.metrics().gets_ok.fetch_add(1, std::memory_order_relaxed);
-    detail::cnc_metrics().gets_ok.add();
     RDP_TRACE_EVENT(obs::event_kind::item_get, trace_name_, trace_key(key), 0);
     return true;
   }
@@ -318,18 +314,18 @@ private:
 
   /// Copy the present value out of `s` (under its lock) and consume one
   /// declared get; the last declared consumer takes the value with it.
-  static void take_counted(item_slot<Value>& s, Value& out) {
+  void take_counted(item_slot<Value>& s, Value& out) const {
     if (s.remaining_gets > 0 && --s.remaining_gets == 0) {
       out = std::move(*s.value);
       s.value.reset();
-      detail::cnc_metrics().items_live.sub();
+      ctx_.metrics().collected.fetch_add(1, std::memory_order_relaxed);
     } else {
       out = *s.value;
     }
   }
 
   /// Counted lookup of the environment path: a success consumes one of
-  /// the item's declared gets and bumps both gets_ok counters.
+  /// the item's declared gets and counts as a successful get.
   bool try_get_counted(const Key& key, Value& out) const {
     {
       slot_ref<Value> s = existing_slot(key);
@@ -337,7 +333,6 @@ private:
       take_counted(*s, out);
     }
     ctx_.metrics().gets_ok.fetch_add(1, std::memory_order_relaxed);
-    detail::cnc_metrics().gets_ok.add();
     return true;
   }
 
@@ -374,9 +369,10 @@ private:
         bo.reset();
         continue;
       }
-      if (ctx_.active_count() == 0) {
+      long s = 0;
+      if (ctx_.quiescent(s)) {
         // Quiescent. Re-check once: a final put may have landed between
-        // the failed lookup and the active-count read.
+        // the failed lookup and the quiescence test.
         if (try_get_counted(key, out)) {
           RDP_TRACE_EVENT(obs::event_kind::data_wait_end, trace_name_,
                           trace_key(key), 0);
@@ -388,7 +384,6 @@ private:
                         trace_key(key), 0);
         if (std::exception_ptr error = ctx_.take_error())
           std::rethrow_exception(error);
-        const long s = ctx_.suspended_count();
         std::string msg = "blocking environment get on item collection '" +
                           name_ + "', key " + detail::key_string(key) +
                           ": graph is quiescent and the item was never "

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <atomic>
+#include <concepts>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -102,6 +103,11 @@ public:
     return *collection_name_ + "(" + key_string(tag_) + ")";
   }
 
+  const std::string* collection() const noexcept override {
+    return collection_name_;
+  }
+  const Tag& tag() const noexcept { return tag_; }
+
 private:
   void run_body() override { (void)step_.execute(tag_, typed_ctx_); }
 
@@ -171,20 +177,28 @@ public:
     inst->initial_dispatch();
   }
 
-  /// Requeue `tag` for a later retry (non-blocking get protocol, §IV-B):
-  /// a fresh instance is dispatched through the pool's FIFO injection
-  /// queue so the retry runs after currently queued producers. Once a step
-  /// of the graph has failed the retry is dropped instead: the item it polls
-  /// for may never be put, and requeueing forever would keep the graph from
-  /// quiescing, so wait() could never rethrow the error.
+  /// Requeue `tag` for a later retry (non-blocking get protocol, §IV-B)
+  /// through the pool's FIFO injection queue, so the retry runs after
+  /// currently queued producers. Called from the step running `tag`, the
+  /// running instance itself goes back once its body returns; any other
+  /// caller dispatches a fresh instance. Once a step of the graph has
+  /// failed the retry is dropped instead: the item it polls for may never
+  /// be put, and requeueing forever would keep the graph from quiescing,
+  /// so wait() could never rethrow the error.
   void respawn(const Tag& tag) {
     if (ctx_.failed()) return;
     ctx_.metrics().requeued.fetch_add(1, std::memory_order_relaxed);
-    detail::cnc_metrics().steps_requeued.add();
     RDP_TRACE_EVENT(obs::event_kind::step_requeue, trace_name_, 0, 0);
-    auto* inst = new detail::typed_step_instance<Ctx, Step, Tag>(ctx_, step_,
-                                                                 tag, name_);
-    inst->initial_dispatch_global();
+    using instance = detail::typed_step_instance<Ctx, Step, Tag>;
+    if constexpr (std::equality_comparable<Tag>) {
+      // Only this collection's instances carry a pointer to name_.
+      step_instance_base* self = step_instance_base::current();
+      if (self != nullptr && self->collection() == &name_ &&
+          static_cast<instance*>(self)->tag() == tag &&
+          step_instance_base::requeue_current())
+        return;
+    }
+    (new instance(ctx_, step_, tag, name_))->initial_dispatch_global();
   }
 
 private:

@@ -6,36 +6,81 @@
 namespace rdp::cnc {
 
 namespace {
-thread_local step_instance_base* tl_current_step = nullptr;
-/// Set by park_on() while the current step runs: the step has handed itself
-/// to a waiter list. Kept per thread rather than in the instance, because a
-/// concurrent put may resume the instance before its frame returns.
-thread_local bool tl_parked = false;
+/// Per-thread execution state of the data-flow runtime, one TLS block.
+struct thread_state {
+  /// The instance whose body runs on this thread (innermost, if nested).
+  step_instance_base* current = nullptr;
+  /// Inline-resume slot: an active instance woken by a put on this thread,
+  /// to run once the running body returns (see execute_wrapper).
+  step_instance_base* continuation = nullptr;
+  /// Set by park_on() while the current step runs: the step has handed
+  /// itself to a waiter list. Kept per thread rather than in the instance,
+  /// because a concurrent put may resume the instance before its frame
+  /// returns.
+  bool parked = false;
+  /// Set by requeue_current(): the step asked to be queued again.
+  bool requeued = false;
+};
+constinit thread_local thread_state tl;
 }  // namespace
 
 step_instance_base* step_instance_base::current() noexcept {
-  return tl_current_step;
+  return tl.current;
+}
+
+bool step_instance_base::requeue_current() noexcept {
+  if (tl.current == nullptr || tl.requeued) return false;
+  tl.requeued = true;
+  return true;
 }
 
 void step_instance_base::park_on(waiter_list& waiters) noexcept {
-  RDP_ASSERT(tl_current_step == this && !tl_parked);
+  RDP_ASSERT(tl.current == this && !tl.parked);
+  if (tl.requeued) return;
   // The caller holds the slot lock, so no put can resume us before the
   // suspension is counted.
   waiters.push(this);
   ctx_.on_suspend();
-  tl_parked = true;
+  tl.parked = true;
+}
+
+void step_instance_base::continue_or_enqueue() {
+  // Only behind a step of the same graph: an environment that waits for
+  // this graph inside a step of another one would never drain the slot.
+  thread_state& ts = tl;
+  if (ts.current != nullptr && &ts.current->ctx_ == &ctx_) {
+    if (step_instance_base* earlier = std::exchange(ts.continuation, this))
+      earlier->enqueue();
+    return;
+  }
+  enqueue();
 }
 
 void step_instance_base::execute_wrapper() noexcept {
+  attempt();
+  // Drain the continuation slot here, one instance at a time, so a chain of
+  // wake-ups runs at constant stack depth. A wrapper nested in a body (one
+  // that helped the pool while waiting) drains it too: the instance it
+  // leaves may be what that wait is waiting for.
+  while (step_instance_base* next = std::exchange(tl.continuation, nullptr)) {
+    next->ctx_.metrics().continued.fetch_add(1, std::memory_order_relaxed);
+    next->attempt();
+  }
+}
+
+void step_instance_base::attempt() noexcept {
   // Capture the context up front: once an unmet get parks this instance on
   // a waiter list, ownership transfers there — a concurrent put may resume,
   // re-execute and even delete it before this frame returns, so `this` must
   // not be dereferenced once the body parked.
   context_base& ctx = ctx_;
-  step_instance_base* const previous = tl_current_step;
-  const bool previous_parked = tl_parked;
-  tl_current_step = this;
-  tl_parked = false;
+  thread_state& ts = tl;
+  step_instance_base* const previous = ts.current;
+  const bool previous_parked = ts.parked;
+  const bool previous_requeued = ts.requeued;
+  ts.current = this;
+  ts.parked = false;
+  ts.requeued = false;
   std::exception_ptr error;
   // Step latency histogram, sampled 1-in-16 per thread (the clock pair
   // would otherwise tax fine-grained base steps). Timed attempts that
@@ -48,13 +93,15 @@ void step_instance_base::execute_wrapper() noexcept {
   try {
     run_body();
   } catch (const detail::unmet_dependency_signal&) {
-    // get() parked the instance before throwing; tl_parked records it.
+    // get() parked the instance before throwing; ts.parked records it.
   } catch (...) {
     error = std::current_exception();
   }
-  const bool parked = tl_parked;
-  tl_current_step = previous;
-  tl_parked = previous_parked;
+  const bool parked = ts.parked;
+  const bool requeued = ts.requeued;
+  ts.current = previous;
+  ts.parked = previous_parked;
+  ts.requeued = previous_requeued;
 
   if (error) ctx.record_error(error);
   if (parked) {
@@ -66,8 +113,11 @@ void step_instance_base::execute_wrapper() noexcept {
   }
   if (!error) {
     ctx.metrics().executed.fetch_add(1, std::memory_order_relaxed);
-    detail::cnc_metrics().steps_executed.add();
     if (timed) detail::cnc_metrics().step_ns.record(obs::metrics_now_ns() - t0);
+  }
+  if (requeued) {
+    enqueue_global();  // still active: the retry is this same instance
+    return;
   }
   delete this;
   ctx.on_complete();

@@ -4,8 +4,8 @@
 // collection. Its lifecycle:
 //
 //   prescribed ──schedule──▶ active ──run──▶ done (deleted)
-//                    ▲                 │ unmet get_or_park
-//                    │                 ▼
+//                    ▲         ▲  │ │ unmet get_or_park
+//                    │ requeue └──┘ ▼
 //                 resumed ◀──put── suspended (owned by item waiter list)
 //                                      │ collection destroyed first
 //                                      ▼
@@ -18,13 +18,25 @@
 // instance is suspended from prescription on, owned jointly by the
 // registrations its embedded countdown holds on the waiter lists of its
 // absent items: the last registration to be released dispatches it, or
-// frees it if the countdown was killed.
+// frees it if the countdown was killed. A step that polls and requeues
+// itself (step_collection::respawn) goes back to the pool as the same
+// instance, still active.
 //
-// Instances and countdown registrations are allocated from the fork-join
-// task arena (forkjoin/task_arena.hpp) through class-level operator
-// new/delete: a spawn is a freelist pop on the spawning worker and a
-// completion a freelist push (or a lock-free return to the spawning
-// worker's arena), never a global heap round-trip.
+// An instance is its own pool task: it embeds the forkjoin::task_node the
+// pool queues, so a dispatch, resume or requeue allocates nothing. Instances
+// and countdown registrations are allocated from the fork-join task arena
+// (forkjoin/task_arena.hpp) through class-level operator new/delete: a
+// spawn is a freelist pop on the spawning worker and a completion a
+// freelist push (or a lock-free return to the spawning worker's arena),
+// never a global heap round-trip.
+//
+// Inline resume. A put made inside a step body does not queue the last
+// instance it wakes (nor the last prescheduled instance it dispatches): it
+// leaves it in the thread's one-instance continuation slot, and the
+// execute_wrapper() that ran the body runs it next on the same thread, in a
+// loop, never recursively. Every other woken instance is queued as usual.
+// The producer's tile is hot in its cache and the resume costs no queue
+// round-trip.
 //
 // An unmet get parks the instance and returns false; the step returns at
 // once and execute_wrapper() learns of the park from a thread-local flag,
@@ -43,6 +55,7 @@
 #include "cnc/context.hpp"
 #include "cnc/errors.hpp"
 #include "cnc/waiter.hpp"
+#include "forkjoin/task.hpp"
 #include "forkjoin/task_arena.hpp"
 #include "obs/tracer.hpp"
 
@@ -132,15 +145,27 @@ private:
 
 }  // namespace detail
 
-class step_instance_base : public waiter, public detail::arena_object {
+class step_instance_base : public waiter,
+                           public detail::arena_object,
+                           private forkjoin::task_node {
 public:
   explicit step_instance_base(context_base& ctx)
-      : ctx_(ctx), countdown_(*this) {}
+      : ctx_(ctx), countdown_(*this) {
+    execute_and_destroy = &run_task;
+    destroy = &drop_task;
+    group = nullptr;
+  }
 
   /// The step instance currently executing on this thread (nullptr outside
   /// step bodies, e.g. in the environment). Blocking gets consult this to
   /// know which instance to park.
   static step_instance_base* current() noexcept;
+
+  /// Ask that the instance running on this thread be queued again, through
+  /// the pool's low-priority FIFO path, once its body returns (the
+  /// non-blocking get protocol's retry). False when it already asked in
+  /// this attempt.
+  static bool requeue_current() noexcept;
 
   context_base& ctx() noexcept { return ctx_; }
 
@@ -150,20 +175,25 @@ public:
     enqueue();
   }
 
-  /// Dispatch through the pool's low-priority FIFO path (retry instances
-  /// created by non-blocking-get requeues).
+  /// Dispatch through the pool's low-priority FIFO path (a retry requested
+  /// for a tag other than the running instance's).
   void initial_dispatch_global() {
     ctx_.on_schedule();
-    ctx_.schedule_global([this] { this->execute_wrapper(); });
+    enqueue_global();
   }
 
   /// Fallback stall-dump line; typed instances print "<collection>(tag)".
   std::string describe() const override { return "<step instance>"; }
 
+  /// Identity of the step collection that created the instance (its name
+  /// string), or nullptr.
+  virtual const std::string* collection() const noexcept { return nullptr; }
+
   /// Park this instance, the one running on the calling thread, on an
   /// item's `waiters` (called under that item's slot lock). From here the
   /// waiter list owns the instance: the step must return at once and not
-  /// touch it again.
+  /// touch it again. An instance that already requeued itself in this
+  /// attempt is not parked: the retry runs it again anyway.
   void park_on(waiter_list& waiters) noexcept;
 
   /// waiter: an item this instance was parked on became available. The
@@ -173,7 +203,7 @@ public:
     ctx_.on_resume();
     RDP_TRACE_EVENT(obs::event_kind::step_resume, 0,
                     reinterpret_cast<std::uintptr_t>(this), 0);
-    enqueue();
+    continue_or_enqueue();
   }
 
   /// waiter: parked on an item that will never be put. Never runs again.
@@ -184,7 +214,7 @@ public:
   /// re-execution — the body has never run — so no step_resume event.
   void dispatch_prescheduled() {
     ctx_.on_resume();
-    enqueue();
+    continue_or_enqueue();
   }
 
   /// Free a suspended instance that will never run (back to its arena).
@@ -204,10 +234,26 @@ protected:
   virtual void run_body() = 0;
 
 private:
-  void enqueue() {
-    ctx_.schedule([this] { this->execute_wrapper(); });
+  void enqueue() { ctx_.pool().enqueue(this); }
+  void enqueue_global() { ctx_.pool().enqueue_global(this); }
+  /// Hand a woken (active) instance on: into the calling thread's
+  /// continuation slot when a step of the same context runs here, queueing
+  /// the slot's previous occupant; otherwise to the pool.
+  void continue_or_enqueue();
+
+  /// task_node hooks: run the instance, or free it unrun when the pool is
+  /// destroyed with it still queued.
+  static void run_task(forkjoin::task_node* node) noexcept {
+    static_cast<step_instance_base*>(node)->execute_wrapper();
   }
+  static void drop_task(forkjoin::task_node* node) noexcept {
+    delete static_cast<step_instance_base*>(node);
+  }
+
+  /// Run one attempt, then the continuations it and its successors leave.
   void execute_wrapper() noexcept;
+  /// One execution of the body and its accounting.
+  void attempt() noexcept;
 
   context_base& ctx_;
   detail::preschedule_countdown countdown_;

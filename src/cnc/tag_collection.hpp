@@ -43,7 +43,6 @@ public:
   /// Put a tag: prescribe one instance of every wired step collection.
   void put(const Tag& tag) {
     ctx_.metrics().tags_put.fetch_add(1, std::memory_order_relaxed);
-    detail::cnc_metrics().tags_put.add();
     if (memoize_ && !seen_.insert(tag, true)) return;  // duplicate tag
     for (const auto& prescribe_fn : prescriptions_) prescribe_fn(tag);
   }

@@ -1,6 +1,7 @@
 #include "exec/dag.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -121,10 +122,21 @@ struct split_fj {
 }  // namespace
 
 tile_box::tile_box(const dp::recurrence& rec) {
-  auto grow = [&](const tile4& t) { include(coord(t)); };
+  // One pass, with the bounds in locals: include() would test empty() and
+  // reload and store both corners through `this` on every tag, across the
+  // opaque sink call.
+  constexpr std::int32_t lowest = INT32_MIN, highest = INT32_MAX;
+  tile3 lo{highest, highest, highest}, hi{lowest, lowest, lowest};
+  auto grow = [&lo, &hi](const tile4& t) {
+    lo.i = std::min(lo.i, t.i), hi.i = std::max(hi.i, t.i);
+    lo.j = std::min(lo.j, t.j), hi.j = std::max(hi.j, t.j);
+    lo.k = std::min(lo.k, t.k), hi.k = std::max(hi.k, t.k);
+  };
   rec.enumerate_base(dp::tag_sink(grow));
-  RDP_REQUIRE_MSG(!empty(), std::string(rec.name()) +
-                                ": enumerate_base emitted no base tiles");
+  RDP_REQUIRE_MSG(hi.i >= lo.i, std::string(rec.name()) +
+                                    ": enumerate_base emitted no base tiles");
+  lo_ = lo;
+  hi_ = hi;
 }
 
 tile_box item_box(const dp::recurrence& rec) {

@@ -1,6 +1,8 @@
 #include "forkjoin/worker_pool.hpp"
 
+#include <functional>
 #include <string>
+#include <thread>
 
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
@@ -50,6 +52,7 @@ struct worker_pool::worker {
   concurrent::chase_lev_deque<task_node*> deque;
   // Per-worker relaxed counters, folded into pool_stats on demand.
   std::atomic<std::uint64_t> executed{0};
+  std::atomic<std::uint64_t> spawned{0};
   std::atomic<std::uint64_t> steals{0};
   std::atomic<std::uint64_t> failed_rounds{0};
   std::atomic<std::uint64_t> parks{0};
@@ -120,13 +123,22 @@ void worker_pool::push_injection_blocking(task_node* t, bool low_priority,
   wake_one();
 }
 
+int worker_pool::count_spawn() {
+  const int self = tl_pool == this ? tl_index : -1;
+  if (self >= 0)
+    workers_[static_cast<std::size_t>(self)]->spawned.fetch_add(
+        1, std::memory_order_relaxed);
+  else
+    external_spawned_.fetch_add(1, std::memory_order_relaxed);
+  return self;
+}
+
 void worker_pool::enqueue(task_node* t) {
   RDP_ASSERT(t != nullptr);
-  spawned_hint();
-  if (tl_pool == this && tl_index >= 0) {
-    RDP_TRACE_EVENT(obs::event_kind::task_spawn, 0, tl_index,
+  if (const int self = count_spawn(); self >= 0) {
+    RDP_TRACE_EVENT(obs::event_kind::task_spawn, 0, self,
                     reinterpret_cast<std::uintptr_t>(t));
-    workers_[static_cast<std::size_t>(tl_index)]->deque.push(t);
+    workers_[static_cast<std::size_t>(self)]->deque.push(t);
     wake_one();
     return;
   }
@@ -137,7 +149,7 @@ void worker_pool::enqueue(task_node* t) {
 
 void worker_pool::enqueue_global(task_node* t) {
   RDP_ASSERT(t != nullptr);
-  spawned_hint();
+  const int self = count_spawn();
   // One spawn event per task, before any push (see push_injection_blocking
   // for why): the kind reflects the intended queue, not the rare overflow
   // fallback's actual destination.
@@ -151,8 +163,8 @@ void worker_pool::enqueue_global(task_node* t) {
   // Injection queue full: a worker of this pool falls back to its own deque
   // (an unbounded queue, so no retry loop is needed); any other thread
   // blocks until a slot frees up. Neither path executes the task inline.
-  if (tl_pool == this && tl_index >= 0) {
-    workers_[static_cast<std::size_t>(tl_index)]->deque.push(t);
+  if (self >= 0) {
+    workers_[static_cast<std::size_t>(self)]->deque.push(t);
     wake_one();
   } else {
     push_injection_blocking(t, /*low_priority=*/true, /*trace=*/false);
@@ -178,9 +190,13 @@ task_node* worker_pool::find_task(int self_index) {
   // 3. Steal from a random victim, one full sweep.
   const std::size_t n = workers_.size();
   if (n > 1 || self_index < 0) {
+    // Threads outside the pool (environment waits, possibly several at
+    // once) pick victims with a generator of their own.
+    thread_local xoshiro256 tl_external_rng(
+        0xDEADBEEFULL ^ std::hash<std::thread::id>{}(std::this_thread::get_id()));
     auto& rng = self_index >= 0
                     ? workers_[static_cast<std::size_t>(self_index)]->rng
-                    : external_rng_;
+                    : tl_external_rng;
     const std::size_t start = static_cast<std::size_t>(rng.below(n));
     for (std::size_t k = 0; k < n; ++k) {
       const std::size_t victim = (start + k) % n;
@@ -292,12 +308,13 @@ void worker_pool::publish_metrics() const {
   published_totals t;
   for (const auto& w : workers_) {
     t.executed += w->executed.load(std::memory_order_relaxed);
+    t.spawned += w->spawned.load(std::memory_order_relaxed);
     t.steals += w->steals.load(std::memory_order_relaxed);
     t.parks += w->parks.load(std::memory_order_relaxed);
   }
   t.executed += external_executed_.load(std::memory_order_relaxed);
+  t.spawned += external_spawned_.load(std::memory_order_relaxed);
   t.steals += external_steals_.load(std::memory_order_relaxed);
-  t.spawned = spawned_.load(std::memory_order_relaxed);
   t.injections = injections_.load(std::memory_order_relaxed);
   t.overflow_retries = overflow_retries_.load(std::memory_order_relaxed);
 
@@ -324,13 +341,14 @@ pool_stats worker_pool::stats() const {
   pool_stats s;
   for (const auto& w : workers_) {
     s.tasks_executed += w->executed.load(std::memory_order_relaxed);
+    s.tasks_spawned += w->spawned.load(std::memory_order_relaxed);
     s.steals += w->steals.load(std::memory_order_relaxed);
     s.failed_steal_rounds += w->failed_rounds.load(std::memory_order_relaxed);
     s.parks += w->parks.load(std::memory_order_relaxed);
   }
   s.tasks_executed += external_executed_.load(std::memory_order_relaxed);
+  s.tasks_spawned += external_spawned_.load(std::memory_order_relaxed);
   s.steals += external_steals_.load(std::memory_order_relaxed);
-  s.tasks_spawned = spawned_.load(std::memory_order_relaxed);
   s.injections = injections_.load(std::memory_order_relaxed);
   s.overflow_retries = overflow_retries_.load(std::memory_order_relaxed);
   s.arena = arena_stats_snapshot();
@@ -362,13 +380,14 @@ std::size_t worker_pool::ready_estimate() const {
 void worker_pool::reset_stats() {
   for (auto& w : workers_) {
     w->executed.store(0, std::memory_order_relaxed);
+    w->spawned.store(0, std::memory_order_relaxed);
     w->steals.store(0, std::memory_order_relaxed);
     w->failed_rounds.store(0, std::memory_order_relaxed);
     w->parks.store(0, std::memory_order_relaxed);
   }
   external_executed_.store(0, std::memory_order_relaxed);
   external_steals_.store(0, std::memory_order_relaxed);
-  spawned_.store(0, std::memory_order_relaxed);
+  external_spawned_.store(0, std::memory_order_relaxed);
   injections_.store(0, std::memory_order_relaxed);
   overflow_retries_.store(0, std::memory_order_relaxed);
   std::scoped_lock lock(publish_mutex_);

@@ -32,7 +32,6 @@
 #include "concurrent/mpmc_queue.hpp"
 #include "forkjoin/task.hpp"
 #include "forkjoin/task_arena.hpp"
-#include "support/rng.hpp"
 
 namespace rdp::forkjoin {
 
@@ -176,9 +175,9 @@ private:
   /// overflow policy for every enqueue path: never execute in place.
   void push_injection_blocking(task_node* t, bool low_priority,
                                bool trace = true);
-  void spawned_hint() {
-    spawned_.fetch_add(1, std::memory_order_relaxed);
-  }
+  /// Count one enqueue on the calling worker's own counter line (an
+  /// external thread's on the shared one). Returns the worker index, or -1.
+  int count_spawn();
 
   static constexpr unsigned k_spin_rounds = 64;
 
@@ -189,12 +188,11 @@ private:
   std::condition_variable park_cv_;
   std::atomic<unsigned> parked_{0};
   std::atomic<std::uint64_t> epoch_{0};  // bumped on enqueue to unblock parks
-  std::atomic<std::uint64_t> spawned_{0};
+  std::atomic<std::uint64_t> external_spawned_{0};
   std::atomic<std::uint64_t> injections_{0};
   std::atomic<std::uint64_t> overflow_retries_{0};
   std::atomic<std::uint64_t> external_executed_{0};
   std::atomic<std::uint64_t> external_steals_{0};
-  xoshiro256 external_rng_{0xDEADBEEFULL};
 
   /// Totals already folded into the metrics registry (publish_metrics).
   /// Mutable: publishing is logically const bookkeeping (stats() publishes).

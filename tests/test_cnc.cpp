@@ -440,6 +440,106 @@ TEST(Cnc, ManyConcurrentChainsUnderContention) {
   EXPECT_EQ(ctx.stats().steps_executed, grid_ctx::kChains * grid_ctx::kLen);
 }
 
+// ------------------------------------------------- shared-pool churn ----
+// Contexts driven by several environment threads share one pool, so their
+// steps interleave on every worker. Each wait() must still tell its own
+// graph's deadlock from its completion: a graph whose first item is never
+// put (every consumer parks) throws on every repetition, and a complete one
+// never does, under both scheduling policies.
+
+TEST(Cnc, SharedPoolContextsTellDeadlockFromCompletion) {
+  constexpr int kThreads = 4, kReps = 100, kN = 24;
+  worker_pool pool(3);
+  std::atomic<int> wrong{0};
+  auto drive = [&](int thread) {
+    for (int rep = 0; rep < kReps; ++rep) {
+      const bool broken = (rep + thread) % 2 == 1;
+      const schedule_policy policy = (rep / 2 + thread) % 2 == 0
+                                         ? schedule_policy::spawn_immediately
+                                         : schedule_policy::preschedule;
+      chain_ctx ctx(pool, policy);
+      // Reverse order: consumers first, so the native ones park.
+      for (int i = kN - 1; i >= (broken ? 1 : 0); --i) ctx.tags.put(i);
+      try {
+        ctx.wait();
+        std::uint64_t v = 0;
+        if (broken || !ctx.values.try_get(kN - 1, v) ||
+            v != 1u + static_cast<std::uint64_t>(kN - 1) * kN / 2)
+          wrong.fetch_add(1);
+      } catch (const unsatisfied_dependency&) {
+        if (!broken || ctx.suspended_count() != kN - 1) wrong.fetch_add(1);
+      }
+    }
+  };
+  rdp::test::within(std::chrono::seconds(60), "shared-pool churn", [&] {
+    std::vector<std::thread> env;
+    for (int t = 0; t < kThreads; ++t) env.emplace_back(drive, t);
+    for (std::thread& t : env) t.join();
+  });
+  EXPECT_EQ(wrong.load(), 0);
+}
+
+// A step that runs a graph of its own: it puts the item an inner step is
+// parked on, then waits for the inner graph inside its body. The woken
+// inner instance must go to the pool, not behind the outer step on this
+// thread, or the inner wait() would spin on an instance nobody can run.
+
+struct inner_ctx;
+struct inner_step {
+  int execute(int tag, inner_ctx& ctx) const;
+};
+struct inner_ctx : context<inner_ctx> {
+  step_collection<inner_ctx, inner_step, int> steps{*this, "inner"};
+  tag_collection<int> tags{*this, "inner_ctrl"};
+  item_collection<int, int> in{*this, "inner_in"};
+  item_collection<int, int> out{*this, "inner_out"};
+  explicit inner_ctx(worker_pool& pool) : context(pool) {
+    tags.prescribe(steps);
+  }
+};
+int inner_step::execute(int tag, inner_ctx& ctx) const {
+  int v = 0;
+  ctx.in.get(0, v);
+  ctx.out.put(tag, v + 1);
+  return 0;
+}
+
+struct outer_ctx;
+struct outer_step {
+  int execute(int tag, outer_ctx& ctx) const;
+};
+struct outer_ctx : context<outer_ctx> {
+  step_collection<outer_ctx, outer_step, int> steps{*this, "outer"};
+  tag_collection<int> tags{*this, "outer_ctrl"};
+  item_collection<int, int> results{*this, "outer_results"};
+  explicit outer_ctx(worker_pool& pool) : context(pool) {
+    tags.prescribe(steps);
+  }
+};
+int outer_step::execute(int tag, outer_ctx& ctx) const {
+  inner_ctx inner(ctx.pool());
+  inner.tags.put(1);
+  while (inner.suspended_count() == 0) ctx.pool().try_run_one();
+  inner.in.put(0, 41);  // wakes the parked inner step from this body
+  inner.wait();
+  int v = 0;
+  inner.out.get(1, v);
+  ctx.results.put(tag, v);
+  return 0;
+}
+
+TEST(Cnc, StepWaitingForAnInnerGraphItWokeCompletes) {
+  worker_pool pool(2);
+  outer_ctx ctx(pool);
+  rdp::test::within(std::chrono::seconds(20), "inner graph wait", [&] {
+    ctx.tags.put(0);
+    ctx.wait();
+  });
+  int v = 0;
+  ctx.results.get(0, v);
+  EXPECT_EQ(v, 42);
+}
+
 // ------------------------------------------------ get-count collection ----
 // Items put with a get_count are erased after exactly that many successful
 // blocking gets (Intel CnC's item garbage collection).

@@ -16,6 +16,7 @@
 
 #include "dp/dp.hpp"
 #include "forkjoin/worker_pool.hpp"
+#include "obs/metrics.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -162,7 +163,10 @@ TEST(RegistryShape, AdvertisesEveryBackendPerBenchmark) {
 
 // Every parallel row runs on the caller's pool when it passes one, so a
 // data-flow row's steps are tasks of that pool: a row that started a pool
-// of its own would leave the caller's counters at zero.
+// of its own would leave the caller's counters at zero. A step a put wakes
+// on a thread may run inline there, after the producing step, instead of
+// as a task of its own (steps_continued): every executed step is either a
+// pool task or such a continuation.
 TEST(RegistryPool, DataflowRowsRunOnTheCallersPool) {
   constexpr std::size_t n = 64, base = 8;
   forkjoin::worker_pool pool(3);
@@ -175,22 +179,109 @@ TEST(RegistryPool, DataflowRowsRunOnTheCallersPool) {
     auto m = input;
     const std::uint64_t before = pool.stats().tasks_executed;
     const run_outcome out = v->run(*v, ge_problem(m), options_for(base, pool));
+    const cnc::context_stats& s = out.info.stats;
     // A worker counts a task after it returns, and the run may return
     // first: wait (bounded) for the pool's counters to settle.
     const auto settle =
         std::chrono::steady_clock::now() + std::chrono::seconds(2);
-    while (pool.stats().tasks_executed - before <
-               out.info.stats.steps_executed &&
+    while (pool.stats().tasks_executed - before + s.steps_continued <
+               s.steps_executed &&
            std::chrono::steady_clock::now() < settle)
       std::this_thread::yield();
     const std::uint64_t ran = pool.stats().tasks_executed - before;
     EXPECT_EQ(m, oracle) << v->label;
-    // At least one pool task per base tile, and one per executed step.
-    EXPECT_GE(ran, (n / base) * (n / base)) << v->label;
-    EXPECT_GE(ran, out.info.stats.steps_executed) << v->label;
+    // Every executed step ran as a pool task or as a continuation of one,
+    // and the environment's dispatches are pool tasks: a row on a pool of
+    // its own runs no task here and fails this.
+    EXPECT_GT(ran, 0u) << v->label;
+    EXPECT_GE(ran + s.steps_continued, s.steps_executed) << v->label;
+    // At least one pool task per base tile where every prescribed instance
+    // is queued when it is spawned. The preschedule rows dispatch an
+    // instance whose last input a step put as that step's continuation, so
+    // for them the bound counts continuations too.
+    const std::uint64_t tiles = (n / base) * (n / base);
+    if (v->mode == "native" || v->mode == "nonblocking")
+      EXPECT_GE(ran, tiles) << v->label;
+    else
+      EXPECT_GE(ran + s.steps_continued, tiles) << v->label;
     ++rows;
   }
   EXPECT_EQ(rows, 4u);
+}
+
+/// The process-wide cnc.* registry metrics, read together.
+struct cnc_registry_totals {
+  std::uint64_t items_put, gets_ok, gets_failed, tags_put, steps_executed,
+      steps_requeued;
+  std::int64_t items_live;
+
+  static cnc_registry_totals read() {
+    auto& reg = obs::metrics_registry::instance();
+    return {reg.get_counter("cnc.items_put").value(),
+            reg.get_counter("cnc.gets_ok").value(),
+            reg.get_counter("cnc.gets_failed").value(),
+            reg.get_counter("cnc.tags_put").value(),
+            reg.get_counter("cnc.steps_executed").value(),
+            reg.get_counter("cnc.steps_requeued").value(),
+            reg.get_gauge("cnc.items_live").value()};
+  }
+};
+
+/// Runs every data-flow row of `bm` once and checks that the cnc.*
+/// registry metrics moved by exactly the run's own context counters —
+/// what counting each event as it happens records. FW's rows read the
+/// final tiles back after wait() returns, so their gather gets must still
+/// reach the registry.
+template <class Reset>
+void expect_registry_counts_each_run(benchmark_id bm, const problem_ref& prob,
+                                     forkjoin::worker_pool& pool,
+                                     const Reset& reset) {
+  std::size_t rows = 0;
+  for (const variant* v : variants_for(bm)) {
+    if (v->backend != backend_kind::dataflow) continue;
+    reset();
+    const cnc_registry_totals before = cnc_registry_totals::read();
+    const run_outcome out = v->run(*v, prob, options_for(8, pool));
+    const cnc_registry_totals after = cnc_registry_totals::read();
+    const cnc::context_stats& s = out.info.stats;
+    const std::string row = std::string(to_string(bm)) + " × " +
+                            std::string(v->label);
+    EXPECT_EQ(after.items_put - before.items_put, s.items_put) << row;
+    EXPECT_EQ(after.gets_ok - before.gets_ok, s.gets_ok) << row;
+    EXPECT_EQ(after.gets_failed - before.gets_failed, s.gets_failed) << row;
+    EXPECT_EQ(after.tags_put - before.tags_put, s.tags_put) << row;
+    EXPECT_EQ(after.steps_executed - before.steps_executed, s.steps_executed)
+        << row;
+    EXPECT_EQ(after.steps_requeued - before.steps_requeued, s.steps_requeued)
+        << row;
+    EXPECT_EQ(after.items_live - before.items_live,
+              static_cast<std::int64_t>(out.info.items_live_at_end))
+        << row;
+    ++rows;
+  }
+  EXPECT_EQ(rows, 4u) << to_string(bm);
+}
+
+TEST(RegistryMetrics, DataflowRowsPublishEveryEventOfTheirRun) {
+  if (!obs::metrics_enabled()) GTEST_SKIP() << "metrics disabled";
+  constexpr std::size_t n = 64;
+  forkjoin::worker_pool pool(3);
+
+  const auto ge_input = make_diag_dominant(n, 9);
+  auto m = ge_input;
+  expect_registry_counts_each_run(benchmark_id::ge, ge_problem(m), pool,
+                                  [&] { m = ge_input; });
+
+  const auto a = make_dna(n, 21), b = make_dna(n, 22);
+  matrix<std::int32_t> s(n + 1, n + 1, 0);
+  expect_registry_counts_each_run(
+      benchmark_id::sw, sw_problem(s, a, b, sw_params{}), pool,
+      [&] { s = matrix<std::int32_t>(n + 1, n + 1, 0); });
+
+  const auto fw_input = make_digraph(n, 0.3, 13, 1e9);
+  auto d = fw_input;
+  expect_registry_counts_each_run(benchmark_id::fw, fw_problem(d), pool,
+                                  [&] { d = fw_input; });
 }
 
 // serial + forkjoin + tiled + 4 dataflow modes + rway:r2 + prepared +
