@@ -14,7 +14,6 @@
 #pragma once
 
 #include <atomic>
-#include <concepts>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -103,10 +102,10 @@ public:
     return *collection_name_ + "(" + key_string(tag_) + ")";
   }
 
-  const std::string* collection() const noexcept override {
-    return collection_name_;
+  /// Whether this is the instance of `collection` for `tag`.
+  bool runs(const std::string& collection, const Tag& tag) const {
+    return collection_name_ == &collection && tag_ == tag;
   }
-  const Tag& tag() const noexcept { return tag_; }
 
 private:
   void run_body() override { (void)step_.execute(tag_, typed_ctx_); }
@@ -177,28 +176,23 @@ public:
     inst->initial_dispatch();
   }
 
-  /// Requeue `tag` for a later retry (non-blocking get protocol, §IV-B)
-  /// through the pool's FIFO injection queue, so the retry runs after
-  /// currently queued producers. Called from the step running `tag`, the
-  /// running instance itself goes back once its body returns; any other
-  /// caller dispatches a fresh instance. Once a step of the graph has
-  /// failed the retry is dropped instead: the item it polls for may never
-  /// be put, and requeueing forever would keep the graph from quiescing,
-  /// so wait() could never rethrow the error.
+  /// Requeue the running step, the instance of this collection for `tag`,
+  /// for a later retry (non-blocking get protocol, §IV-B): once its body
+  /// returns the same instance goes back through the pool's FIFO injection
+  /// queue, so the retry runs after currently queued producers. Only that
+  /// step may call it. Once a step of the graph has failed the retry is
+  /// dropped instead: the item it polls for may never be put, and
+  /// requeueing forever would keep the graph from quiescing, so wait()
+  /// could never rethrow the error.
   void respawn(const Tag& tag) {
-    if (ctx_.failed()) return;
+    const auto* self =
+        dynamic_cast<const detail::typed_step_instance<Ctx, Step, Tag>*>(
+            step_instance_base::current());
+    RDP_REQUIRE_MSG(self != nullptr && self->runs(name_, tag),
+                    "respawn(tag) is called by the step running tag");
+    if (ctx_.failed() || !step_instance_base::requeue_current()) return;
     ctx_.metrics().requeued.fetch_add(1, std::memory_order_relaxed);
     RDP_TRACE_EVENT(obs::event_kind::step_requeue, trace_name_, 0, 0);
-    using instance = detail::typed_step_instance<Ctx, Step, Tag>;
-    if constexpr (std::equality_comparable<Tag>) {
-      // Only this collection's instances carry a pointer to name_.
-      step_instance_base* self = step_instance_base::current();
-      if (self != nullptr && self->collection() == &name_ &&
-          static_cast<instance*>(self)->tag() == tag &&
-          step_instance_base::requeue_current())
-        return;
-    }
-    (new instance(ctx_, step_, tag, name_))->initial_dispatch_global();
   }
 
 private:

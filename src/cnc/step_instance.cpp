@@ -29,14 +29,12 @@ step_instance_base* step_instance_base::current() noexcept {
 }
 
 bool step_instance_base::requeue_current() noexcept {
-  if (tl.current == nullptr || tl.requeued) return false;
-  tl.requeued = true;
-  return true;
+  RDP_ASSERT(tl.current != nullptr);
+  return !std::exchange(tl.requeued, true);
 }
 
 void step_instance_base::park_on(waiter_list& waiters) noexcept {
   RDP_ASSERT(tl.current == this && !tl.parked);
-  if (tl.requeued) return;
   // The caller holds the slot lock, so no put can resume us before the
   // suspension is counted.
   waiters.push(this);

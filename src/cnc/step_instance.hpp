@@ -31,12 +31,12 @@
 // never a global heap round-trip.
 //
 // Inline resume. A put made inside a step body does not queue the last
-// instance it wakes (nor the last prescheduled instance it dispatches): it
-// leaves it in the thread's one-instance continuation slot, and the
-// execute_wrapper() that ran the body runs it next on the same thread, in a
-// loop, never recursively. Every other woken instance is queued as usual.
-// The producer's tile is hot in its cache and the resume costs no queue
-// round-trip.
+// parked instance it wakes: it leaves it in the thread's one-instance
+// continuation slot, and the execute_wrapper() that ran the body runs it
+// next on the same thread, in a loop, never recursively. Every other woken
+// instance, and every prescheduled instance the put dispatches, is queued
+// as usual. The producer's tile is hot in its cache and the resume costs no
+// queue round-trip.
 //
 // An unmet get parks the instance and returns false; the step returns at
 // once and execute_wrapper() learns of the park from a thread-local flag,
@@ -164,7 +164,8 @@ public:
   /// Ask that the instance running on this thread be queued again, through
   /// the pool's low-priority FIFO path, once its body returns (the
   /// non-blocking get protocol's retry). False when it already asked in
-  /// this attempt.
+  /// this attempt. A body that asks and then parks is not requeued: the put
+  /// that resumes it runs it again.
   static bool requeue_current() noexcept;
 
   context_base& ctx() noexcept { return ctx_; }
@@ -175,25 +176,13 @@ public:
     enqueue();
   }
 
-  /// Dispatch through the pool's low-priority FIFO path (a retry requested
-  /// for a tag other than the running instance's).
-  void initial_dispatch_global() {
-    ctx_.on_schedule();
-    enqueue_global();
-  }
-
   /// Fallback stall-dump line; typed instances print "<collection>(tag)".
   std::string describe() const override { return "<step instance>"; }
-
-  /// Identity of the step collection that created the instance (its name
-  /// string), or nullptr.
-  virtual const std::string* collection() const noexcept { return nullptr; }
 
   /// Park this instance, the one running on the calling thread, on an
   /// item's `waiters` (called under that item's slot lock). From here the
   /// waiter list owns the instance: the step must return at once and not
-  /// touch it again. An instance that already requeued itself in this
-  /// attempt is not parked: the retry runs it again anyway.
+  /// touch it again.
   void park_on(waiter_list& waiters) noexcept;
 
   /// waiter: an item this instance was parked on became available. The
@@ -214,7 +203,7 @@ public:
   /// re-execution — the body has never run — so no step_resume event.
   void dispatch_prescheduled() {
     ctx_.on_resume();
-    continue_or_enqueue();
+    enqueue();
   }
 
   /// Free a suspended instance that will never run (back to its arena).

@@ -52,7 +52,6 @@ struct worker_pool::worker {
   concurrent::chase_lev_deque<task_node*> deque;
   // Per-worker relaxed counters, folded into pool_stats on demand.
   std::atomic<std::uint64_t> executed{0};
-  std::atomic<std::uint64_t> spawned{0};
   std::atomic<std::uint64_t> steals{0};
   std::atomic<std::uint64_t> failed_rounds{0};
   std::atomic<std::uint64_t> parks{0};
@@ -123,22 +122,13 @@ void worker_pool::push_injection_blocking(task_node* t, bool low_priority,
   wake_one();
 }
 
-int worker_pool::count_spawn() {
-  const int self = tl_pool == this ? tl_index : -1;
-  if (self >= 0)
-    workers_[static_cast<std::size_t>(self)]->spawned.fetch_add(
-        1, std::memory_order_relaxed);
-  else
-    external_spawned_.fetch_add(1, std::memory_order_relaxed);
-  return self;
-}
-
 void worker_pool::enqueue(task_node* t) {
   RDP_ASSERT(t != nullptr);
-  if (const int self = count_spawn(); self >= 0) {
-    RDP_TRACE_EVENT(obs::event_kind::task_spawn, 0, self,
+  spawned_hint();
+  if (tl_pool == this && tl_index >= 0) {
+    RDP_TRACE_EVENT(obs::event_kind::task_spawn, 0, tl_index,
                     reinterpret_cast<std::uintptr_t>(t));
-    workers_[static_cast<std::size_t>(self)]->deque.push(t);
+    workers_[static_cast<std::size_t>(tl_index)]->deque.push(t);
     wake_one();
     return;
   }
@@ -149,7 +139,7 @@ void worker_pool::enqueue(task_node* t) {
 
 void worker_pool::enqueue_global(task_node* t) {
   RDP_ASSERT(t != nullptr);
-  const int self = count_spawn();
+  spawned_hint();
   // One spawn event per task, before any push (see push_injection_blocking
   // for why): the kind reflects the intended queue, not the rare overflow
   // fallback's actual destination.
@@ -163,8 +153,8 @@ void worker_pool::enqueue_global(task_node* t) {
   // Injection queue full: a worker of this pool falls back to its own deque
   // (an unbounded queue, so no retry loop is needed); any other thread
   // blocks until a slot frees up. Neither path executes the task inline.
-  if (self >= 0) {
-    workers_[static_cast<std::size_t>(self)]->deque.push(t);
+  if (tl_pool == this && tl_index >= 0) {
+    workers_[static_cast<std::size_t>(tl_index)]->deque.push(t);
     wake_one();
   } else {
     push_injection_blocking(t, /*low_priority=*/true, /*trace=*/false);
@@ -308,13 +298,12 @@ void worker_pool::publish_metrics() const {
   published_totals t;
   for (const auto& w : workers_) {
     t.executed += w->executed.load(std::memory_order_relaxed);
-    t.spawned += w->spawned.load(std::memory_order_relaxed);
     t.steals += w->steals.load(std::memory_order_relaxed);
     t.parks += w->parks.load(std::memory_order_relaxed);
   }
   t.executed += external_executed_.load(std::memory_order_relaxed);
-  t.spawned += external_spawned_.load(std::memory_order_relaxed);
   t.steals += external_steals_.load(std::memory_order_relaxed);
+  t.spawned = spawned_.load(std::memory_order_relaxed);
   t.injections = injections_.load(std::memory_order_relaxed);
   t.overflow_retries = overflow_retries_.load(std::memory_order_relaxed);
 
@@ -341,14 +330,13 @@ pool_stats worker_pool::stats() const {
   pool_stats s;
   for (const auto& w : workers_) {
     s.tasks_executed += w->executed.load(std::memory_order_relaxed);
-    s.tasks_spawned += w->spawned.load(std::memory_order_relaxed);
     s.steals += w->steals.load(std::memory_order_relaxed);
     s.failed_steal_rounds += w->failed_rounds.load(std::memory_order_relaxed);
     s.parks += w->parks.load(std::memory_order_relaxed);
   }
   s.tasks_executed += external_executed_.load(std::memory_order_relaxed);
-  s.tasks_spawned += external_spawned_.load(std::memory_order_relaxed);
   s.steals += external_steals_.load(std::memory_order_relaxed);
+  s.tasks_spawned = spawned_.load(std::memory_order_relaxed);
   s.injections = injections_.load(std::memory_order_relaxed);
   s.overflow_retries = overflow_retries_.load(std::memory_order_relaxed);
   s.arena = arena_stats_snapshot();
@@ -380,14 +368,13 @@ std::size_t worker_pool::ready_estimate() const {
 void worker_pool::reset_stats() {
   for (auto& w : workers_) {
     w->executed.store(0, std::memory_order_relaxed);
-    w->spawned.store(0, std::memory_order_relaxed);
     w->steals.store(0, std::memory_order_relaxed);
     w->failed_rounds.store(0, std::memory_order_relaxed);
     w->parks.store(0, std::memory_order_relaxed);
   }
   external_executed_.store(0, std::memory_order_relaxed);
   external_steals_.store(0, std::memory_order_relaxed);
-  external_spawned_.store(0, std::memory_order_relaxed);
+  spawned_.store(0, std::memory_order_relaxed);
   injections_.store(0, std::memory_order_relaxed);
   overflow_retries_.store(0, std::memory_order_relaxed);
   std::scoped_lock lock(publish_mutex_);

@@ -175,9 +175,9 @@ private:
   /// overflow policy for every enqueue path: never execute in place.
   void push_injection_blocking(task_node* t, bool low_priority,
                                bool trace = true);
-  /// Count one enqueue on the calling worker's own counter line (an
-  /// external thread's on the shared one). Returns the worker index, or -1.
-  int count_spawn();
+  void spawned_hint() {
+    spawned_.fetch_add(1, std::memory_order_relaxed);
+  }
 
   static constexpr unsigned k_spin_rounds = 64;
 
@@ -188,7 +188,7 @@ private:
   std::condition_variable park_cv_;
   std::atomic<unsigned> parked_{0};
   std::atomic<std::uint64_t> epoch_{0};  // bumped on enqueue to unblock parks
-  std::atomic<std::uint64_t> external_spawned_{0};
+  std::atomic<std::uint64_t> spawned_{0};
   std::atomic<std::uint64_t> injections_{0};
   std::atomic<std::uint64_t> overflow_retries_{0};
   std::atomic<std::uint64_t> external_executed_{0};

@@ -922,6 +922,34 @@ TEST(Cnc, NonblockingRetryStopsAfterStepError) {
   EXPECT_EQ(ctx.active_count(), 0);
 }
 
+// respawn(tag) requeues the step running tag, so nobody else may call it:
+// not the environment, and not a step running another tag.
+
+struct misrespawn_ctx;
+struct misrespawn_step {
+  int execute(int tag, misrespawn_ctx& ctx) const;
+};
+struct misrespawn_ctx : context<misrespawn_ctx> {
+  step_collection<misrespawn_ctx, misrespawn_step, int> steps{*this, "mis"};
+  tag_collection<int> tags{*this, "ctrl"};
+  explicit misrespawn_ctx(worker_pool& pool) : context(pool) {
+    tags.prescribe(steps);
+  }
+};
+int misrespawn_step::execute(int tag, misrespawn_ctx& ctx) const {
+  ctx.steps.respawn(tag + 1);
+  return 0;
+}
+
+TEST(Cnc, RespawnIsCalledByTheStepItRequeues) {
+  worker_pool pool(2);
+  misrespawn_ctx ctx(pool);
+  EXPECT_THROW(ctx.steps.respawn(0), rdp::contract_error);
+  ctx.tags.put(0);
+  EXPECT_THROW(ctx.wait(), rdp::contract_error);
+  EXPECT_EQ(ctx.active_count(), 0);
+}
+
 // ------------------------------------ concurrent get-count GC stress ----
 // Many items, each declared with get_count == number of consumers, consumed
 // concurrently by prescheduled steps AND racing environment gets go through

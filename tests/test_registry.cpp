@@ -180,30 +180,24 @@ TEST(RegistryPool, DataflowRowsRunOnTheCallersPool) {
     const std::uint64_t before = pool.stats().tasks_executed;
     const run_outcome out = v->run(*v, ge_problem(m), options_for(base, pool));
     const cnc::context_stats& s = out.info.stats;
+    const std::uint64_t tiles = (n / base) * (n / base);
     // A worker counts a task after it returns, and the run may return
     // first: wait (bounded) for the pool's counters to settle.
+    const auto tasks = [&] { return pool.stats().tasks_executed - before; };
     const auto settle =
         std::chrono::steady_clock::now() + std::chrono::seconds(2);
-    while (pool.stats().tasks_executed - before + s.steps_continued <
-               s.steps_executed &&
+    while ((tasks() < tiles ||
+            tasks() + s.steps_continued < s.steps_executed) &&
            std::chrono::steady_clock::now() < settle)
       std::this_thread::yield();
-    const std::uint64_t ran = pool.stats().tasks_executed - before;
+    const std::uint64_t ran = tasks();
     EXPECT_EQ(m, oracle) << v->label;
-    // Every executed step ran as a pool task or as a continuation of one,
-    // and the environment's dispatches are pool tasks: a row on a pool of
-    // its own runs no task here and fails this.
-    EXPECT_GT(ran, 0u) << v->label;
+    // At least one pool task per base tile: every instance is queued when
+    // it is first dispatched. Every executed step ran as a pool task or as
+    // a continuation of one. A row on a pool of its own runs no task here
+    // and fails both.
+    EXPECT_GE(ran, tiles) << v->label;
     EXPECT_GE(ran + s.steps_continued, s.steps_executed) << v->label;
-    // At least one pool task per base tile where every prescribed instance
-    // is queued when it is spawned. The preschedule rows dispatch an
-    // instance whose last input a step put as that step's continuation, so
-    // for them the bound counts continuations too.
-    const std::uint64_t tiles = (n / base) * (n / base);
-    if (v->mode == "native" || v->mode == "nonblocking")
-      EXPECT_GE(ran, tiles) << v->label;
-    else
-      EXPECT_GE(ran + s.steps_continued, tiles) << v->label;
     ++rows;
   }
   EXPECT_EQ(rows, 4u);
