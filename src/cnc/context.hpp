@@ -95,8 +95,8 @@ struct context_stats {
   std::uint64_t tags_put = 0;
   std::uint64_t preschedule_deferrals = 0;  // tuner: deps not yet all ready
   std::uint64_t steps_requeued = 0;  // non-blocking gets: self-requeues
-  /// Executions (of any outcome) run inline on the thread whose put or
-  /// countdown release woke the instance, instead of as a pool task.
+  /// Executions (of any outcome) run inline on the thread whose put
+  /// resumed the parked instance, instead of as a pool task.
   std::uint64_t steps_continued = 0;
 };
 
