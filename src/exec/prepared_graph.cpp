@@ -246,71 +246,90 @@ void prepared_execution::start() {
 }
 
 void prepared_execution::run_node(std::uint32_t idx) noexcept {
-  const prepared_graph::node& nd = graph_.nodes_[idx];
-  // After a kernel error the rest of the DAG still counts down (so the run
-  // terminates and the pool is left clean) but skips its kernels.
-  if (!failed_.load(std::memory_order_acquire)) {
-    try {
-      for (std::uint32_t m = nd.member_begin; m < nd.member_end; ++m) {
-        const std::uint32_t tile = graph_.members_[m];
-        const tile_dag& dag = graph_.dag_;
-        const dp::tile4& tag = dag.tags[tile];
-        if (graph_.value_passing_) {
-          const std::span<const std::uint32_t> slots = dag.deps(tile);
-          rdp::small_vector<dp::tile_value, dp::typical_dependency_arity>
-              deps;
-          deps.reserve(slots.size());
-          for (const std::uint32_t slot : slots) deps.push_back(values_[slot]);
-          const dp::tile3 coord{tag.i, tag.j, tag.k};
-          dp::tile_value out = rec_.run_base_value(coord, deps.data());
-          RDP_ASSERT(out != nullptr);
-          values_[tile] = std::move(out);
-        } else {
-          rec_.run_base(tag);
+  // One chain: run idx, then the ready successor its retire() kept, and so
+  // on. A loop, not a recursion, so a chain of any length runs at constant
+  // stack depth. The chain counts its tiles and nodes locally and publishes
+  // them once, at its end.
+  std::uint64_t tiles = 0, nodes = 0;
+  for (; idx != k_no_node; ++nodes) {
+    const prepared_graph::node& nd = graph_.nodes_[idx];
+    // After a kernel error the rest of the DAG still counts down (so the
+    // run terminates and the pool is left clean) but skips its kernels.
+    if (!failed_.load(std::memory_order_acquire)) {
+      try {
+        for (std::uint32_t m = nd.member_begin; m < nd.member_end; ++m) {
+          const std::uint32_t tile = graph_.members_[m];
+          const tile_dag& dag = graph_.dag_;
+          const dp::tile4& tag = dag.tags[tile];
+          if (graph_.value_passing_) {
+            const std::span<const std::uint32_t> slots = dag.deps(tile);
+            rdp::small_vector<dp::tile_value, dp::typical_dependency_arity>
+                deps;
+            deps.reserve(slots.size());
+            for (const std::uint32_t slot : slots)
+              deps.push_back(values_[slot]);
+            const dp::tile3 coord{tag.i, tag.j, tag.k};
+            dp::tile_value out = rec_.run_base_value(coord, deps.data());
+            RDP_ASSERT(out != nullptr);
+            values_[tile] = std::move(out);
+          } else {
+            rec_.run_base(tag);
+          }
+          ++tiles;
         }
-        executed_.fetch_add(1, std::memory_order_relaxed);
-        prepared_metrics().nodes_run.add();
+      } catch (...) {
+        {
+          std::scoped_lock lock(error_mutex_);
+          if (!first_error_) first_error_ = std::current_exception();
+        }
+        failed_.store(true, std::memory_order_release);
       }
+    }
+    idx = retire(idx);
+  }
+
+  executed_.fetch_add(tiles, std::memory_order_relaxed);
+  prepared_metrics().nodes_run.add(tiles);
+  // The chain's last touch of this object unless it retires the last node:
+  // the owner may free the execution as soon as remaining_ reaches zero.
+  if (remaining_.fetch_sub(nodes, std::memory_order_acq_rel) != nodes) return;
+  // Last node: run the epilogue, publish done, fire the callback. The
+  // callback is the very last touch of any member — the owner may retire
+  // this object as soon as done() reads true.
+  if (graph_.value_passing_ && !failed_.load(std::memory_order_acquire)) {
+    try {
+      gather_store store(*this);
+      rec_.gather_values(store);
     } catch (...) {
-      {
-        std::scoped_lock lock(error_mutex_);
-        if (!first_error_) first_error_ = std::current_exception();
-      }
-      failed_.store(true, std::memory_order_release);
+      std::scoped_lock lock(error_mutex_);
+      if (!first_error_) first_error_ = std::current_exception();
     }
   }
-  retire(idx);
+  std::function<void()> fn = std::move(on_complete_);
+  done_.store(true, std::memory_order_release);
+  if (fn) fn();
 }
 
-void prepared_execution::retire(std::uint32_t idx) noexcept {
+std::uint32_t prepared_execution::retire(std::uint32_t idx) noexcept {
+  // Counts down idx's successors. The first one made ready (in CSR order)
+  // is kept for the calling chain; the rest are enqueued before it runs,
+  // so thieves see them first.
   const prepared_graph::node& nd = graph_.nodes_[idx];
+  std::uint32_t kept = k_no_node;
   for (std::uint32_t s = nd.succ_begin; s < nd.succ_end; ++s) {
     const std::uint32_t succ = graph_.successors_[s];
     // acq_rel: the release publishes this node's table/value writes to the
     // consumer; the acquire on the final decrement makes every producer's
     // writes visible before the consumer's kernel runs.
-    if (pending_[succ].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    if (pending_[succ].fetch_sub(1, std::memory_order_acq_rel) != 1) continue;
+    if (kept == k_no_node) {
+      kept = succ;
+    } else {
       pool_.enqueue(forkjoin::make_task(
           [this, succ] { run_node(succ); }, nullptr));
     }
   }
-  if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Last node: run the epilogue, publish done, fire the callback. The
-    // callback is the very last touch of any member — the owner may retire
-    // this object as soon as done() reads true.
-    if (graph_.value_passing_ && !failed_.load(std::memory_order_acquire)) {
-      try {
-        gather_store store(*this);
-        rec_.gather_values(store);
-      } catch (...) {
-        std::scoped_lock lock(error_mutex_);
-        if (!first_error_) first_error_ = std::current_exception();
-      }
-    }
-    std::function<void()> fn = std::move(on_complete_);
-    done_.store(true, std::memory_order_release);
-    if (fn) fn();
-  }
+  return kept;
 }
 
 void prepared_execution::wait() {

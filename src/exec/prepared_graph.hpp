@@ -18,8 +18,11 @@
 //
 // Execution then needs no hash lookups, no tag expansion, no parking: one
 // atomic pending counter per node (re-initialised per request from the
-// frozen in-degrees), tasks enqueue their successors on the counter hitting
-// zero, and a request-local value plane replaces the item collection. This
+// frozen in-degrees) and a request-local value plane that replaces the item
+// collection. A pool task runs a chain: when a node retires, the first
+// successor it makes ready (in CSR order) runs next on the same thread and
+// the others are enqueued as tasks of their own. A chain counts its tiles
+// and nodes locally and publishes them once, when it ends. This
 // is the "finalize graph, execute every tick" pattern of Kan's workflow
 // unit and ccv's static nnc graph runner, and the logical endpoint of the
 // paper's Tuner-/Manual-CnC pre-declared dependencies: amortise ALL
@@ -182,8 +185,14 @@ class prepared_execution {
   struct seed_store;
   struct gather_store;
 
+  static constexpr std::uint32_t k_no_node = ~std::uint32_t{0};
+
+  /// Runs the chain that starts at idx, then publishes its counters and,
+  /// when it retires the last node, completes the execution.
   void run_node(std::uint32_t idx) noexcept;
-  void retire(std::uint32_t idx) noexcept;  // countdown + completion
+  /// Counts down idx's successors, enqueues all that become ready but one,
+  /// and returns that one (k_no_node when none became ready).
+  std::uint32_t retire(std::uint32_t idx) noexcept;
 
   const prepared_graph& graph_;
   dp::recurrence& rec_;

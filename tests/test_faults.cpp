@@ -71,6 +71,11 @@ class throwing_spec final : public test::forwarding_spec {
     return inner_->run_base_value(t, deps);
   }
 
+  /// Kernel calls so far, the throwing one included.
+  std::uint64_t calls() const {
+    return calls_.load(std::memory_order_relaxed);
+  }
+
  private:
   void count_call() const {
     if (calls_.fetch_add(1, std::memory_order_relaxed) + 1 == k_)
@@ -231,6 +236,35 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<executor>& p) {
       return p.param.name;
     });
+
+// A prepared chain publishes its tile count once, when it ends. The count
+// must still be exactly the kernels that returned — every call but the one
+// that threw — for both freezes.
+TEST(PreparedFaults, NodesExecutedCountsEveryKernelThatReturned) {
+  forkjoin::worker_pool pool(k_workers);
+  xoshiro256 gen(0xC0DE);
+  for (const bool batched : {false, true}) {
+    const char* what = batched ? "prepared_batched" : "prepared";
+    for (const instance& inst : sweep_instances()) {
+      for (const std::uint64_t k : fault_points(inst, gen)) {
+        throwing_spec faulty(inst.fresh(), k);
+        const exec::prepared_graph g =
+            batched ? exec::prepared_graph::freeze_batched(
+                          faulty, pool.worker_count())
+                    : exec::prepared_graph::freeze(faulty);
+        exec::prepared_execution ex(g, faulty, pool);
+        EXPECT_EQ(error_of(what,
+                           [&] {
+                             ex.start();
+                             ex.wait();
+                           }),
+                  fault_message(k));
+        EXPECT_EQ(ex.nodes_executed(), faulty.calls() - 1)
+            << what << " " << inst.name << " k=" << k;
+      }
+    }
+  }
+}
 
 // The rway_r4 entry above throws from inside heap-spilled plans: every
 // instance's root plan at r = 4 is wider than the inline capacity.

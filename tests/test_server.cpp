@@ -230,6 +230,50 @@ TEST(PreparedGraph, ConcurrentExecutionsShareOneGraph) {
   }
 }
 
+/// One prepared SW run of side n at `base` over a fresh frozen graph.
+struct prepared_sw_run {
+  std::size_t tiles = 0;
+  std::uint64_t executed = 0;  // nodes_executed()
+  bool exact = false;          // table bit-identical to the serial backend
+};
+
+prepared_sw_run run_prepared_sw(std::size_t n, std::size_t base,
+                                forkjoin::worker_pool& pool) {
+  const sw_params p;
+  const std::string a = make_dna(n, 71), b = make_dna(n, 72);
+  matrix<std::int32_t> expected(n + 1, n + 1, 0);
+  exec::run_serial(*make_sw_spec(expected, a, b, p, base));
+  matrix<std::int32_t> s(n + 1, n + 1, 0);
+  auto spec = make_sw_spec(s, a, b, p, base);
+  const exec::prepared_graph g = exec::prepared_graph::freeze(*spec);
+  exec::prepared_execution ex(g, *spec, pool);
+  ex.start();
+  ex.wait();
+  return {g.tile_count(), ex.nodes_executed(), s == expected};
+}
+
+/// A retiring node keeps one ready successor and runs it on the same
+/// thread, so the pool runs fewer tasks than there are tiles, while
+/// nodes_executed() still counts every tile.
+TEST(PreparedGraph, ReadySuccessorRunsInline) {
+  forkjoin::worker_pool pool(3);
+  const prepared_sw_run r = run_prepared_sw(256, 8, pool);
+  EXPECT_TRUE(r.exact);
+  EXPECT_EQ(r.tiles, 1024u);
+  EXPECT_EQ(r.executed, r.tiles);
+  EXPECT_LT(pool.stats().tasks_spawned, r.tiles);
+}
+
+/// On one worker the whole DAG runs as chains on one thread; a chain is a
+/// loop, not a recursion, so 65,536 tiles need no deeper stack than one.
+TEST(PreparedGraph, LongChainsOnOneWorkerDoNotRecurse) {
+  forkjoin::worker_pool pool(1);
+  const prepared_sw_run r = run_prepared_sw(1024, 4, pool);
+  EXPECT_TRUE(r.exact);
+  EXPECT_EQ(r.tiles, 65536u);
+  EXPECT_EQ(r.executed, r.tiles);
+}
+
 // ---- batch server ---------------------------------------------------------
 
 /// One GE instance routed through the server; the table the caller handed
