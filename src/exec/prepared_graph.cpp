@@ -246,10 +246,9 @@ void prepared_execution::start() {
 }
 
 void prepared_execution::run_node(std::uint32_t idx) noexcept {
-  // One chain: run idx, then the ready successor its retire() kept, and so
-  // on. A loop, not a recursion, so a chain of any length runs at constant
-  // stack depth. The chain counts its tiles and nodes locally and publishes
-  // them once, at its end.
+  // A loop, not a recursion, so a chain of any length runs at constant
+  // stack depth. Its counters stay local until it ends: one add per shared
+  // counter per chain instead of per tile.
   std::uint64_t tiles = 0, nodes = 0;
   for (; idx != k_no_node; ++nodes) {
     const prepared_graph::node& nd = graph_.nodes_[idx];
@@ -311,9 +310,8 @@ void prepared_execution::run_node(std::uint32_t idx) noexcept {
 }
 
 std::uint32_t prepared_execution::retire(std::uint32_t idx) noexcept {
-  // Counts down idx's successors. The first one made ready (in CSR order)
-  // is kept for the calling chain; the rest are enqueued before it runs,
-  // so thieves see them first.
+  // The first successor made ready (CSR order) is kept; the rest are
+  // enqueued before the chain runs it, so thieves see them first.
   const prepared_graph::node& nd = graph_.nodes_[idx];
   std::uint32_t kept = k_no_node;
   for (std::uint32_t s = nd.succ_begin; s < nd.succ_end; ++s) {

@@ -253,8 +253,9 @@ prepared_sw_run run_prepared_sw(std::size_t n, std::size_t base,
 }
 
 /// A retiring node keeps one ready successor and runs it on the same
-/// thread, so the pool runs fewer tasks than there are tiles, while
-/// nodes_executed() still counts every tile.
+/// thread. Every tile but a root is made ready once, so the pool runs
+/// tiles minus (nodes that made one ready) tasks: fewer than tiles, in any
+/// interleaving. nodes_executed() still counts every tile.
 TEST(PreparedGraph, ReadySuccessorRunsInline) {
   forkjoin::worker_pool pool(3);
   const prepared_sw_run r = run_prepared_sw(256, 8, pool);
