@@ -47,27 +47,35 @@ void report(benchmark_id bm, const variant& v, bool ok) {
   if (!ok) ++g_failures;
 }
 
-/// Run every registry variant of `bm` and compare against the serial row.
-/// `reset` restores the input, `run_serial_ref` fills the oracle once.
-/// Comma-separated substring filter for the measurement pass ("" = all).
-bool label_selected(std::string_view label, const std::string& csv) {
-  if (csv.empty()) return true;
+/// The non-empty labels of a comma-separated --impl list.
+std::vector<std::string> split_labels(const std::string& csv) {
+  std::vector<std::string> out;
   std::size_t pos = 0;
   while (pos <= csv.size()) {
     const std::size_t comma = csv.find(',', pos);
-    const std::string part = csv.substr(
+    std::string part = csv.substr(
         pos, comma == std::string::npos ? csv.size() - pos : comma - pos);
-    if (!part.empty() && label.find(part) != std::string::npos) return true;
+    if (!part.empty()) out.push_back(std::move(part));
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
-  return false;
+  return out;
 }
 
+/// Exact-label filter for the measurement pass (empty = all).
+bool label_selected(std::string_view label,
+                    const std::vector<std::string>& labels) {
+  return labels.empty() ||
+         std::find(labels.begin(), labels.end(), label) != labels.end();
+}
+
+/// Run every registry variant of `bm` and compare against the serial row.
+/// `reset` restores the input; the serial row fills the oracle once.
 template <class Table, class Reset>
 void smoke(benchmark_id bm, const problem_ref& prob, const run_options& opts,
            Table& table, const Reset& reset, int reps,
-           rdp::obs::run_report* rep, const std::string& measure_impls) {
+           rdp::obs::run_report* rep,
+           const std::vector<std::string>& measure_impls) {
   const std::size_t n = problem_size(prob);
   const variant* serial = find_variant(bm, "serial");
   RDP_REQUIRE(serial != nullptr && serial->supports(n, opts.base));
@@ -149,11 +157,11 @@ int main(int argc, char** argv) {
   cli.add_int("reps", &reps,
               "wall-clock repetitions per --report entry (default 3)");
   cli.add_string("impl", &measure_impls,
-                 "comma-separated label substrings selecting which variants "
-                 "the --report measurement pass times (default: all; the "
-                 "correctness sweep always covers every row of the selected "
-                 "benchmarks, and serial is always measured as the "
-                 "--normalize anchor)");
+                 "comma-separated registry labels (exact, e.g. "
+                 "rway:r2,rway:r4) selecting which variants the --report "
+                 "measurement pass times (default: all; the correctness "
+                 "sweep always covers every row of the selected benchmarks, "
+                 "and serial is always measured as the --normalize anchor)");
   cli.add_string("bench", &bench,
                  "run only this benchmark (ge, sw, fw, lcs or paren), in "
                  "both the correctness sweep and the measurement pass "
@@ -177,6 +185,16 @@ int main(int argc, char** argv) {
               << bench << "')\n";
     return 2;
   }
+  const std::vector<std::string> impls = split_labels(measure_impls);
+  for (const std::string& label : impls)
+    if (std::none_of(std::begin(kBenchmarks), std::end(kBenchmarks),
+                     [&](benchmark_id bm) {
+                       return find_variant(bm, label) != nullptr;
+                     })) {
+      std::cerr << "--impl: unknown label '" << label
+                << "'; valid: " << impl_help() << "\n";
+      return 2;
+    }
   if (!report_path.empty()) {
     // Validate the destination before the run, not after (append-mode probe
     // creates a missing file but clobbers nothing).
@@ -209,7 +227,7 @@ int main(int argc, char** argv) {
     auto m = make_diag_dominant(static_cast<std::size_t>(n), 1);
     const auto input = m;
     smoke(benchmark_id::ge, ge_problem(m), opts, m, [&] { m = input; },
-          rep_count, rep, measure_impls);
+          rep_count, rep, impls);
   }
   if (bench_selected(benchmark_id::sw, bench)) {
     const auto a = make_dna(static_cast<std::size_t>(n), 7);
@@ -218,7 +236,7 @@ int main(int argc, char** argv) {
     matrix<std::int32_t> s(n + 1, n + 1, 0);
     smoke(benchmark_id::sw, sw_problem(s, a, b, p), opts, s,
           [&] { s = matrix<std::int32_t>(n + 1, n + 1, 0); }, rep_count, rep,
-          measure_impls);
+          impls);
   }
   if (bench_selected(benchmark_id::fw, bench)) {
     auto m = make_digraph(static_cast<std::size_t>(n), 0.3, 5, 1e9);
@@ -226,7 +244,7 @@ int main(int argc, char** argv) {
       m.data()[i] = static_cast<double>(static_cast<long long>(m.data()[i]));
     const auto input = m;
     smoke(benchmark_id::fw, fw_problem(m), opts, m, [&] { m = input; },
-          rep_count, rep, measure_impls);
+          rep_count, rep, impls);
   }
   if (bench_selected(benchmark_id::lcs, bench)) {
     const auto a = make_dna(static_cast<std::size_t>(n), 11);
@@ -234,7 +252,7 @@ int main(int argc, char** argv) {
     matrix<std::int32_t> s(n + 1, n + 1, 0);
     smoke(benchmark_id::lcs, lcs_problem(s, a, b), opts, s,
           [&] { s = matrix<std::int32_t>(n + 1, n + 1, 0); }, rep_count, rep,
-          measure_impls);
+          impls);
   }
   if (bench_selected(benchmark_id::paren, bench)) {
     // Integer-valued chain dimensions keep every candidate cost exact (the
@@ -250,7 +268,7 @@ int main(int argc, char** argv) {
             c = matrix<double>(static_cast<std::size_t>(n),
                                static_cast<std::size_t>(n), 0.0);
           },
-          rep_count, rep, measure_impls);
+          rep_count, rep, impls);
   }
 
   if (g_failures > 0) {

@@ -20,15 +20,22 @@
 //
 // RDP_KERNEL_CLONES compiles each hot function twice (baseline + AVX2) with
 // gcc's target_clones; the dynamic linker picks the widest supported clone
-// at first call (ifunc). Disabled under sanitizers (ifunc resolvers run
-// before the sanitizer runtimes initialise) and on non-x86 targets, where
-// the plain definition remains — the scalar fallback is always available
-// through the dispatchers regardless.
+// at first call (ifunc). RDP_GE_CLONES adds an x86-64-v4 (AVX-512) clone
+// for the GE kernels only, so SW and FW run the same code on every host.
+// Disabled under sanitizers (ifunc resolvers run before the sanitizer
+// runtimes initialise) and on non-x86 targets, where the plain definition
+// remains — the scalar fallback is always available through the
+// dispatchers regardless.
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
     !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
+#define RDP_CLONES_ENABLED 1
 #define RDP_KERNEL_CLONES __attribute__((target_clones("default", "avx2")))
+#define RDP_GE_CLONES \
+  __attribute__((target_clones("default", "avx2", "arch=x86-64-v4")))
 #else
+#define RDP_CLONES_ENABLED 0
 #define RDP_KERNEL_CLONES
+#define RDP_GE_CLONES
 #endif
 
 namespace rdp::dp {
@@ -69,47 +76,86 @@ void set_kernel_impl(kernel_impl k) noexcept {
 
 // ------------------------------------------------------------------ GE ----
 
-// Two regimes, both bit-exact:
+// Three fast regimes for the tile kinds of the blocked schedule, all
+// bit-exact: each element (i,j) still receives its reference subtraction
+// chain c[i][j] -= f(i,k) * c[k][j] for k ascending, with the same factor
+// f(i,k) = c[i][k] / c[k][k] (a division, never a reciprocal), and this
+// translation unit forbids FMA contraction. Only the order in which
+// independent elements are visited changes.
 //
-//  * D-kind tiles (i0 >= k0+b AND j0 >= k0+b): the update guard never
-//    clamps, and the pivot elements, multiplier column k and pivot rows all
-//    lie outside the written region, so every factor
-//    f(i,k) = c[i][k]/c[k][k] is invariant for the whole kernel. The
-//    elimination then has GEMM structure and we run a 4×8 register tile
-//    with k innermost — but still ASCENDING per element, i.e. the exact
-//    FP subtraction chain of the reference kernel, just with the partial
-//    result held in a register instead of stored/reloaded each k.
+//  * D tiles (i0 >= k0+b AND j0 >= k0+b): the update guard never clamps,
+//    and the pivots, the multiplier column k and the pivot rows all lie
+//    outside the written region, so every factor is invariant for the whole
+//    kernel: GEMM structure. The pivot-row panel c[k0..k_end)[j0..j0+b) is
+//    first packed into contiguous 8-column strips (at n = 1024 its rows are
+//    8 KB apart and all fall into one L1 set), then a 4×8 register tile runs
+//    over each strip with k innermost, reading one sequential stream.
 //
-//  * Other (A/B/C) tiles: the guard clamps per k, so the reference loop
-//    order stays (k outer) and only the inner j loop is vectorized — the
-//    per-element operation sequence is untouched. Rows being updated are
-//    all > k, so the pivot row is never written and __restrict holds.
+//  * B tiles (i0 == k0, j0 >= k0+b): row i is updated by the rows k < i of
+//    the same tile, and row k is final once its own updates are done. So the
+//    tile is filled row by row: row i accumulates -f(i,k)·row_k for k
+//    ascending over the (final) rows above it, 32 columns at a time in
+//    registers. The factors read column k < k0+b <= j0, which the tile
+//    never writes.
+//
+//  * C tiles (j0 == k0, i0 >= k0+b): every row is updated only by the
+//    pivot rows k in [k0,k0+b) (constant, above the tile) and by its own
+//    column k, so rows are independent. Blocks of 4 rows go outermost, k in
+//    the middle, and each pivot-row load is shared by the 4 rows.
+//
+//  * Everything else — the A (diagonal) tile, off-grid geometries and bases
+//    above k_ge_kmax — keeps the reference loop order (k outer) with only
+//    the inner j loop vectorized. Rows being updated are all > k, so the
+//    pivot row is never written and __restrict holds.
+//
+// The GE functions carry the third, x86-64-v4 clone (RDP_GE_CLONES): a row
+// of the 4×8 tile is one zmm register there. Each kernel body sits inside
+// its own cloned function; a helper called from a clone is compiled for the
+// baseline ISA unless it is inlined.
+
 namespace {
 
-constexpr std::size_t k_ge_ri = 4;    // register-tile rows
-constexpr std::size_t k_ge_rj = 8;    // register-tile cols
-constexpr std::size_t k_ge_kmax = 256;  // factor-buffer capacity (per row)
+constexpr std::size_t k_ge_ri = 4;      // register-tile rows (D, C)
+constexpr std::size_t k_ge_rj = 8;      // register-tile cols = strip width (D)
+constexpr std::size_t k_ge_bj = 32;     // register chunk of a B-tile row
+constexpr std::size_t k_ge_kmax = 256;  // largest base on a fast path
 
-RDP_KERNEL_CLONES
+// D tile. `panel` holds (k_end-k0) * b doubles: at most k_ge_kmax^2
+// (512 KiB), supplied by the caller.
+RDP_GE_CLONES
 void ge_dtile(double* c, std::size_t n, std::size_t i0, std::size_t j0,
-              std::size_t k0, std::size_t b) {
-  const std::size_t k_end = std::min(k0 + b, n - 1);
-  double f[k_ge_ri][k_ge_kmax];  // f[r][k-k0] = c[(i+r)][k] / c[k][k]
-  for (std::size_t i = i0; i < i0 + b; i += k_ge_ri) {
-    for (std::size_t r = 0; r < k_ge_ri; ++r)
+              std::size_t k0, std::size_t b, double* __restrict panel) {
+  const std::size_t kl = std::min(k0 + b, n - 1) - k0;
+  double pivot[k_ge_kmax];
+  for (std::size_t kk = 0; kk < kl; ++kk)
+    pivot[kk] = c[(k0 + kk) * n + k0 + kk];
+  // panel[(s * kl + kk) * 8 + q] = c[k0+kk][j0 + 8s + q]
+  for (std::size_t kk = 0; kk < kl; ++kk) {
+    const double* __restrict src = c + (k0 + kk) * n + j0;
+    for (std::size_t s = 0; s < b / k_ge_rj; ++s)
 #pragma omp simd
-      for (std::size_t k = k0; k < k_end; ++k)
-        f[r][k - k0] = c[(i + r) * n + k] / c[k * n + k];
-    for (std::size_t j = j0; j < j0 + b; j += k_ge_rj) {
+      for (std::size_t q = 0; q < k_ge_rj; ++q)
+        panel[(s * kl + kk) * k_ge_rj + q] = src[s * k_ge_rj + q];
+  }
+  double f[k_ge_ri][k_ge_kmax];  // f[r][kk] = c[i+r][k0+kk] / c[k][k]
+  for (std::size_t i = i0; i < i0 + b; i += k_ge_ri) {
+    for (std::size_t r = 0; r < k_ge_ri; ++r) {
+      const double* __restrict row = c + (i + r) * n + k0;
+#pragma omp simd
+      for (std::size_t kk = 0; kk < kl; ++kk) f[r][kk] = row[kk] / pivot[kk];
+    }
+    for (std::size_t s = 0; s < b / k_ge_rj; ++s) {
+      const double* __restrict strip = panel + s * kl * k_ge_rj;
+      const std::size_t j = j0 + s * k_ge_rj;
       double acc[k_ge_ri][k_ge_rj];
       for (std::size_t r = 0; r < k_ge_ri; ++r)
 #pragma omp simd
         for (std::size_t q = 0; q < k_ge_rj; ++q)
           acc[r][q] = c[(i + r) * n + j + q];
-      for (std::size_t k = k0; k < k_end; ++k) {
-        const double* __restrict row_k = c + k * n + j;
+      for (std::size_t kk = 0; kk < kl; ++kk) {
+        const double* __restrict row_k = strip + kk * k_ge_rj;
         for (std::size_t r = 0; r < k_ge_ri; ++r) {
-          const double fr = f[r][k - k0];
+          const double fr = f[r][kk];
 #pragma omp simd
           for (std::size_t q = 0; q < k_ge_rj; ++q)
             acc[r][q] -= fr * row_k[q];
@@ -123,7 +169,85 @@ void ge_dtile(double* c, std::size_t n, std::size_t i0, std::size_t j0,
   }
 }
 
-RDP_KERNEL_CLONES
+// B tile: row-ordered, 32-column register chunks, then the b % 32 tail
+// columns in memory.
+RDP_GE_CLONES
+void ge_btile(double* c, std::size_t n, std::size_t j0, std::size_t k0,
+              std::size_t b) {
+  const std::size_t k_end = std::min(k0 + b, n - 1);
+  const std::size_t j_full = b - b % k_ge_bj;
+  double pivot[k_ge_kmax];
+  for (std::size_t k = k0; k < k_end; ++k) pivot[k - k0] = c[k * n + k];
+  double f[k_ge_kmax];
+  for (std::size_t i = k0 + 1; i < k0 + b; ++i) {
+    const std::size_t kl = std::min(i, k_end) - k0;  // rows k0..k0+kl-1
+    const double* __restrict col = c + i * n + k0;
+#pragma omp simd
+    for (std::size_t kk = 0; kk < kl; ++kk) f[kk] = col[kk] / pivot[kk];
+    double* __restrict row_i = c + i * n + j0;
+    for (std::size_t jc = 0; jc < j_full; jc += k_ge_bj) {
+      double acc[k_ge_bj];
+#pragma omp simd
+      for (std::size_t q = 0; q < k_ge_bj; ++q) acc[q] = row_i[jc + q];
+      for (std::size_t kk = 0; kk < kl; ++kk) {
+        const double* __restrict row_k = c + (k0 + kk) * n + j0 + jc;
+        const double fk = f[kk];
+#pragma omp simd
+        for (std::size_t q = 0; q < k_ge_bj; ++q) acc[q] -= fk * row_k[q];
+      }
+#pragma omp simd
+      for (std::size_t q = 0; q < k_ge_bj; ++q) row_i[jc + q] = acc[q];
+    }
+    for (std::size_t kk = 0; kk < kl; ++kk) {
+      const double* __restrict row_k = c + (k0 + kk) * n + j0;
+      const double fk = f[kk];
+#pragma omp simd
+      for (std::size_t j = j_full; j < b; ++j) row_i[j] -= fk * row_k[j];
+    }
+  }
+}
+
+// C tile: blocks of 4 independent rows outermost, each pivot-row load
+// shared by the block; the b % 4 tail rows one at a time.
+RDP_GE_CLONES
+void ge_ctile(double* c, std::size_t n, std::size_t i0, std::size_t k0,
+              std::size_t b) {
+  const std::size_t k_end = std::min(k0 + b, n - 1);
+  const std::size_t j_end = k0 + b;
+  const std::size_t i_full = i0 + (b - b % k_ge_ri);
+  std::size_t i = i0;
+  for (; i < i_full; i += k_ge_ri) {
+    double* __restrict r0 = c + i * n;
+    double* __restrict r1 = c + (i + 1) * n;
+    double* __restrict r2 = c + (i + 2) * n;
+    double* __restrict r3 = c + (i + 3) * n;
+    for (std::size_t k = k0; k < k_end; ++k) {
+      const double* __restrict row_k = c + k * n;
+      const double pivot = row_k[k];
+      const double f0 = r0[k] / pivot, f1 = r1[k] / pivot;
+      const double f2 = r2[k] / pivot, f3 = r3[k] / pivot;
+#pragma omp simd
+      for (std::size_t j = k + 1; j < j_end; ++j) {
+        const double p = row_k[j];
+        r0[j] -= f0 * p;
+        r1[j] -= f1 * p;
+        r2[j] -= f2 * p;
+        r3[j] -= f3 * p;
+      }
+    }
+  }
+  for (; i < i0 + b; ++i) {
+    double* __restrict row_i = c + i * n;
+    for (std::size_t k = k0; k < k_end; ++k) {
+      const double* __restrict row_k = c + k * n;
+      const double fk = row_i[k] / row_k[k];
+#pragma omp simd
+      for (std::size_t j = k + 1; j < j_end; ++j) row_i[j] -= fk * row_k[j];
+    }
+  }
+}
+
+RDP_GE_CLONES
 void ge_reference_order_simd(double* c, std::size_t n, std::size_t i0,
                              std::size_t j0, std::size_t k0, std::size_t b) {
   const std::size_t k_end = std::min(k0 + b, n - 1);
@@ -150,11 +274,40 @@ void ge_base_kernel_blocked(double* c, std::size_t n, std::size_t i0,
   // always-on, or a broken spec scribbles out of bounds in Release.
   RDP_REQUIRE_MSG(i0 + b <= n && j0 + b <= n && k0 + b <= n,
                   "base tile exceeds the table");
-  if (i0 >= k0 + b && j0 >= k0 + b && b % k_ge_rj == 0 && b <= k_ge_kmax) {
-    ge_dtile(c, n, i0, j0, k0, b);
-    return;
+  const bool rows_below = i0 >= k0 + b;
+  const bool cols_right = j0 >= k0 + b;
+  if (b <= k_ge_kmax) {
+    if (rows_below && cols_right && b % k_ge_rj == 0) {
+      // Per-thread packed panel; it grows to the largest D tile this
+      // thread has run (at most k_ge_kmax^2 doubles) and is then reused,
+      // so steady-state calls allocate nothing.
+      thread_local std::vector<double> panel;
+      if (panel.size() < b * b) panel.resize(b * b);
+      ge_dtile(c, n, i0, j0, k0, b, panel.data());
+      return;
+    }
+    if (i0 == k0 && cols_right) {
+      ge_btile(c, n, j0, k0, b);
+      return;
+    }
+    if (j0 == k0 && rows_below) {
+      ge_ctile(c, n, i0, k0, b);
+      return;
+    }
   }
   ge_reference_order_simd(c, n, i0, j0, k0, b);
+}
+
+const char* ge_kernel_clone() noexcept {
+#if RDP_CLONES_ENABLED
+  // The same tests, in the same priority order, as the resolver gcc
+  // emits for RDP_GE_CLONES.
+  if (__builtin_cpu_supports("x86-64-v4")) return "x86-64-v4";
+  if (__builtin_cpu_supports("avx2")) return "avx2";
+  return "default";
+#else
+  return "none (clones disabled)";
+#endif
 }
 
 // ------------------------------------------------------------------ FW ----

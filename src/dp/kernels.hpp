@@ -10,6 +10,13 @@
 // kernels.cpp), so the dispatch is a pure performance knob — every variant
 // of every benchmark still produces identical tables.
 //
+// GE has a fast path per tile kind of the blocked schedule (D: packed
+// pivot-row panel under a 4×8 register tile; B: row-ordered with 32-column
+// register chunks; C: 4-row blocks sharing each pivot-row load) and is
+// compiled for three ISAs (baseline, AVX2, x86-64-v4); SW and FW for two
+// (baseline, AVX2). The loader picks the widest clone the host supports;
+// ge_kernel_clone() names the GE one.
+//
 // Dispatch: `ge_kernel` / `fw_kernel` / `sw_kernel` consult the process-wide
 // kernel_impl selection, which defaults to `blocked` and can be forced with
 // set_kernel_impl() or the RDP_KERNELS environment variable
@@ -39,12 +46,27 @@ void set_kernel_impl(kernel_impl k) noexcept;
 
 // ---- blocked kernels (same contracts as the reference kernels) ----------
 
-/// Register-blocked GE update over region (i0,j0,k0,b): the k loop stays
-/// outermost (the FP op sequence per element is unchanged => bit-exact),
-/// rows are processed four at a time sharing the pivot-row loads, and the
-/// inner j loop is vectorized. See ge_base_kernel for the region contract.
+/// Blocked GE update over region (i0,j0,k0,b), bit-identical to
+/// ge_base_kernel (see it for the region contract): every element keeps its
+/// reference subtraction chain, k ascending with the same factors; only the
+/// visiting order of independent elements changes. Tiles of the blocked
+/// schedule with b <= 256 take one of three fast paths:
+///   D (i0, j0 >= k0+b): the pivot-row panel is packed into contiguous
+///     8-column strips and a 4×8 register tile runs over it, k innermost;
+///   B (i0 == k0, j0 >= k0+b): row by row, each row accumulating the final
+///     rows above it in 32-column register chunks;
+///   C (j0 == k0, i0 >= k0+b): blocks of 4 independent rows sharing each
+///     pivot-row load.
+/// The A (diagonal) tile and every other geometry keep the reference loop
+/// order with a vectorized inner loop. No heap allocation in steady state:
+/// the D path's panel is a per-thread buffer of at most 256² doubles.
 void ge_base_kernel_blocked(double* c, std::size_t n, std::size_t i0,
                             std::size_t j0, std::size_t k0, std::size_t b);
+
+/// The clone of the GE kernels this host runs: "x86-64-v4", "avx2" or
+/// "default" (gcc's ifunc resolver order), or "none (clones disabled)" in
+/// sanitizer and non-x86 builds.
+const char* ge_kernel_clone() noexcept;
 
 /// Blocked FW min-plus update. Tiles whose row and column ranges are both
 /// disjoint from the pivot range [k0,k0+b) — the D-kind tiles, which

@@ -14,6 +14,9 @@
 // the fork-join walk (spawned tasks come from the arena) less than once
 // per split. A plan that spilled to the heap would cost one allocation per
 // split or more.
+//
+// The blocked GE kernel allocates nothing per call once its thread's
+// packing buffer is warm.
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -23,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include "dp/dp.hpp"
+#include "dp/kernels.hpp"
 #include "exec/backend.hpp"
 #include "forkjoin/worker_pool.hpp"
 #include "support/rng.hpp"
@@ -148,6 +152,25 @@ TEST(RecursionAllocations, TwoWayWalkAllocatesNothingPerSplit) {
               n, base, static_cast<unsigned long long>(forkjoin),
               static_cast<unsigned long long>(splits));
   EXPECT_LT(forkjoin, splits);
+}
+
+// The blocked GE kernel's D-tile path packs its pivot-row panel into a
+// per-thread buffer that grows to the largest tile the thread has run; once
+// warm, no tile kind allocates. A panel allocated per call would cost one
+// allocation per D tile.
+TEST(KernelAllocations, GeTilesAllocateNothingOnceWarm) {
+  const std::size_t n = 256, b = 64;
+  auto m = make_diag_dominant(n, 3);
+  // A (diagonal), B (pivot row band), C (pivot column band), D (the rest).
+  const std::size_t tiles[][2] = {{0, 0}, {0, b}, {b, 0}, {b, b}, {b, 3 * b}};
+  ge_base_kernel_blocked(m.data(), n, b, b, 0, b);  // warm the panel
+  const std::uint64_t allocations = allocations_of([&] {
+    for (std::size_t base : {b, b / 2})
+      for (const auto& t : tiles)
+        ge_base_kernel_blocked(m.data(), n, t[0] / b * base, t[1] / b * base,
+                               0, base);
+  });
+  EXPECT_EQ(allocations, 0u);
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "dp/dp.hpp"
 #include "dp/kernels.hpp"
@@ -35,17 +37,69 @@ TEST(BlockedKernels, GeMatchesReferenceOnRandomTiles) {
   xoshiro256 rng(42);
   const std::size_t n = 97;  // non-power-of-two table
   const auto input = make_diag_dominant(n, 5);
-  for (int iter = 0; iter < 300; ++iter) {
+  // Odd draws put the tile on the blocked schedule's grid (offsets
+  // multiples of b, i0 or j0 often equal to k0), so that the A/B/C tile
+  // kinds come up as often as the schedule runs them: an unaligned draw
+  // hits i0 == k0 about once in n-b+1.
+  for (int iter = 0; iter < 600; ++iter) {
     const std::size_t b = 1 + static_cast<std::size_t>(rng.below(40));
-    const std::size_t i0 = random_offset(rng, n, b);
-    const std::size_t j0 = random_offset(rng, n, b);
-    const std::size_t k0 = random_offset(rng, n, b);
+    std::size_t i0 = random_offset(rng, n, b);
+    std::size_t j0 = random_offset(rng, n, b);
+    std::size_t k0 = random_offset(rng, n, b);
+    if (iter % 2 == 1) {
+      auto grid = [&] {
+        return b * static_cast<std::size_t>(rng.below(n / b));
+      };
+      k0 = grid();
+      i0 = rng.below(2) == 0 ? k0 : grid();
+      j0 = rng.below(2) == 0 ? k0 : grid();
+    }
     auto ref = input;
     auto blk = input;
     ge_base_kernel(ref.data(), n, i0, j0, k0, b);
     ge_base_kernel_blocked(blk.data(), n, i0, j0, k0, b);
     ASSERT_TRUE(bit_equal(ref, blk))
         << "GE tile i0=" << i0 << " j0=" << j0 << " k0=" << k0 << " b=" << b;
+  }
+}
+
+// Every tile kind of the blocked schedule — A (i0 == j0 == k0), B (i0 ==
+// k0, j0 right of the pivot block), C (j0 == k0, i0 below it) and D (both
+// clear of it) — at the first k level, a middle one and the last one
+// (k0 = n-b, where k_end clamps to n-1), for bases on and off the kernels'
+// 8-column strip and 32-column chunk, including 256 (the largest base on a
+// fast path) and 264 (past it). n = 1024 puts rows 8 KB apart, as in the
+// production GE shape; n = 97 is prime, so no base divides it.
+TEST(BlockedKernels, GeTileKindsMatchReferenceOnTheGrid) {
+  for (std::size_t n : {std::size_t{1024}, std::size_t{97}}) {
+    const auto input = make_diag_dominant(n, 9);
+    for (std::size_t b : {8, 16, 32, 64, 128, 256, 264, 1, 3, 12, 20, 36, 40,
+                          44, 72, 100}) {
+      if (3 * b > n) continue;  // need a level with all four kinds
+      const std::size_t last = n - b;
+      const std::size_t mid = b * (n / b / 2 - 1);
+      for (std::size_t k0 : {std::size_t{0}, mid, last}) {
+        auto ref = input;
+        auto blk = input;
+        std::vector<std::pair<std::size_t, std::size_t>> tiles = {{k0, k0}};
+        if (k0 + b <= last) {
+          const std::size_t far = k0 + b * ((last - k0) / b);
+          for (std::size_t o : {k0 + b, far}) {
+            tiles.push_back({k0, o});  // B
+            tiles.push_back({o, k0});  // C
+            tiles.push_back({o, o});   // D
+          }
+          tiles.push_back({k0 + b, far});  // D, off the diagonal
+        }
+        for (const auto& [i0, j0] : tiles) {
+          ge_base_kernel(ref.data(), n, i0, j0, k0, b);
+          ge_base_kernel_blocked(blk.data(), n, i0, j0, k0, b);
+          ASSERT_TRUE(bit_equal(ref, blk))
+              << "GE n=" << n << " i0=" << i0 << " j0=" << j0
+              << " k0=" << k0 << " b=" << b;
+        }
+      }
+    }
   }
 }
 
